@@ -1,8 +1,8 @@
 """Pulse-train simulation and optimization for isometric FES force-fatigue
 dynamics: exact concentration evaluation, reference force oracles, a
-closed-form polynomial-exponential force approximation with computable
-error bounds, constrained impulse-timing optimization and endurance
-program planning."""
+closed-form force approximation (piecewise-affine Hill stand-ins, one
+exponential-affine integral per segment) with computable error bounds,
+constrained impulse-timing optimization and endurance program planning."""
 
 __version__ = "0.1.0"
 
@@ -21,7 +21,7 @@ from .model import (
     eval_signal,
     steady_state_root,
 )
-from .exppoly import ExpPoly
+from .exppoly import PiecewisePoly
 from .simulate import (
     QuadratureNoConvergence,
     Rest,
@@ -51,7 +51,6 @@ from .approx import (
     interval_average_cn,
     persistence_order,
     persistence_profile,
-    psi_primitive,
     tail_average_cn,
     truncated_cn,
     upper_lower_envelope,

@@ -8,26 +8,26 @@ The concentration admits cheap surrogates in two directions:
   closed forms through the lobe antiderivative chi.
 
 For the force, the Hill nonlinearities m1 and m2 are replaced on a refined
-partition of the pulse intervals by piecewise polynomials (m2 by piecewise
-constants inside the closed-form assembly). The resulting approximate
-force is a piecewise polynomial-exponential function whose per-segment
-primitives and integrals are precomputed once per train; evaluating it at
-any time then costs one segment lookup plus one closed-form partial
-integral. A scalar deformation ``nu`` of m1 and m2 turns the same
-machinery into guaranteed-side (upper or lower) force approximations, and
-an L1-type bound certifies the error of the interval-averaged m2 scheme.
+partition of the pulse intervals by piecewise-affine functions, stored as
+flat coefficient arrays (:class:`fespulse.exppoly.PiecewisePoly`). With m2
+entering through its segment mean, the approximate force has a closed form
+on every segment; one pass over the segments precomputes the discounted
+prefixes, after which evaluating it at any time costs one segment lookup
+plus one integral of an affine function against an exponential. A scalar
+deformation ``nu`` of m1 and m2 turns the same machinery into
+guaranteed-side (upper or lower) force approximations, and an L1-type
+bound certifies the error of the interval-averaged m2 scheme.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 
-from .exppoly import RATE_ZERO_TOL, ExpPoly
+from .exppoly import PiecewisePoly, exp_affine_integral
 from .model import (
     ModelParams,
     PulseTrain,
@@ -53,7 +53,6 @@ __all__ = [
     "interval_average_cn",
     "tail_average_cn",
     "build_m_approx",
-    "psi_primitive",
     "eval_f_tilde",
     "force_approximator",
     "euler_nodes",
@@ -280,18 +279,21 @@ def _refined_partition(
     return tuple(nodes), pulse_breaks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MApprox:
-    """Piecewise-polynomial stand-ins for the Hill functions on a refined
+    """Piecewise-affine stand-ins for the Hill functions on a refined
     partition of the pulse intervals, plus the deformation parameter nu."""
 
-    m1_tilde: ExpPoly
-    m2_tilde: ExpPoly
-    partition: tuple[float, ...]
+    m1_tilde: PiecewisePoly
+    m2_tilde: PiecewisePoly
     pulse_breaks: tuple[float, ...]
     scheme: str
     p: int
     nu: float
+
+    @property
+    def partition(self) -> np.ndarray:
+        return self.m1_tilde.breakpoints
 
     @property
     def n_intervals(self) -> int:
@@ -304,7 +306,7 @@ class MApprox:
         if not 0 <= j < self.p:
             raise IndexError(f"segment index {j} out of range 0..{self.p - 1}")
         g = i * self.p + j
-        return self.partition[g], self.partition[g + 1]
+        return float(self.partition[g]), float(self.partition[g + 1])
 
 
 def _quad_mean(fn, lo: float, hi: float) -> float:
@@ -352,75 +354,57 @@ def build_m_approx(
         raise ValueError(f"nu must be positive, got {nu}")
 
     partition, pulse_breaks = _refined_partition(train, params, p)
-    cn_nodes = np.atleast_1d(eval_cn(train, params, np.asarray(partition)))
-    f1_nodes = _m1_nu(cn_nodes, params, nu)
-    f2_nodes = _m2_nu(cn_nodes, params, nu)
+    part = np.asarray(partition)
+    cn_nodes = np.atleast_1d(eval_cn(train, params, part))
+    f1 = _m1_nu(cn_nodes, params, nu)
+    f2 = _m2_nu(cn_nodes, params, nu)
+    # Node values at the left (a) and right (b) end of every segment.
+    v1a, v1b, v2a, v2b = f1[:-1], f1[1:], f2[:-1], f2[1:]
+    w = np.diff(part)
+    zero = np.zeros_like(w)
+    n_int = len(pulse_breaks) - 1
 
-    m2_quad = None
-    if scheme == "constant-average":
-        from .simulate import _ScalarHill
-
-        hill = _ScalarHill(train, params)
-        m2_quad = lambda s: nu / (params.tau_1 + params.tau_2 * hill.m1(s))
-
-    peak_vals: list[tuple[float, float, float] | None] = []
     if scheme in ENVELOPE_SCHEMES:
+        hi1, lo1 = np.maximum(v1a, v1b), np.minimum(v1a, v1b)
+        hi2, lo2 = np.maximum(v2a, v2b), np.minimum(v2a, v2b)
         # Per-interval concentration maxima at the unclamped peak, for
         # exact per-segment suprema regardless of the clamped split point.
-        for i, t_star in enumerate(_interval_argmaxes(train, params)):
-            lo = pulse_breaks[i]
-            hi = pulse_breaks[i + 1]
-            if t_star is None or not lo < t_star < hi:
-                peak_vals.append(None)
-            else:
-                c_star = float(eval_cn(train, params, t_star))
-                peak_vals.append(
-                    (t_star, float(_m1_nu(c_star, params, nu)), float(_m2_nu(c_star, params, nu)))
-                )
+        t_star = np.array([np.nan if t is None else t for t in _interval_argmaxes(train, params)])
+        inside = (np.asarray(pulse_breaks[:-1]) < t_star) & (t_star < np.asarray(pulse_breaks[1:]))
+        c_star = np.atleast_1d(eval_cn(train, params, t_star[inside]))
+        m1_star = np.full(n_int, np.nan)
+        m2_star = np.full(n_int, np.nan)
+        m1_star[inside] = _m1_nu(c_star, params, nu)
+        m2_star[inside] = _m2_nu(c_star, params, nu)
+        t_seg = np.repeat(np.where(inside, t_star, np.nan), p)
+        holds_peak = (part[:-1] <= t_seg) & (t_seg <= part[1:])
+        hi1 = np.where(holds_peak, np.maximum(hi1, np.repeat(m1_star, p)), hi1)  # m1 peaks there
+        lo2 = np.where(holds_peak, np.minimum(lo2, np.repeat(m2_star, p)), lo2)  # m2 bottoms out
+        upper = scheme == "staircase-upper"
+        m1 = np.column_stack([hi1 if upper else lo1, zero])
+        m2 = np.column_stack([lo2 if upper else hi2, zero])
+    else:
+        m1 = np.column_stack([v1a, (v1b - v1a) / w])
+        if scheme == "affine-constant":
+            nodes = np.arange(n_int)[:, None] * p + np.arange(p + 1)
+            peak = np.argmax(cn_nodes[nodes], axis=1)
+            rising = (np.arange(p) < peak[:, None]).ravel()
+            m1[rising] = np.column_stack([v1b, zero])[rising]
+        if scheme == "triangular":
+            m2 = np.column_stack([v2a, (v2b - v2a) / w])
+        elif scheme == "affine-constant":
+            m2 = np.column_stack([0.5 * (v2a + v2b), zero])
+        else:
+            from .simulate import _ScalarHill
 
-    m1_pieces: list[tuple[float, ...]] = []
-    m2_pieces: list[tuple[float, ...]] = []
-    n_int = len(pulse_breaks) - 1
-    for i in range(n_int):
-        lo, hi = pulse_breaks[i], pulse_breaks[i + 1]
-        if scheme == "constant-average":
-            m2_mean = _quad_mean(m2_quad, lo, hi)
-        base = i * p
-        peak = int(np.argmax(cn_nodes[base : base + p + 1]))
-        for j in range(p):
-            sa, sb = partition[base + j], partition[base + j + 1]
-            w = sb - sa
-            v1a, v1b = float(f1_nodes[base + j]), float(f1_nodes[base + j + 1])
-            v2a, v2b = float(f2_nodes[base + j]), float(f2_nodes[base + j + 1])
-            if scheme in ENVELOPE_SCHEMES:
-                hi1, lo1 = max(v1a, v1b), min(v1a, v1b)
-                hi2, lo2 = max(v2a, v2b), min(v2a, v2b)
-                pk = peak_vals[i]
-                if pk is not None and sa <= pk[0] <= sb:
-                    hi1 = max(hi1, pk[1])  # m1 peaks with the concentration
-                    lo2 = min(lo2, pk[2])  # m2 bottoms out there
-                if scheme == "staircase-upper":
-                    m1_pieces.append((hi1,))
-                    m2_pieces.append((lo2,))
-                else:
-                    m1_pieces.append((lo1,))
-                    m2_pieces.append((hi2,))
-                continue
-            if scheme == "affine-constant" and j < peak:
-                m1_pieces.append((v1b,))
-            else:
-                m1_pieces.append((v1a, (v1b - v1a) / w))
-            if scheme == "triangular":
-                m2_pieces.append((v2a, (v2b - v2a) / w))
-            elif scheme == "affine-constant":
-                m2_pieces.append((0.5 * (v2a + v2b),))
-            else:
-                m2_pieces.append((m2_mean,))
+            hill = _ScalarHill(train, params)
+            m2_exact = lambda s: nu / (params.tau_1 + params.tau_2 * hill.m1(s))
+            means = [_quad_mean(m2_exact, lo, hi) for lo, hi in zip(pulse_breaks, pulse_breaks[1:])]
+            m2 = np.column_stack([np.repeat(means, p), zero])
 
     return MApprox(
-        m1_tilde=ExpPoly.piecewise_poly(partition, m1_pieces),
-        m2_tilde=ExpPoly.piecewise_poly(partition, m2_pieces),
-        partition=partition,
+        m1_tilde=PiecewisePoly(part, m1),
+        m2_tilde=PiecewisePoly(part, m2),
         pulse_breaks=pulse_breaks,
         scheme=scheme,
         p=p,
@@ -428,182 +412,48 @@ def build_m_approx(
     )
 
 
-def psi_primitive(m_approx: MApprox, i: int, j: int) -> ExpPoly:
-    """Antiderivative of the m2 stand-in on segment (i, j), zero at the
-    segment start. Degree is deg(m2_tilde) + 1."""
-    sa, sb = m_approx.segment(i, j)
-    g = i * m_approx.p + j
-    piece = m_approx.m2_tilde.pieces[g]
-    return ExpPoly((sa, sb), (piece,)).antiderivative()
-
-
 # ---------------------------------------------------------------------------
 # closed-form force assembly
 # ---------------------------------------------------------------------------
 
 
-def _int_exp_poly_scalar(coeffs, mu: float, x: float) -> float:
-    if abs(mu) < RATE_ZERO_TOL or abs(mu * x) < 1e-4:
-        out = 0.0
-        for k, c in enumerate(coeffs):
-            if c == 0.0:
-                continue
-            term = 0.0
-            fact = 1.0
-            for m in range(11):
-                term += (mu**m / fact) * x ** (k + m + 1) / (k + m + 1)
-                fact *= m + 1
-            out += c * term
-        return out
-    e = math.exp(mu * x)
-    i_k = math.expm1(mu * x) / mu
-    out = coeffs[0] * i_k
-    xk = 1.0
-    for k in range(1, len(coeffs)):
-        xk *= x
-        i_k = (xk * e - k * i_k) / mu
-        out += coeffs[k] * i_k
-    return out
-
-
-def _int_exp_poly(coeffs, mu: float, x):
-    """int_0^x P(u) e^{mu u} du for ascending coefficients P, vectorized in x.
-
-    Uses the integration-by-parts recursion; switches to a short power
-    series when |mu x| is small enough for the recursion to cancel badly.
-    """
-    if isinstance(x, float):
-        return _int_exp_poly_scalar(coeffs, mu, x)
-    x_arr = np.asarray(x, dtype=float)
-    if x_arr.ndim == 0:
-        return _int_exp_poly_scalar(coeffs, mu, float(x_arr))
-    xmax = float(np.max(np.abs(x_arr))) if x_arr.size else 0.0
-    if abs(mu) < RATE_ZERO_TOL or abs(mu) * xmax < 1e-4:
-        out = np.zeros_like(x_arr)
-        for k, c in enumerate(coeffs):
-            if c == 0.0:
-                continue
-            term = np.zeros_like(x_arr)
-            fact = 1.0
-            for m in range(11):
-                term = term + (mu**m / fact) * x_arr ** (k + m + 1) / (k + m + 1)
-                fact *= m + 1
-            out = out + c * term
-    else:
-        e = np.exp(mu * x_arr)
-        i_k = np.expm1(mu * x_arr) / mu
-        out = coeffs[0] * i_k
-        xk = np.ones_like(x_arr)
-        for k in range(1, len(coeffs)):
-            xk = xk * x_arr
-            i_k = (xk * e - k * i_k) / mu
-            out = out + coeffs[k] * i_k
-    return out
-
-
-def _poly_terms_only(piece) -> tuple[float, ...]:
-    coeffs: tuple[float, ...] = (0.0,)
-    for c, rate in piece:
-        if rate != 0.0:
-            raise ValueError("force assembly expects rate-0 (polynomial) pieces")
-        n = max(len(coeffs), len(c))
-        coeffs = tuple(
-            (coeffs[i] if i < len(coeffs) else 0.0) + (c[i] if i < len(c) else 0.0)
-            for i in range(n)
-        )
-    return coeffs
-
-
 class ForceApprox:
     """Precomputed closed-form evaluator of the approximate force.
 
-    All decay-rate accumulation is kept in ratio form (every stored prefix
-    is already discounted by the accumulated decay), so nothing in the
-    table can overflow no matter how long the train is. Construction is
-    single-threaded; evaluation is pure and re-entrant.
+    On segment g of the partition, m1 is c0_g + c1_g u and m2 enters through
+    its segment mean mu_g, so F~/A = e^{-mu_g x}(sbar_g + int_0^x (c0_g +
+    c1_g u) e^{mu_g u} du) at x = t - (segment start). Every stored prefix
+    sbar_g is already discounted by the accumulated decay, so nothing in
+    the table can overflow no matter how long the train is. Evaluation is
+    pure and re-entrant.
     """
 
     def __init__(self, m_approx: MApprox):
         self.m_approx = m_approx
-        self.starts = list(m_approx.partition[:-1])
-        widths = [b - a for a, b in zip(m_approx.partition, m_approx.partition[1:])]
-        n_seg = len(widths)
-        self.mu: list[float] = []
-        self.m1_coeffs: list[tuple[float, ...]] = []
-        for g in range(n_seg):
-            m2_poly = _poly_terms_only(m_approx.m2_tilde.pieces[g])
-            w = widths[g]
-            # Within the closed-form assembly m2 must be piecewise constant;
-            # higher-degree pieces are projected to their segment mean.
-            self.mu.append(sum(c * w**k / (k + 1) for k, c in enumerate(m2_poly)))
-            self.m1_coeffs.append(_poly_terms_only(m_approx.m1_tilde.pieces[g]))
-        self.psi = [m * w for m, w in zip(self.mu, widths)]
-        # sbar[g] = sum_{m<g} exp(Phi_m - Phi_g) * J_m, built by the stable
-        # recurrence sbar[g+1] = exp(-psi_g) (sbar[g] + J_g).
-        self.sbar = [0.0]
-        for g in range(n_seg - 1):
-            full = _int_exp_poly_scalar(self.m1_coeffs[g], self.mu[g], widths[g])
-            self.sbar.append(math.exp(-self.psi[g]) * (self.sbar[g] + full))
-        self._starts_arr = np.asarray(self.starts)
-        # Gather arrays for the vectorized affine-m1 fast path.
-        self._affine = all(len(c) <= 2 for c in self.m1_coeffs)
-        if self._affine:
-            self._c0 = np.array([c[0] for c in self.m1_coeffs])
-            self._c1 = np.array([c[1] if len(c) > 1 else 0.0 for c in self.m1_coeffs])
-            self._mu_arr = np.asarray(self.mu)
-            self._sbar_arr = np.asarray(self.sbar)
+        widths = np.diff(m_approx.partition)
+        m2 = m_approx.m2_tilde.coeffs
+        self.mu = m2[:, 0] + m2[:, 1] * widths / 2.0
+        self.c0, self.c1 = m_approx.m1_tilde.coeffs.T
+        # sbar[g+1] is F~/A at the end of segment g, (sbar[g] + J_g) e^{-mu_g w_g}
+        # with J_g the integral over the whole segment.
+        full, growth = exp_affine_integral(self.c0, self.c1, self.mu, widths)
+        sbar = [0.0]
+        for j_g, e_g in zip(full[:-1].tolist(), growth[:-1].tolist()):
+            sbar.append((sbar[-1] + j_g) / e_g)
+        self.sbar = np.asarray(sbar)
 
     @property
     def horizon(self) -> float:
-        return self.m_approx.partition[-1]
-
-    def _scaled_scalar(self, t: float) -> float:
-        part = self.m_approx.partition
-        if t < part[0] - 1e-9 or t > part[-1] + 1e-9:
-            raise ValueError(f"evaluation time outside [{part[0]}, {part[-1]}]")
-        g = min(max(int(np.searchsorted(part, t, side="right")) - 1, 0), len(self.starts) - 1)
-        x = t - self.starts[g]
-        frac = _int_exp_poly_scalar(self.m1_coeffs[g], self.mu[g], x)
-        return math.exp(-self.mu[g] * x) * (self.sbar[g] + frac)
+        return float(self.m_approx.partition[-1])
 
     def scaled_values(self, t) -> np.ndarray | float:
         """F~(t)/A in ms units (multiply by A in kN/ms for force in kN)."""
-        if isinstance(t, float):
-            return self._scaled_scalar(t)
         t_arr = np.asarray(t, dtype=float)
-        if t_arr.ndim == 0:
-            return self._scaled_scalar(float(t_arr))
-        lo, hi = self.m_approx.partition[0], self.m_approx.partition[-1]
-        if np.any(t_arr < lo - 1e-9) or np.any(t_arr > hi + 1e-9):
-            raise ValueError(f"evaluation time outside [{lo}, {hi}]")
-        flat = np.atleast_1d(t_arr)
-        idx = np.clip(
-            np.searchsorted(self.m_approx.partition, flat, side="right") - 1,
-            0,
-            len(self.starts) - 1,
-        )
-        if self._affine:
-            x = flat - self._starts_arr[idx]
-            mu = self._mu_arr[idx]
-            mx = mu * x
-            e = np.exp(mx)
-            i0 = np.expm1(mx) / mu
-            i1 = (x * e - i0) / mu
-            small = np.flatnonzero(np.abs(mx) < 1e-4)
-            if small.size:
-                xs, ms = x[small], mx[small]
-                i0[small] = xs * (1.0 + ms / 2.0 + ms**2 / 6.0 + ms**3 / 24.0)
-                i1[small] = xs**2 * (0.5 + ms / 3.0 + ms**2 / 8.0 + ms**3 / 30.0)
-            out = (self._sbar_arr[idx] + self._c0[idx] * i0 + self._c1[idx] * i1) / e
-            return out.reshape(t_arr.shape)
-        out = np.empty_like(flat)
-        sbar = self.sbar
-        for g in np.unique(idx):
-            sel = idx == g
-            x = flat[sel] - self.starts[g]
-            part = _int_exp_poly(self.m1_coeffs[g], self.mu[g], x)
-            out[sel] = np.exp(-self.mu[g] * x) * (sbar[g] + part)
-        return out.reshape(t_arr.shape)
+        g, x = self.m_approx.m1_tilde.locate(t_arr.ravel())
+        out, growth = exp_affine_integral(self.c0[g], self.c1[g], self.mu[g], x)
+        out += self.sbar[g]
+        out /= growth
+        return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
     def values(self, t, a_value: float) -> np.ndarray | float:
         """Approximate force in kN at time(s) t, for A given in kN/s."""
@@ -611,14 +461,9 @@ class ForceApprox:
         return a_value * 1e-3 * scaled
 
 
-@lru_cache(maxsize=32)
-def _force_table(m_approx: MApprox) -> ForceApprox:
-    return ForceApprox(m_approx)
-
-
 def force_approximator(m_approx: MApprox) -> ForceApprox:
-    """The cached precomputed evaluator for a given approximation."""
-    return _force_table(m_approx)
+    """The precomputed evaluator for a given approximation."""
+    return ForceApprox(m_approx)
 
 
 def eval_f_tilde(
@@ -626,7 +471,7 @@ def eval_f_tilde(
 ) -> float | np.ndarray:
     """Approximate force in kN; ``a_value`` in kN/s (defaults to a_rest)."""
     a = params.a_rest if a_value is None else float(a_value)
-    return _force_table(m_approx).values(t, a)
+    return ForceApprox(m_approx).values(t, a)
 
 
 # ---------------------------------------------------------------------------
@@ -752,8 +597,7 @@ def force_error_bound(
         violated.append("m2-not-interval-average")
     if abs(m_approx.nu - 1.0) > 1e-12:
         violated.append("nu-not-one")
-    sample = np.linspace(0.0, t_k, 160)
-    m1t = np.array([m_approx.m1_tilde.value(s) for s in sample])
+    m1t = m_approx.m1_tilde.value(np.linspace(0.0, t_k, 160))
     if np.any(m1t < -1e-9) or np.any(m1t > 1.0 + 1e-9):
         violated.append("m1-outside-unit-interval")
     for i in range(n_breaks - 1):

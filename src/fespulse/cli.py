@@ -2,10 +2,11 @@
 
 Subcommands: simulate, approximate, optimize, plan, validate, bench. Each
 reads an INI scenario file, writes deterministic CSV/JSON artifacts into
---out, and returns exit code 0 (ok), 2 (config error), 3 (solver failure)
-or 4 (validation failure). Every output carries a provenance header with
-the config hash and artifact version so plots and regressions can be
-pinned to an exact scenario.
+--out, and returns exit code 0 (ok), 2 (config error), 3 (solver or
+numerical failure: a solve that does not converge or cannot start,
+``StepTooLarge``, ``QuadratureNoConvergence``) or 4 (validation failure).
+Every output carries a provenance header with the config hash and artifact
+version so plots and regressions can be pinned to an exact scenario.
 """
 
 from __future__ import annotations
@@ -45,8 +46,10 @@ from .optimize import (
 )
 from .planner import ProgramSpec, plan_endurance
 from .simulate import (
+    QuadratureNoConvergence,
     Rest,
     SimOptions,
+    StepTooLarge,
     oracle_force_quadrature,
     reparam_force_check,
     simulate_force,
@@ -369,10 +372,14 @@ def _solver_from_config(cfg: ScenarioConfig, seed: int) -> tuple[SolveOptions, D
         seed=cfg.get("solver", "seed", seed),
     )
     horizon = cfg.get("solver", "init_horizon", 1000.0)
-    if n * opts.i_min >= min(horizon, opts.t_max):
+    if horizon >= opts.t_max:
+        raise ConfigError(f"[solver] init_horizon {horizon} must be below t_max {opts.t_max}")
+    # The regular start splits the horizon into n+1 equal gaps, each of
+    # which must exceed i_min strictly.
+    if (n + 1) * opts.i_min >= horizon:
         raise ConfigError(
-            f"infeasible scenario: n*i_min = {n * opts.i_min} does not fit under "
-            f"the horizon {min(horizon, opts.t_max)}"
+            f"infeasible scenario: (n+1)*i_min = {(n + 1) * opts.i_min} does not fit under "
+            f"the horizon {horizon}"
         )
     init = DecisionVector.regular(
         n,
@@ -816,6 +823,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (InfeasibleSigma, StepCollision) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except (StepTooLarge, QuadratureNoConvergence) as exc:
+        message = " ".join(str(exc).split())
+        print(f"numerical failure: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -1,17 +1,13 @@
-"""Piecewise polynomial-exponential functions.
+"""Piecewise affine functions and their exponentially weighted integral.
 
-A value of :class:`ExpPoly` represents, on each interval between two
-consecutive breakpoints, a finite sum of terms P(u) * exp(rate * u) where
-u = t - (piece start) and P is a polynomial. The local-coordinate form
-keeps exponent magnitudes bounded by |rate| * piece width, which is what
-makes long trains numerically safe.
-
-The class is closed under addition, multiplication, differentiation and
-antidifferentiation: each of those returns another ExpPoly. Integration of
-P(u) e^{ru} is done by repeated integration by parts; rates with
-|rate| < 1e-14 are treated as exactly zero so the antiderivative degrades
-gracefully to the pure-polynomial formula instead of dividing by a tiny
-rate.
+A :class:`PiecewisePoly` holds a strictly increasing breakpoint array of
+shape (G+1,) and, for each of the G pieces, the ascending coefficients
+(c0, c1) of c0 + c1 * u in the local variable u = t - (piece start). These
+are the stand-ins for the Hill functions m1 and m2 in
+:mod:`fespulse.approx`, whose closed-form force needs one integral,
+int_0^x (c0 + c1 u) e^{mu u} du, computed by :func:`exp_affine_integral`.
+Local coordinates keep every exponent bounded by mu times a piece width,
+which is what makes long trains numerically safe.
 """
 
 from __future__ import annotations
@@ -19,288 +15,102 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["ExpPoly", "RATE_ZERO_TOL"]
+import numpy as np
 
-RATE_ZERO_TOL = 1e-14
+__all__ = ["PiecewisePoly", "exp_affine_integral"]
 
-# A term is (ascending polynomial coefficients in the local variable, rate).
-Term = tuple[tuple[float, ...], float]
-
-
-def _poly_eval(coeffs: tuple[float, ...], u: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * u + c
-    return acc
-
-
-def _poly_trim(coeffs) -> tuple[float, ...]:
-    cs = list(coeffs)
-    while len(cs) > 1 and cs[-1] == 0.0:
-        cs.pop()
-    return tuple(float(c) for c in cs)
+# Below this |mu x| the integral is summed from its Taylor series: the
+# closed form of the u e^{mu u} term cancels to a relative error of about
+# 2 eps / |mu x|, and at mu = 0 it would divide by zero.
+_SERIES_BELOW = 0.01
+# With I0 = int_0^x e^{mu u} du and I1 = int_0^x u e^{mu u} du, the Taylor
+# coefficients in z = mu x of I0/x = sum z^m / (m+1)! and
+# I1/x^2 = sum z^m / (m! (m+2)), m = 0..6, highest first for Horner's rule;
+# the first omitted term is below 3e-19 of the sum for |z| < 0.01.
+_I0_TAYLOR = tuple(1.0 / math.factorial(m + 1) for m in reversed(range(7)))
+_I1_TAYLOR = tuple(1.0 / (math.factorial(m) * (m + 2)) for m in reversed(range(7)))
 
 
-def _poly_add(a, b) -> tuple[float, ...]:
-    n = max(len(a), len(b))
-    return _poly_trim(
-        tuple((a[i] if i < len(a) else 0.0) + (b[i] if i < len(b) else 0.0) for i in range(n))
-    )
+def exp_affine_integral(c0, c1, mu, x) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^x (c0 + c1 u) e^{mu u} du and e^{mu x}, elementwise.
 
-
-def _poly_mul(a, b) -> tuple[float, ...]:
-    out = [0.0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_scale(a, s: float) -> tuple[float, ...]:
-    return _poly_trim(tuple(c * s for c in a))
-
-
-def _poly_deriv(a) -> tuple[float, ...]:
-    if len(a) <= 1:
-        return (0.0,)
-    return _poly_trim(tuple(k * a[k] for k in range(1, len(a))))
-
-
-def _poly_antideriv(a) -> tuple[float, ...]:
-    return (0.0,) + tuple(c / (k + 1) for k, c in enumerate(a))
-
-
-def _poly_shift(a, d: float) -> tuple[float, ...]:
-    """Coefficients of P(u + d) given those of P(u)."""
-    if d == 0.0:
-        return _poly_trim(a)
-    n = len(a)
-    out = [0.0] * n
-    for k, c in enumerate(a):
-        # c * (u + d)^k expanded by the binomial theorem
-        comb = 1.0
-        for j in range(k + 1):
-            out[j] += c * comb * d ** (k - j)
-            comb = comb * (k - j) / (j + 1)
-    return _poly_trim(out)
-
-
-def _canon_rate(rate: float) -> float:
-    return 0.0 if abs(rate) < RATE_ZERO_TOL else float(rate)
-
-
-def _merge_terms(terms) -> tuple[Term, ...]:
-    by_rate: dict[float, tuple[float, ...]] = {}
-    for coeffs, rate in terms:
-        rate = _canon_rate(rate)
-        coeffs = _poly_trim(coeffs)
-        if coeffs == (0.0,):
-            continue
-        by_rate[rate] = _poly_add(by_rate.get(rate, (0.0,)), coeffs)
-    out = tuple(
-        (coeffs, rate)
-        for rate, coeffs in sorted(by_rate.items())
-        if _poly_trim(coeffs) != (0.0,)
-    )
-    return out if out else (((0.0,), 0.0),)
-
-
-def _term_antideriv(coeffs, rate: float, width: float) -> tuple[Term, ...]:
-    """Terms of an antiderivative of P(u) e^{ru} on a piece of the given width
-    (integration constant free).
-
-    The by-parts form e^{ru} sum_k (-1)^k P^(k)/r^(k+1) has coefficients of
-    size |P|/r^(deg+1) and cancels catastrophically as r -> 0. For
-    |r| * width <= 0.25 the antiderivative is therefore written as a plain
-    polynomial through the exponential series, truncated far below machine
-    precision (remainder ~ 0.25^18/18!).
+    ``x`` is a 1-d array; ``c0``, ``c1`` and ``mu`` are arrays of its shape
+    or scalars. The growth factor e^{mu x} is returned too because every
+    caller discounts by it.
     """
-    if rate == 0.0:
-        return ((_poly_antideriv(coeffs), 0.0),)
-    if abs(rate) * width <= 0.25:
-        out = [0.0] * (len(coeffs) + 19)
-        for k, c in enumerate(coeffs):
-            if c == 0.0:
-                continue
-            fact = 1.0
-            power = 1.0
-            for m in range(19):
-                out[k + m + 1] += c * power / (fact * (k + m + 1))
-                power *= rate
-                fact *= m + 1
-        return ((_poly_trim(out), 0.0),)
-    # Repeated integration by parts: e^{ru} * sum_k (-1)^k P^(k)(u) / r^(k+1)
-    q: tuple[float, ...] = (0.0,)
-    p = _poly_trim(coeffs)
-    sign = 1.0
-    power = rate
-    while True:
-        q = _poly_add(q, _poly_scale(p, sign / power))
-        if len(p) == 1:
-            break
-        p = _poly_deriv(p)
-        sign = -sign
-        power *= rate
-    return ((q, rate),)
+    z = mu * x
+    growth = np.exp(z)
+    small = np.abs(z) < _SERIES_BELOW
+    rate = np.where(small, 1.0, mu)
+    i0 = np.expm1(z)
+    i0 /= rate
+    i1 = x * growth
+    i1 -= i0
+    i1 /= rate
+    if small.any():
+        zs, xs = z[small], x[small]
+        s0 = s1 = 0.0
+        for a0, a1 in zip(_I0_TAYLOR, _I1_TAYLOR):
+            s0 = s0 * zs + a0
+            s1 = s1 * zs + a1
+        i0[small] = xs * s0
+        i1[small] = xs * xs * s1
+    i0 *= c0
+    i1 *= c1
+    i0 += i1
+    return i0, growth
 
 
-@dataclass(frozen=True)
-class ExpPoly:
-    """Piecewise sum of polynomial * exponential terms in local coordinates."""
+@dataclass(frozen=True, eq=False)
+class PiecewisePoly:
+    """Piecewise affine function: c0 + c1 * (t - breakpoints[g]) on piece g."""
 
-    breakpoints: tuple[float, ...]
-    pieces: tuple[tuple[Term, ...], ...]
+    breakpoints: np.ndarray
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
-        if len(self.breakpoints) < 2:
+        bp = np.asarray(self.breakpoints, dtype=float)
+        coeffs = np.asarray(self.coeffs, dtype=float)
+        if bp.ndim != 1 or bp.size < 2:
             raise ValueError("need at least two breakpoints")
-        if any(b - a <= 0.0 for a, b in zip(self.breakpoints, self.breakpoints[1:])):
+        if np.any(np.diff(bp) <= 0.0):
             raise ValueError("breakpoints must be strictly increasing")
-        if len(self.pieces) != len(self.breakpoints) - 1:
-            raise ValueError("need exactly one piece per interval")
-        object.__setattr__(
-            self,
-            "pieces",
-            tuple(
-                tuple((_poly_trim(c), _canon_rate(r)) for c, r in piece)
-                for piece in self.pieces
-            ),
-        )
-
-    # -- construction helpers -------------------------------------------------
+        if coeffs.shape != (bp.size - 1, 2):
+            raise ValueError(
+                f"need coefficients of shape ({bp.size - 1}, 2), got {coeffs.shape}"
+            )
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def piecewise_poly(cls, breakpoints, coeff_lists) -> "ExpPoly":
-        """Piecewise polynomial (all rates zero), coefficients in local u."""
-        return cls(
-            tuple(breakpoints),
-            tuple(((tuple(cs), 0.0),) for cs in coeff_lists),
-        )
-
-    @classmethod
-    def constant(cls, breakpoints, value: float) -> "ExpPoly":
-        return cls.piecewise_poly(breakpoints, [(value,)] * (len(tuple(breakpoints)) - 1))
-
-    # -- basic queries ---------------------------------------------------------
+    def constant(cls, breakpoints, value: float) -> "PiecewisePoly":
+        n_pieces = len(breakpoints) - 1
+        return cls(breakpoints, np.tile([float(value), 0.0], (max(n_pieces, 0), 1)))
 
     @property
     def domain(self) -> tuple[float, float]:
-        return self.breakpoints[0], self.breakpoints[-1]
+        return float(self.breakpoints[0]), float(self.breakpoints[-1])
 
-    @property
-    def degree(self) -> int:
-        return max(len(c) - 1 for piece in self.pieces for c, _ in piece)
+    def locate(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Piece index g and local coordinate t - breakpoints[g] of time(s) t.
 
-    def piece_index(self, t: float) -> int:
+        A breakpoint belongs to the piece on its right (the last one to the
+        last piece); times more than 1e-9 outside the domain raise
+        ValueError.
+        """
+        t_arr = np.asarray(t, dtype=float)
         lo, hi = self.domain
-        if t < lo - 1e-9 or t > hi + 1e-9:
-            raise ValueError(f"t={t} outside domain [{lo}, {hi}]")
-        i = 0
-        for b in self.breakpoints[1:-1]:
-            if t < b:
-                break
-            i += 1
-        return i
-
-    def value(self, t: float) -> float:
-        i = self.piece_index(float(t))
-        u = float(t) - self.breakpoints[i]
-        return sum(_poly_eval(c, u) * math.exp(r * u) for c, r in self.pieces[i])
-
-    def values(self, ts) -> list[float]:
-        return [self.value(float(t)) for t in ts]
-
-    def __call__(self, t: float) -> float:
-        return self.value(t)
-
-    # -- algebra ---------------------------------------------------------------
-
-    def _aligned(self, other: "ExpPoly") -> tuple[tuple[float, ...], list, list]:
-        if self.domain != other.domain:
-            raise ValueError(f"domain mismatch: {self.domain} vs {other.domain}")
-        merged: list[float] = []
-        for b in sorted(self.breakpoints + other.breakpoints):
-            if not merged or b - merged[-1] > 1e-12:
-                merged.append(b)
-        merged[0], merged[-1] = self.domain
-        bp = tuple(merged)
-        return bp, self._repieced(bp), other._repieced(bp)
-
-    def _repieced(self, bp: tuple[float, ...]) -> list[tuple[Term, ...]]:
-        out = []
-        for a in bp[:-1]:
-            i = self.piece_index(a + 0.0 if a < self.breakpoints[-1] else a)
-            start = self.breakpoints[i]
-            d = a - start
-            shifted = []
-            for coeffs, rate in self.pieces[i]:
-                scale = math.exp(rate * d)
-                shifted.append((_poly_scale(_poly_shift(coeffs, d), scale), rate))
-            out.append(_merge_terms(shifted))
-        return out
-
-    def __add__(self, other: "ExpPoly") -> "ExpPoly":
-        bp, mine, theirs = self._aligned(other)
-        return ExpPoly(bp, tuple(_merge_terms(a + b) for a, b in zip(mine, theirs)))
-
-    def __neg__(self) -> "ExpPoly":
-        return self.scale(-1.0)
-
-    def __sub__(self, other: "ExpPoly") -> "ExpPoly":
-        return self + (-other)
-
-    def scale(self, s: float) -> "ExpPoly":
-        return ExpPoly(
-            self.breakpoints,
-            tuple(
-                _merge_terms([(_poly_scale(c, s), r) for c, r in piece])
-                for piece in self.pieces
-            ),
+        if np.any(t_arr < lo - 1e-9) or np.any(t_arr > hi + 1e-9):
+            raise ValueError(f"time outside the domain [{lo}, {hi}]")
+        g = np.clip(
+            np.searchsorted(self.breakpoints, t_arr, side="right") - 1,
+            0,
+            len(self.coeffs) - 1,
         )
+        return g, t_arr - self.breakpoints[g]
 
-    def __mul__(self, other: "ExpPoly") -> "ExpPoly":
-        bp, mine, theirs = self._aligned(other)
-        pieces = []
-        for a, b in zip(mine, theirs):
-            prod = [
-                (_poly_mul(c1, c2), r1 + r2) for c1, r1 in a for c2, r2 in b
-            ]
-            pieces.append(_merge_terms(prod))
-        return ExpPoly(bp, tuple(pieces))
-
-    # -- calculus ----------------------------------------------------------------
-
-    def derivative(self) -> "ExpPoly":
-        """Piecewise derivative (jump discontinuities at breakpoints allowed)."""
-        pieces = []
-        for piece in self.pieces:
-            terms = []
-            for coeffs, rate in piece:
-                terms.append((_poly_add(_poly_deriv(coeffs), _poly_scale(coeffs, rate)), rate))
-            pieces.append(_merge_terms(terms))
-        return ExpPoly(self.breakpoints, tuple(pieces))
-
-    def antiderivative(self) -> "ExpPoly":
-        """Continuous antiderivative, zero at the left end of the domain."""
-        pieces = []
-        running = 0.0
-        for i, piece in enumerate(self.pieces):
-            width = self.breakpoints[i + 1] - self.breakpoints[i]
-            terms: list[Term] = []
-            at_zero = 0.0
-            for coeffs, rate in piece:
-                for q, r in _term_antideriv(coeffs, rate, width):
-                    terms.append((q, r))
-                    at_zero += _poly_eval(q, 0.0)
-            # Anchor this piece at `running` at its own start.
-            terms.append(((running - at_zero,), 0.0))
-            merged = _merge_terms(terms)
-            pieces.append(merged)
-            running = sum(_poly_eval(c, width) * math.exp(r * width) for c, r in merged)
-        return ExpPoly(self.breakpoints, tuple(pieces))
-
-    def definite_integral(self) -> float:
-        """Integral over the whole domain."""
-        anti = self.antiderivative()
-        return anti.value(self.breakpoints[-1])
+    def value(self, t) -> float | np.ndarray:
+        """Value at time(s) t, located as in :meth:`locate`."""
+        g, u = self.locate(t)
+        out = self.coeffs[g, 0] + self.coeffs[g, 1] * u
+        return float(out) if out.ndim == 0 else out

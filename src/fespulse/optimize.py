@@ -487,11 +487,14 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
         cap = sv.horizon - opts.t_max
         return xi, cap
 
-    def phi(xv: np.ndarray, mu: float) -> float:
+    def phi(xv: np.ndarray, mu: float, theta_x: float | None = None) -> tuple[float, float]:
+        """Barrier merit and cost at xv; a known cost ``theta_x`` is reused."""
         xi, cap = barrier_terms(xv)
         if np.any(xi[rows] >= 0.0) or cap >= 0.0:
-            return math.inf
-        return theta(xv) - mu * float(np.log(-xi[rows]).sum()) - mu * math.log(-cap)
+            return math.inf, math.nan
+        if theta_x is None:
+            theta_x = theta(xv)
+        return theta_x - mu * float(np.log(-xi[rows]).sum()) - mu * math.log(-cap), theta_x
 
     def grad_theta(xv: np.ndarray) -> np.ndarray:
         return fd_gradient(spec, sigma.with_free(xv), params, opts.h_rel)
@@ -513,7 +516,8 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
     # The barrier weight schedule follows the cost magnitude, which makes
     # the iterate path invariant under positive rescaling of the objective;
     # the floor still honors the complementarity tolerance for large costs.
-    theta_scale = max(1e-4, abs(theta(x)))
+    theta_x = theta(x)  # the cost at the current iterate, carried along
+    theta_scale = max(1e-4, abs(theta_x))
     mu = opts.mu0 * theta_scale
     mu_floor = max(min(opts.mu_min * theta_scale, 0.1 * opts.kkt_tol), 1e-18)
     while True:
@@ -540,25 +544,26 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
             d_inf = float(np.max(np.abs(d)))
             alpha_limit = min(0.99 * alpha_max, opts.step_cap / max(d_inf, 1e-30))
             alpha = min(1.0, alpha_limit)
-            phi0 = phi(x, mu)
+            phi0, _ = phi(x, mu, theta_x)
             slope = float(g @ d)
             accepted = False
-            phi_a = phi(x + alpha * d, mu)
+            phi_a, theta_a = phi(x + alpha * d, mu)
             if phi_a <= phi0 + opts.armijo_c1 * alpha * slope:
                 # Newton steps through flat valleys may still be short;
                 # expand greedily while the merit keeps dropping.
                 accepted = True
                 while 2.0 * alpha <= alpha_limit:
-                    phi_b = phi(x + 2.0 * alpha * d, mu)
+                    phi_b, theta_b = phi(x + 2.0 * alpha * d, mu)
                     if phi_b < phi_a:
                         alpha *= 2.0
-                        phi_a = phi_b
+                        phi_a, theta_a = phi_b, theta_b
                     else:
                         break
             else:
                 for _ in range(opts.max_line_halvings):
                     alpha *= 0.5
-                    if phi(x + alpha * d, mu) <= phi0 + opts.armijo_c1 * alpha * slope:
+                    phi_a, theta_a = phi(x + alpha * d, mu)
+                    if phi_a <= phi0 + opts.armijo_c1 * alpha * slope:
                         accepted = True
                         break
             if not accepted:
@@ -584,14 +589,14 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
                         - np.outer(bs, bs) / sbs
                         + np.outer(y, y) / sy
                     )
-            x, g_t = x_new, g_t_new
+            x, g_t, theta_x = x_new, g_t_new, theta_a
             g_b, h_b = barrier_grad_hess(x, mu)
             g = g_t + g_b
             total_iters += 1
         trace.append(
             {
                 "mu": mu,
-                "phi": phi(x, mu),
+                "phi": phi(x, mu, theta_x)[0],
                 "grad_inf": float(np.max(np.abs(g))),
                 "iterations": total_iters,
                 "stalled": stalled,
@@ -607,7 +612,7 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
     xi = eval_constraints(sigma_star, opts.i_min, gap)
     lam = np.zeros(len(xi))
     lam[rows] = mu_floor / (-xi[rows])
-    g_theta = fd_gradient(spec, sigma_star, params, opts.h_rel)
+    g_theta = g_t  # the cost gradient at x, already taken by the loop
     cap_term = (mu_floor / (opts.t_max - sigma_star.horizon)) * cap_grad
     stationarity = float(np.max(np.abs(g_theta + jac.T @ lam + cap_term)))
     complementarity = float(np.max(np.abs(lam * xi)))
@@ -617,7 +622,7 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
         status = "max_iterations"
     return OptOutcome(
         sigma_star=sigma_star,
-        objective=theta(x),
+        objective=theta_x,
         multipliers=tuple(float(v) for v in lam),
         kkt_residual=kkt,
         stationarity=stationarity,

@@ -23,13 +23,12 @@ from fespulse import (
     interval_average_cn,
     persistence_order,
     persistence_profile,
-    psi_primitive,
     simulate_force,
     tail_average_cn,
     truncated_cn,
     upper_lower_envelope,
 )
-from fespulse.exppoly import ExpPoly
+from fespulse.exppoly import _SERIES_BELOW, PiecewisePoly, exp_affine_integral
 
 from conftest import random_train
 
@@ -214,37 +213,109 @@ def test_build_m_approx_rejects_bad_arguments():
 
 
 # ---------------------------------------------------------------------------
-# psi primitives
+# piecewise-affine stand-ins
+# ---------------------------------------------------------------------------
+
+
+def test_piecewise_poly_validation():
+    with pytest.raises(ValueError):
+        PiecewisePoly((0.0,), np.zeros((0, 2)))
+    with pytest.raises(ValueError):
+        PiecewisePoly((0.0, 0.0), [(1.0, 0.0)])
+    with pytest.raises(ValueError):
+        PiecewisePoly((0.0, 1.0, 2.0), [(1.0, 0.0)])  # one missing piece
+    with pytest.raises(ValueError):
+        PiecewisePoly((0.0, 1.0), [(1.0, 0.0, 2.0)])  # not affine
+
+
+def test_piecewise_poly_constant_and_affine_builders():
+    pp = PiecewisePoly.constant((0.0, 2.0, 5.0), 3.5)
+    assert pp.value(1.0) == 3.5 and pp.value(4.0) == 3.5
+    pw = PiecewisePoly((0.0, 1.0, 2.0), [(1.0, 1.0), (0.0, 2.0)])
+    assert pw.value(0.5) == pytest.approx(1.5)
+    assert pw.value(1.25) == pytest.approx(0.5)  # local coordinates per piece
+    assert np.array_equal(pw.value(np.array([0.5, 1.25])), [pw.value(0.5), pw.value(1.25)])
+
+
+def test_piecewise_poly_boundaries_are_right_continuous():
+    pw = PiecewisePoly((0.0, 1.0, 2.0), [(1.0, 0.0), (5.0, 0.0)])
+    assert pw.value(1.0) == 5.0
+    assert pw.value(2.0) == 5.0  # trailing endpoint uses the last piece
+    with pytest.raises(ValueError):
+        pw.value(2.5)
+
+
+# ---------------------------------------------------------------------------
+# the exponential-affine integral
+# ---------------------------------------------------------------------------
+
+
+def test_exp_affine_integral_matches_quadrature():
+    # Both branches (the Taylor sum below |mu x| = _SERIES_BELOW, the closed
+    # form above it), for each monomial alone and for a mix.
+    zs = (1e-7, 1e-4, 0.5 * _SERIES_BELOW, 0.999 * _SERIES_BELOW, _SERIES_BELOW, 0.5, 3.0)
+    for mu in (0.03, -0.03, 2.0):
+        for z in zs:
+            x = z / abs(mu)
+            for c0, c1 in ((1.0, 0.0), (0.0, 1.0), (0.7, -0.2)):
+                num = quad(
+                    lambda u: (c0 + c1 * u) * math.exp(mu * u), 0.0, x, epsabs=0.0, epsrel=1e-13
+                )[0]
+                val, growth = exp_affine_integral(c0, c1, mu, np.array([x]))
+                assert val[0] == pytest.approx(num, rel=1e-12, abs=0.0)
+                assert growth[0] == pytest.approx(math.exp(mu * x), rel=1e-15)
+
+
+def test_exp_affine_integral_at_zero_rate():
+    x = np.array([0.0, 0.5, 2.0, 40.0])
+    for mu in (0.0, 1e-16):
+        with np.errstate(all="raise"):  # no division by a vanishing mu
+            val, growth = exp_affine_integral(2.0, 1.0, mu, x)
+        # int_0^x (2 + u) du = 2x + x^2/2, up to mu x^3 / 3 for mu = 1e-16
+        assert np.allclose(val, 2.0 * x + x**2 / 2.0, rtol=1e-12, atol=0.0)
+        assert np.allclose(growth, 1.0, rtol=1e-14, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# psi: the integral of the m2 stand-in over a segment
 # ---------------------------------------------------------------------------
 
 
 def test_psi_constant_m2_is_linear():
     train = PulseTrain((0.0, 40.0), (0.0, 0.0), 100.0)
     ap = build_m_approx(train, P, scheme="constant-average", p=2)
-    psi = psi_primitive(ap, 0, 0)
     lo, hi = ap.segment(0, 0)
-    assert psi.value(lo) == 0.0
-    assert psi.value(hi) == pytest.approx((hi - lo) / P.tau_1, rel=1e-12)
+    mu = force_approximator(ap).mu[0]
+    assert mu * (hi - lo) == pytest.approx((hi - lo) / P.tau_1, rel=1e-12)
 
 
 def test_psi_anchored_and_derivative_matches():
+    # psi(x) = int_0^x m2~ on segment (i, j) is the rate-0 case of the
+    # exponential-affine integral; the force table uses psi(w) = mu * w.
     ap = build_m_approx(THREE_PULSE, P, scheme="triangular", p=2)
+    fa = force_approximator(ap)
     for (i, j) in ((0, 0), (1, 1), (2, 1)):
-        psi = psi_primitive(ap, i, j)
         lo, hi = ap.segment(i, j)
-        assert psi.value(lo) == 0.0
-        d = psi.derivative()
-        for u in np.linspace(lo + 1e-9, hi - 1e-9, 10):
-            assert abs(d.value(u) - ap.m2_tilde.value(u)) < 1e-12
-        assert psi.degree == ap.m2_tilde.degree + 1
+        g = i * ap.p + j
+        c0, c1 = ap.m2_tilde.coeffs[g]
+
+        def psi(x):
+            return exp_affine_integral(c0, c1, 0.0, np.array([x]))[0][0]
+
+        assert psi(0.0) == 0.0
+        h = 1e-3
+        for u in np.linspace(lo + 2 * h, hi - 2 * h, 10):
+            d = (psi(u - lo + h) - psi(u - lo - h)) / (2.0 * h)
+            assert abs(d - ap.m2_tilde.value(u)) < 1e-12
+        assert psi(hi - lo) == pytest.approx(fa.mu[g] * (hi - lo), rel=1e-12)
 
 
 def test_psi_index_validation():
     ap = build_m_approx(THREE_PULSE, P, scheme="triangular", p=2)
     with pytest.raises(IndexError):
-        psi_primitive(ap, 9, 0)
+        ap.segment(9, 0)
     with pytest.raises(IndexError):
-        psi_primitive(ap, 0, 2)
+        ap.segment(0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +336,8 @@ def test_f_tilde_constant_coefficients_closed_form():
     m1c, m2c = 0.4, 0.012
     part = (0.0, 80.0)
     ap = MApprox(
-        m1_tilde=ExpPoly.constant(part, m1c),
-        m2_tilde=ExpPoly.constant(part, m2c),
-        partition=part,
+        m1_tilde=PiecewisePoly.constant(part, m1c),
+        m2_tilde=PiecewisePoly.constant(part, m2c),
         pulse_breaks=part,
         scheme="constant-average",
         p=1,
@@ -307,6 +377,18 @@ def test_f_tilde_telescopes_across_segment_boundaries():
         left = fa.scaled_values(b - 1e-11)
         right = fa.scaled_values(b + 1e-11)
         assert abs(left - right) < 1e-10
+
+
+def test_f_tilde_scalar_and_array_evaluation_agree():
+    # One evaluation path: a scalar time returns a float equal to the same
+    # time's entry in an array evaluation, including at partition nodes.
+    ap = build_m_approx(THREE_PULSE, P, scheme="triangular", p=2)
+    ts = np.concatenate([ap.partition, np.linspace(0.0, 160.0, 37)])
+    arr = np.asarray(eval_f_tilde(ap, P, P.a_rest, ts))
+    for t, v in zip(ts, arr):
+        s = eval_f_tilde(ap, P, P.a_rest, float(t))
+        assert isinstance(s, float) and s == v
+    assert np.asarray(eval_f_tilde(ap, P, P.a_rest, ts.reshape(2, -1))).shape == (2, ts.size // 2)
 
 
 def test_f_tilde_rejects_out_of_domain():

@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fespulse import ModelParams
+from fespulse import ModelParams, QuadratureNoConvergence, StepTooLarge
 from fespulse.cli import (
     ConfigError,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_SOLVER,
     EXIT_VALIDATION,
     _suite_fatigue,
     load_config,
@@ -211,6 +212,36 @@ def test_optimize_infeasible_config_clean_error(tmp_path):
     out = tmp_path / "out"
     assert main(["optimize", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
+
+
+def test_optimize_init_horizon_needs_room_for_n_plus_one_gaps(tmp_path):
+    # n = 3 pulses after t_0 split a 70 ms horizon into four 17.5 ms gaps,
+    # below i_min = 20: a config error, not a solver failure.
+    tight = OPT_SMALL.replace("\nn = 2\n", "\nn = 3\n")
+    tight = tight.replace("init_horizon = 300.0", "init_horizon = 70")
+    assert "i_min = 20.0" in tight
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", write(tmp_path, tight), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_optimize_init_horizon_must_stay_below_t_max(tmp_path):
+    long = OPT_SMALL.replace("init_horizon = 300.0", "init_horizon = 300.0\nt_max = 300.0")
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", write(tmp_path, long), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [StepTooLarge, QuadratureNoConvergence])
+def test_numerical_failure_is_solver_exit_code(tmp_path, monkeypatch, capsys, error):
+    def fail(*args, **kwargs):
+        raise error("first line\nsecond line")
+
+    monkeypatch.setattr("fespulse.cli.simulate_force", fail)
+    cfg = write(tmp_path, NOMINAL)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err == f"numerical failure: {error.__name__}: first line second line\n"
 
 
 # ---------------------------------------------------------------------------

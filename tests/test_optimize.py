@@ -289,6 +289,23 @@ def test_solve_deterministic():
     assert a.trace == b.trace
 
 
+def test_solve_evaluates_each_point_once():
+    # The line search's accepted cost is carried to the next iteration, the
+    # barrier trace and the outcome, and the loop's last finite-difference
+    # gradient to the KKT report, instead of being evaluated again.
+    seen: list[tuple[float, ...]] = []
+
+    def convex(sig: DecisionVector) -> float:
+        seen.append(tuple(sig.flat()))
+        return float(np.sum((sig.flat()[2:] - np.array([60.0, 150.0])) ** 2))
+
+    init = DecisionVector((1.0, 1.0), (50.0,), 200.0, freeze_amplitudes=True)
+    out = solve(convex, init, P, SolveOptions(i_min=20.0, t_max=400.0))
+    assert out.iterations > 0
+    assert len(seen) == len(set(seen))
+    assert out.objective == convex(out.sigma_star)
+
+
 def test_solve_argmin_invariant_under_objective_scaling():
     base = ObjectiveSpec(kind="track_cn", c_ref=0.4, backend="exact")
     scaled = ObjectiveSpec(kind="track_cn", c_ref=0.4, backend="exact", scale=100.0)
