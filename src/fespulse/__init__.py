@@ -1,12 +1,14 @@
 """Pulse-train simulation and optimization for isometric FES force-fatigue
-dynamics: exact concentration evaluation, reference force oracles, a
-closed-form force approximation (piecewise-affine Hill stand-ins, one
-exponential-affine integral per segment) with computable error bounds,
-constrained impulse-timing optimization and endurance program planning."""
+dynamics: exact concentration evaluation (a pulse-to-pulse state
+recurrence), reference force oracles, a closed-form force approximation
+(piecewise-affine Hill stand-ins, one exponential-affine integral per
+segment) with computable error bounds, constrained impulse-timing
+optimization and endurance program planning."""
 
 __version__ = "0.1.0"
 
 from .model import (
+    ConcentrationState,
     HillState,
     ModelParams,
     PulseTrain,
@@ -14,6 +16,7 @@ from .model import (
     UnreachableForce,
     argmax_cn_interval,
     compute_scaling,
+    concentration_state,
     eval_cn,
     eval_lobe,
     eval_m1,
@@ -49,6 +52,7 @@ from .approx import (
     force_approximator,
     force_error_bound,
     interval_average_cn,
+    interval_averages,
     persistence_order,
     persistence_profile,
     tail_average_cn,
@@ -74,6 +78,7 @@ from .planner import (
     ProgramSegment,
     ProgramSpec,
     StimulationProgram,
+    TemplateNotConverged,
     derive_f_max,
     plan_endurance,
 )

@@ -22,18 +22,18 @@ bound certifies the error of the interval-averaged m2 scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
 
 from .exppoly import PiecewisePoly, exp_affine_integral
 from .model import (
+    ConcentrationState,
     ModelParams,
     PulseTrain,
     _pulse_weights,
-    eval_cn,
-    eval_lobe,
+    concentration_state,
     eval_m1,
 )
 
@@ -51,6 +51,7 @@ __all__ = [
     "truncated_cn",
     "error_bound_persistent",
     "interval_average_cn",
+    "interval_averages",
     "tail_average_cn",
     "build_m_approx",
     "eval_f_tilde",
@@ -139,17 +140,13 @@ class TruncatedConcentration:
     train: PulseTrain
     params: ModelParams
     p: int
+    state: ConcentrationState = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "state", concentration_state(self.train, self.params))
 
     def __call__(self, t) -> float | np.ndarray:
-        tr, pr = self.train, self.params
-        t_arr = np.asarray(t, dtype=float)
-        k_idx = np.searchsorted(np.asarray(tr.times), t_arr, side="right") - 1
-        out = np.zeros(t_arr.shape)
-        for i in range(tr.n + 1):
-            keep = (k_idx >= i) & (k_idx <= i + self.p - 1)
-            if np.any(keep):
-                out = out + np.where(keep, np.asarray(eval_lobe(tr, pr, i, t_arr)), 0.0)
-        return float(out) if t_arr.ndim == 0 else out
+        return self.state.truncated(t, self.p)
 
 
 def truncated_cn(train: PulseTrain, params: ModelParams, p: int) -> TruncatedConcentration:
@@ -188,14 +185,29 @@ def _chi(t, t_i, tau_c: float):
     return np.exp(-u / tau_c) * (tau_c + u)
 
 
+def interval_averages(train: PulseTrain, params: ModelParams) -> np.ndarray:
+    """Exact means of the concentration over every interval [t_k, t_{k+1}]
+    (t_{n+1} = horizon) via the lobe antiderivative
+    chi_i(t) = e^{-(t-t_i)/tau_c} (tau_c + t - t_i): the weights are built
+    once and interval k takes one dot product over lobes 0..k."""
+    w = _pulse_weights(train, params)
+    t_i = np.asarray(train.times)
+    bounds = train.times + (train.horizon,)
+    out = np.empty(train.n + 1)
+    for k in range(train.n + 1):
+        lo, hi = bounds[k], bounds[k + 1]
+        fired = t_i[: k + 1]
+        total = float(w[: k + 1] @ (_chi(lo, fired, params.tau_c) - _chi(hi, fired, params.tau_c)))
+        out[k] = total / (hi - lo)
+    return out
+
+
 def interval_average_cn(train: PulseTrain, params: ModelParams, k: int) -> float:
-    """Exact mean of the concentration over [t_k, t_{k+1}] via the lobe
-    antiderivative chi_i(t) = e^{-(t-t_i)/tau_c} (tau_c + t - t_i)."""
-    lo, hi = train.interval(k)
-    w = _pulse_weights(train, params)[: k + 1]
-    t_i = np.asarray(train.times[: k + 1])
-    total = float(w @ (_chi(lo, t_i, params.tau_c) - _chi(hi, t_i, params.tau_c)))
-    return total / (hi - lo)
+    """Exact mean of the concentration over [t_k, t_{k+1}]; see
+    :func:`interval_averages`."""
+    if not 0 <= k <= train.n:
+        raise IndexError(f"interval index {k} out of range 0..{train.n}")
+    return float(interval_averages(train, params)[k])
 
 
 def tail_average_cn(train: PulseTrain, params: ModelParams, q: int) -> float:
@@ -230,43 +242,22 @@ def _m2_nu(c, params: ModelParams, nu: float):
     return nu / (params.tau_1 + params.tau_2 * np.asarray(eval_m1(c, params)))
 
 
-def _interval_argmaxes(train: PulseTrain, params: ModelParams) -> list[float | None]:
-    """Unclamped concentration-peak locations per interval, via the running
-    pulse-weighted time averages (None where all amplitudes so far vanish)."""
-    from .model import _scaling_from_times
-
-    tau = params.tau_c
-    scal = _scaling_from_times(train.times, params)
-    out: list[float | None] = []
-    den = 0.0
-    num = 0.0
-    prev_t = train.times[0]
-    for k in range(train.n + 1):
-        t_k = train.times[k]
-        decay = math.exp(-(t_k - prev_t) / tau)
-        den = den * decay + scal[k] * train.amplitudes[k]
-        num = num * decay + scal[k] * train.amplitudes[k] * t_k
-        prev_t = t_k
-        out.append(tau + num / den if den > 0.0 else None)
-    return out
-
-
 def _refined_partition(
-    train: PulseTrain, params: ModelParams, p: int
+    train: PulseTrain, state: ConcentrationState, p: int
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Partition with p segments per pulse interval, split at the (safely
     clamped) concentration peak; falls back to an even split when the peak
     degenerates or all amplitudes so far vanish."""
     pulse_breaks = tuple(train.times) + (train.horizon,)
     nodes: list[float] = [pulse_breaks[0]]
-    peaks = _interval_argmaxes(train, params) if p > 1 else []
+    peaks = state.peaks().tolist() if p > 1 else []
     for k in range(train.n + 1):
         lo, hi = pulse_breaks[k], pulse_breaks[k + 1]
         if p == 1:
             nodes.append(hi)
             continue
         t_star = peaks[k]
-        if t_star is None:
+        if math.isnan(t_star):
             inner = np.linspace(lo, hi, p + 1)
         else:
             margin = _SPLIT_MARGIN * (hi - lo)
@@ -353,9 +344,10 @@ def build_m_approx(
     if nu <= 0.0:
         raise ValueError(f"nu must be positive, got {nu}")
 
-    partition, pulse_breaks = _refined_partition(train, params, p)
+    state = concentration_state(train, params)
+    partition, pulse_breaks = _refined_partition(train, state, p)
     part = np.asarray(partition)
-    cn_nodes = np.atleast_1d(eval_cn(train, params, part))
+    cn_nodes = state.cn(part)
     f1 = _m1_nu(cn_nodes, params, nu)
     f2 = _m2_nu(cn_nodes, params, nu)
     # Node values at the left (a) and right (b) end of every segment.
@@ -369,9 +361,9 @@ def build_m_approx(
         hi2, lo2 = np.maximum(v2a, v2b), np.minimum(v2a, v2b)
         # Per-interval concentration maxima at the unclamped peak, for
         # exact per-segment suprema regardless of the clamped split point.
-        t_star = np.array([np.nan if t is None else t for t in _interval_argmaxes(train, params)])
+        t_star = state.peaks()
         inside = (np.asarray(pulse_breaks[:-1]) < t_star) & (t_star < np.asarray(pulse_breaks[1:]))
-        c_star = np.atleast_1d(eval_cn(train, params, t_star[inside]))
+        c_star = state.cn(t_star[inside])
         m1_star = np.full(n_int, np.nan)
         m2_star = np.full(n_int, np.nan)
         m1_star[inside] = _m1_nu(c_star, params, nu)
@@ -492,8 +484,9 @@ class EulerNodes:
 def euler_nodes(
     train: PulseTrain, params: ModelParams, p: int = 2, nu: float = 1.0
 ) -> EulerNodes:
-    partition, _ = _refined_partition(train, params, p)
-    c = np.asarray(eval_cn(train, params, np.asarray(partition)))
+    state = concentration_state(train, params)
+    partition, _ = _refined_partition(train, state, p)
+    c = state.cn(np.asarray(partition))
     return EulerNodes(
         nodes=partition,
         m1=tuple(float(v) for v in _m1_nu(c, params, nu)),
@@ -571,11 +564,13 @@ def force_error_bound(
     if t_k <= 0.0:
         return ForceErrorBound(0.0, 0.0, 0.0, 0.0, True, ())
 
+    cn = concentration_state(train, params).cn
+
     def m1_true(s: float) -> float:
-        return float(eval_m1(eval_cn(train, params, s), params))
+        return float(eval_m1(cn(s), params))
 
     def m2_true(s: float) -> float:
-        return float(_m2_nu(eval_cn(train, params, s), params, 1.0))
+        return float(_m2_nu(cn(s), params, 1.0))
 
     m1_l1 = 0.0
     m2_l1 = 0.0

@@ -31,11 +31,11 @@ from .approx import (
     eval_f_tilde,
     force_approximator,
     force_error_bound,
-    interval_average_cn,
+    interval_averages,
     persistence_order,
     truncated_cn,
 )
-from .model import ModelParams, PulseTrain, eval_cn
+from .model import ModelParams, PulseTrain, UnreachableForce, eval_cn
 from .optimize import (
     DecisionVector,
     InfeasibleSigma,
@@ -44,7 +44,7 @@ from .optimize import (
     StepCollision,
     solve,
 )
-from .planner import ProgramSpec, plan_endurance
+from .planner import ProgramSpec, TemplateNotConverged, plan_endurance
 from .simulate import (
     QuadratureNoConvergence,
     Rest,
@@ -227,10 +227,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
-
-
 def _header_lines(cfg: ScenarioConfig, command: str, seed: int) -> list[str]:
     return [
         f"# artifact_version=fespulse-{__version__}",
@@ -240,11 +236,14 @@ def _header_lines(cfg: ScenarioConfig, command: str, seed: int) -> list[str]:
     ]
 
 
-def _write_csv(path: Path, cfg, command, seed, columns, rows) -> None:
+def _write_csv(path: Path, cfg, command, seed, columns, data) -> None:
+    """One row per sample, every value as ``format(value, ".9g")``;
+    ``data`` holds one array per name in ``columns``."""
     lines = _header_lines(cfg, command, seed)
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    row = ",".join(["%.9g"] * len(columns))
+    samples = zip(*(np.asarray(col, dtype=float).tolist() for col in data))
+    lines.extend(row % values for values in samples)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -278,7 +277,7 @@ def run_simulate(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
     _write_csv(
         out_dir / "trajectory.csv", cfg, "simulate", seed,
         ["t_ms", "c_n", "force_kN", "a"],
-        zip(grid, c_n, force, a_col),
+        [grid, c_n, force, a_col],
     )
     i_peak_f = int(np.argmax(force))
     i_peak_c = int(np.argmax(c_n))
@@ -319,7 +318,7 @@ def run_approximate(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
     _write_csv(
         out_dir / "approximation.csv", cfg, "approximate", seed,
         ["t_ms", "c_n", "c_n_truncated", "f_tilde_kN", "f_oracle_kN"],
-        zip(grid, traj.channel("c_n"), np.atleast_1d(trunc(grid)), f_tilde, traj.channel("force")),
+        [grid, traj.channel("c_n"), trunc(grid), f_tilde, traj.channel("force")],
     )
     gap = np.abs(f_tilde - traj.channel("force"))
     _write_json(
@@ -437,9 +436,9 @@ def run_optimize(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
     if spec.kind in ("max_cn_terminal", "track_cn"):
         exact = traj.channel("c_n")
         steps = np.zeros_like(grid)
-        for k in range(train.n + 1):
+        for k, mean in enumerate(interval_averages(train, params)):
             lo, hi = train.interval(k)
-            steps[(grid >= lo) & (grid <= hi)] = interval_average_cn(train, params, k)
+            steps[(grid >= lo) & (grid <= hi)] = mean
         approx_col, oracle_col = steps, exact
     else:
         approx = build_m_approx(train, params, scheme=spec.scheme, p=spec.p, nu=spec.nu)
@@ -448,7 +447,7 @@ def run_optimize(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
     _write_csv(
         out_dir / "response.csv", cfg, "optimize", seed,
         ["t_ms", "approx", "oracle"],
-        zip(grid, approx_col, oracle_col),
+        [grid, approx_col, oracle_col],
     )
     return EXIT_OK
 
@@ -503,7 +502,7 @@ def run_plan(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
     _write_csv(
         out_dir / "program_trajectory.csv", cfg, "plan", seed,
         ["t_ms", "c_n", "force_kN", "a"],
-        zip(traj.grid, traj.channel("c_n"), traj.channel("force"), traj.channel("a")),
+        [traj.grid, traj.channel("c_n"), traj.channel("force"), traj.channel("a")],
     )
     return EXIT_OK
 
@@ -818,10 +817,10 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return run_bench(cfg, out_dir, args.seed)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, UnreachableForce) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InfeasibleSigma, StepCollision) as exc:
+    except (InfeasibleSigma, StepCollision, TemplateNotConverged) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (StepTooLarge, QuadratureNoConvergence) as exc:

@@ -100,13 +100,11 @@ class PiecewisePoly:
         """
         t_arr = np.asarray(t, dtype=float)
         lo, hi = self.domain
-        if np.any(t_arr < lo - 1e-9) or np.any(t_arr > hi + 1e-9):
+        if t_arr.size and (t_arr.min() < lo - 1e-9 or t_arr.max() > hi + 1e-9):
             raise ValueError(f"time outside the domain [{lo}, {hi}]")
-        g = np.clip(
-            np.searchsorted(self.breakpoints, t_arr, side="right") - 1,
-            0,
-            len(self.coeffs) - 1,
-        )
+        # Counting interior breakpoints at or below t gives the piece index
+        # directly, already clamped to the first and last piece.
+        g = np.searchsorted(self.breakpoints[1:-1], t_arr, side="right")
         return g, t_arr - self.breakpoints[g]
 
     def value(self, t) -> float | np.ndarray:

@@ -5,6 +5,21 @@ concentration (a superposition of lobes, one per pulse), the
 Michaelis-Menten-Hill nonlinearities and the steady-state force analysis.
 No ODE is integrated in this module.
 
+The concentration is a sampled-data system, sampled at the pulse times.
+Each lobe u e^{-u} is the impulse response of (tau_c d/dt + 1)^2, so on
+[t_k, t_{k+1}) the superposition of all lobes fired so far collapses to
+c_N = e^{-u} (A_k + B_k u), u = (t - t_k)/tau_c, and the state steps from
+pulse to pulse in closed form:
+
+    A_{k+1} = e^{-g} (A_k + B_k g),   B_{k+1} = e^{-g} B_k + R_{k+1} eta_{k+1},
+
+with g = (t_{k+1} - t_k)/tau_c, A_0 = 0 and B_0 = R_0 eta_0.
+:class:`ConcentrationState` builds (A_k, B_k) once per train in O(N). The
+concentration, the stimulation signal E = e^{-u} B_k / tau_c and single
+lobes then cost one ``searchsorted`` and one ``exp`` per point, the
+last-p-lobe truncation at most p lobes per point, and the interval peaks
+t_k + tau_c (1 - A_k/B_k) one division per interval.
+
 Unit conventions
 ----------------
 Time is in milliseconds and force in kN throughout the package. The force
@@ -25,8 +40,10 @@ __all__ = [
     "PulseTrain",
     "ScalingFactors",
     "HillState",
+    "ConcentrationState",
     "UnreachableForce",
     "compute_scaling",
+    "concentration_state",
     "eval_signal",
     "eval_cn",
     "eval_lobe",
@@ -190,13 +207,103 @@ def _pulse_weights(train: PulseTrain, params: ModelParams) -> np.ndarray:
     return np.array([r * eta for r, eta in zip(scaling, train.amplitudes)])
 
 
-def _superpose(times, weights, tau_c: float, t, shape) -> np.ndarray | float:
-    """Sum of per-pulse terms shape((t - t_i)/tau_c) * weight_i * H(t - t_i)."""
-    t_arr = np.asarray(t, dtype=float)
-    u = (t_arr[..., None] - np.asarray(times)) / tau_c
-    active = u >= 0.0
-    vals = shape(np.where(active, u, 0.0)) * np.asarray(weights)
-    out = np.where(active, vals, 0.0).sum(axis=-1)
+@dataclass(frozen=True, eq=False)
+class ConcentrationState:
+    """The concentration state (A_k, B_k) at the pulse times (see the
+    module docstring): A_k = c_N(t_k), B_k = tau_c E(t_k), and
+    c_N = e^{-u} (A_k + B_k u) on [t_k, t_{k+1}). The state arrays carry one
+    leading zero state, which every time before t_0 reads.
+
+    Evaluation ignores floating-point underflow: after a long rest the
+    exponentials and the state itself decay to subnormals or zero, which is
+    the exact answer to double precision.
+    """
+
+    times: np.ndarray      # (N,) pulse times t_k
+    weights: np.ndarray    # (N,) pulse weights w_k = R_k eta_k
+    a: np.ndarray          # (N+1,) zero state, then A_k
+    b: np.ndarray          # (N+1,) zero state, then B_k
+    tau_c: float
+
+    @classmethod
+    def from_pulses(cls, times, amplitudes, params: ModelParams) -> "ConcentrationState":
+        """Build the state of strictly increasing ``times`` in O(N)."""
+        tau = params.tau_c
+        weights = [r * eta for r, eta in zip(_scaling_from_times(times, params), amplitudes)]
+        a, b = [0.0, 0.0], [0.0, weights[0]]
+        for prev, cur, w in zip(times, times[1:], weights[1:]):
+            g = (cur - prev) / tau
+            decay = math.exp(-g)
+            a.append(decay * (a[-1] + b[-1] * g))
+            b.append(decay * b[-1] + w)
+        return cls(
+            times=np.asarray(times, dtype=float),
+            weights=np.asarray(weights),
+            a=np.asarray(a),
+            b=np.asarray(b),
+            tau_c=tau,
+        )
+
+    def _locate(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(t as an array, padded state index, u >= 0 from that pulse)."""
+        t_arr = np.asarray(t, dtype=float)
+        j = np.searchsorted(self.times, t_arr, side="right")
+        u = np.maximum(t_arr - self.times[np.maximum(j - 1, 0)], 0.0) / self.tau_c
+        return t_arr, j, u
+
+    def cn(self, t) -> float | np.ndarray:
+        """c_N(t) = e^{-u} (A_k + B_k u)."""
+        t_arr, j, u = self._locate(t)
+        with np.errstate(under="ignore"):
+            out = np.exp(-u) * (self.a[j] + self.b[j] * u)
+        return _like(t_arr, out)
+
+    def signal(self, t) -> float | np.ndarray:
+        """E(t) = e^{-u} B_k / tau_c."""
+        t_arr, j, u = self._locate(t)
+        with np.errstate(under="ignore"):
+            out = np.exp(-u) * self.b[j] / self.tau_c
+        return _like(t_arr, out)
+
+    def lobe(self, k: int, t) -> float | np.ndarray:
+        """w_k u e^{-u} with u = (t - t_k)/tau_c, zero before t_k."""
+        t_arr = np.asarray(t, dtype=float)
+        u = np.maximum(t_arr - self.times[k], 0.0) / self.tau_c
+        with np.errstate(under="ignore"):
+            out = u * np.exp(-u) * self.weights[k]
+        return _like(t_arr, out)
+
+    def truncated(self, t, p: int) -> float | np.ndarray:
+        """The last ``p`` lobes of each interval, summed oldest first.
+
+        The window is right-continuous: at t = t_{k+1} it already holds
+        lobes k+2-p .. k+1. Zero before t_0.
+        """
+        t_arr, j, _ = self._locate(t)
+        out = np.zeros(t_arr.shape)
+        with np.errstate(under="ignore"):
+            for back in range(min(p, len(self.times)) - 1, -1, -1):
+                i = j - 1 - back
+                i_safe = np.maximum(i, 0)
+                u = np.maximum(t_arr - self.times[i_safe], 0.0) / self.tau_c
+                out += np.where(i >= 0, u * np.exp(-u) * self.weights[i_safe], 0.0)
+        return _like(t_arr, out)
+
+    def peaks(self) -> np.ndarray:
+        """Unclamped stationary point t_k + tau_c (1 - A_k/B_k) of c_N on
+        every interval; NaN where B_k = 0 (no earlier pulse has weight)."""
+        a, b = self.a[1:], self.b[1:]
+        live = b > 0.0
+        ratio = np.divide(a, b, out=np.full_like(b, np.nan), where=live)
+        return self.times + self.tau_c * (1.0 - ratio)
+
+
+def concentration_state(train: PulseTrain, params: ModelParams) -> ConcentrationState:
+    """The (A_k, B_k) concentration state of a train."""
+    return ConcentrationState.from_pulses(train.times, train.amplitudes, params)
+
+
+def _like(t_arr: np.ndarray, out: np.ndarray) -> float | np.ndarray:
     return float(out) if t_arr.ndim == 0 else out
 
 
@@ -207,26 +314,24 @@ def eval_signal(train: PulseTrain, params: ModelParams, t) -> float | np.ndarray
     the Heaviside convention H(0) = 1 (each pulse contributes from its own
     instant, E is right-continuous).
     """
-    w = _pulse_weights(train, params)
-    return _superpose(train.times, w / params.tau_c, params.tau_c, t, lambda u: np.exp(-u))
+    return concentration_state(train, params).signal(t)
 
 
 def eval_cn(train: PulseTrain, params: ModelParams, t) -> float | np.ndarray:
     """Normalized Ca2+ concentration, exactly, with no integration.
 
-    c_N(t) = sum_i R_i eta_i ((t - t_i)/tau_c) exp(-(t - t_i)/tau_c) H(t - t_i).
-    Accepts a scalar or an array of times.
+    c_N(t) = sum_i R_i eta_i ((t - t_i)/tau_c) exp(-(t - t_i)/tau_c) H(t - t_i),
+    evaluated through :class:`ConcentrationState`. Accepts a scalar or an
+    array of times.
     """
-    w = _pulse_weights(train, params)
-    return _superpose(train.times, w, params.tau_c, t, lambda u: u * np.exp(-u))
+    return concentration_state(train, params).cn(t)
 
 
 def eval_lobe(train: PulseTrain, params: ModelParams, k: int, t) -> float | np.ndarray:
     """Contribution of pulse k alone: R_k eta_k ((t-t_k)/tau_c) e^{-(t-t_k)/tau_c}."""
     if not 0 <= k <= train.n:
         raise IndexError(f"lobe index {k} out of range 0..{train.n}")
-    w = _pulse_weights(train, params)
-    return _superpose((train.times[k],), (w[k],), params.tau_c, t, lambda u: u * np.exp(-u))
+    return concentration_state(train, params).lobe(k, t)
 
 
 def eval_m1(c_n, params: ModelParams) -> float | np.ndarray:
@@ -250,19 +355,16 @@ def argmax_cn_interval(train: PulseTrain, params: ModelParams, k: int) -> float:
     """Location of the concentration maximum on [t_k, t_{k+1}].
 
     The unique stationary point of c_N restricted to the k-th interval is
-    tau_c plus the pulse-weighted mean of the impulse times; the result is
-    clamped into the interval. Weights are computed relative to t_k so the
-    exponentials never overflow.
+    t_k + tau_c (1 - A_k/B_k) in the state of :class:`ConcentrationState`
+    (tau_c plus the pulse-weighted mean of the impulse times); the result
+    is clamped into the interval.
     """
     if not 0 <= k <= train.n:
         raise IndexError(f"interval index {k} out of range 0..{train.n}")
-    lo, hi = train.interval(k)
-    w = _pulse_weights(train, params)[: k + 1]
-    if not np.any(w > 0.0):
+    t_star = float(concentration_state(train, params).peaks()[k])
+    if math.isnan(t_star):
         raise ValueError(f"all amplitudes up to pulse {k} are zero; argmax undefined")
-    times = np.asarray(train.times[: k + 1])
-    shifted = w * np.exp((times - train.times[k]) / params.tau_c)
-    t_star = params.tau_c + float(shifted @ times) / float(shifted.sum())
+    lo, hi = train.interval(k)
     return min(max(t_star, lo), hi)
 
 

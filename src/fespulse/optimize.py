@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .approx import build_m_approx, eval_f_tilde, interval_average_cn
+from .approx import build_m_approx, eval_f_tilde, interval_averages
 from .model import ModelParams, PulseTrain, eval_cn
 from .simulate import Rest, SimOptions, simulate_force, simulate_force_fatigue
 
@@ -364,9 +364,7 @@ def objective_value(spec, sigma: DecisionVector, params: ModelParams | None = No
     elif spec.kind == "max_cn_terminal":
         value = -float(eval_cn(train, params, sigma.horizon))
     elif spec.kind == "track_cn":
-        means = np.array(
-            [interval_average_cn(train, params, k) for k in range(train.n + 1)]
-        )
+        means = interval_averages(train, params)
         value = float(((means - spec.c_ref) ** 2 @ widths))
     else:  # track_force_fatigue
         value = _fatigue_cost(spec, train, params)

@@ -21,9 +21,14 @@ __all__ = [
     "ProgramSpec",
     "StimulationProgram",
     "ProgramSegment",
+    "TemplateNotConverged",
     "plan_endurance",
     "derive_f_max",
 ]
+
+
+class TemplateNotConverged(RuntimeError):
+    """A template solve ended with a status other than ``converged``."""
 
 
 @dataclass(frozen=True)
@@ -107,7 +112,13 @@ def _solve_template(
         opts = replace(opts, i_min=spec.i_min)
     objective = ObjectiveSpec(kind="track_cn", c_ref=c_n_ref, backend="exact")
     init = DecisionVector.regular(spec.n, spec.train_horizon)
-    return solve(objective, init, params, opts)
+    outcome = solve(objective, init, params, opts)
+    if outcome.status != "converged":
+        raise TemplateNotConverged(
+            f"template solve for c_n_ref={c_n_ref:.6g} ended with status={outcome.status} "
+            f"after {outcome.iterations} iterations (kkt residual {outcome.kkt_residual:.3g})"
+        )
+    return outcome
 
 
 def _default_rest(spec: ProgramSpec, params: ModelParams) -> float:
@@ -126,8 +137,10 @@ def plan_endurance(
     """Build and audit an endurance program for a target force level.
 
     Raises :class:`fespulse.model.UnreachableForce` when the requested
-    force has no steady state. Fatigue-threshold crossings do not abort
-    the program; they are reported through ``fatigue_breach_time``.
+    force has no steady state, and :class:`TemplateNotConverged` when a
+    template solve does not converge (an unconverged template is never
+    tiled). Fatigue-threshold crossings do not abort the program; they are
+    reported through ``fatigue_breach_time``.
     """
     f_ref = spec.f_ref
     if f_ref is None:

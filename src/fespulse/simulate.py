@@ -11,6 +11,7 @@ re-derivation used as a consistency check.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,7 +20,14 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import PchipInterpolator
 
-from .model import ModelParams, PulseTrain, eval_cn, eval_m1, eval_m2, _scaling_from_times
+from .model import (
+    ConcentrationState,
+    ModelParams,
+    PulseTrain,
+    concentration_state,
+    eval_m1,
+    eval_m2,
+)
 
 __all__ = [
     "SimOptions",
@@ -202,6 +210,7 @@ def simulate_force(
     impulse time exactly once.
     """
     opts = opts or SimOptions()
+    cn = concentration_state(train, params).cn
     step = opts.step if opts.step is not None else params.tau_c / 50.0
     min_sub = 4 if opts.refine_at_pulses else 1
     breaks = list(train.times) + [train.horizon]
@@ -212,16 +221,14 @@ def simulate_force(
     f = 0.0
     if opts.method == "rk4":
         for nodes in _segment_grid(breaks, step, min_sub):
-            st = _stage_times(nodes)
-            m1 = np.asarray(eval_m1(eval_cn(train, params, st), params))
-            m2 = np.asarray(eval_m2(eval_cn(train, params, st), params))
-            vals = _rk4_linear_sweep(nodes, m1, m2, a_val, f)
+            c = cn(_stage_times(nodes))
+            vals = _rk4_linear_sweep(nodes, eval_m1(c, params), eval_m2(c, params), a_val, f)
             f = float(vals[-1])
             grid_parts.append(nodes)
             force_parts.append(vals)
     else:
         def rhs(t, y):
-            c = eval_cn(train, params, t)
+            c = cn(t)
             return np.array([-eval_m2(c, params) * y[0] + eval_m1(c, params) * a_val])
 
         for lo, hi in zip(breaks, breaks[1:]):
@@ -234,8 +241,7 @@ def simulate_force(
 
     grid = np.concatenate([p[:-1] for p in grid_parts] + [grid_parts[-1][-1:]])
     force = np.concatenate([p[:-1] for p in force_parts] + [force_parts[-1][-1:]])
-    c_n = np.asarray(eval_cn(train, params, grid))
-    return Trajectory(grid=grid, channels={"c_n": c_n, "force": force})
+    return Trajectory(grid=grid, channels={"c_n": cn(grid), "force": force})
 
 
 def _flatten_program(segments) -> tuple[list[float], list[float], list[float], float]:
@@ -262,22 +268,6 @@ def _flatten_program(segments) -> tuple[list[float], list[float], list[float], f
     return times, amps, bounds, cur
 
 
-def _global_cn_factory(times, amps, params: ModelParams):
-    scal = _scaling_from_times(times, params)
-    w = np.array([r * e for r, e in zip(scal, amps)])
-    t_arr = np.asarray(times)
-
-    def cn(t):
-        tt = np.asarray(t, dtype=float)
-        u = (tt[..., None] - t_arr) / params.tau_c
-        act = u >= 0.0
-        vals = np.where(act, u, 0.0)
-        out = (np.where(act, vals * np.exp(-vals), 0.0) * w).sum(axis=-1)
-        return float(out) if tt.ndim == 0 else out
-
-    return cn
-
-
 def simulate_force_fatigue(
     segments, params: ModelParams, opts: SimOptions | None = None
 ) -> Trajectory:
@@ -295,7 +285,7 @@ def simulate_force_fatigue(
     times, amps, bounds, t_f = _flatten_program(segments)
     if t_f <= 0.0:
         raise ValueError("program must have positive total duration")
-    cn = _global_cn_factory(times, amps, params)
+    cn = ConcentrationState.from_pulses(times, amps, params).cn
 
     breaks = sorted(set(t for t in times if t < t_f) | set(bounds))
     a_rest = params.a_rest_ms
@@ -326,8 +316,7 @@ def simulate_force_fatigue(
             a_parts.append(np.array([y[1] for y in ys]))
     else:
         for nodes in _segment_grid(breaks, step, min_sub):
-            st = _stage_times(nodes)
-            c = cn(st)
+            c = cn(_stage_times(nodes))
             m1 = np.asarray(eval_m1(c, params))
             m2 = np.asarray(eval_m2(c, params))
             h = nodes[1] - nodes[0]
@@ -358,7 +347,7 @@ def simulate_force_fatigue(
     force = np.concatenate([p[:-1] for p in f_parts] + [f_parts[-1][-1:]])
     a_ch = np.concatenate([p[:-1] for p in a_parts] + [a_parts[-1][-1:]]) * 1e3
     return Trajectory(
-        grid=grid, channels={"c_n": np.asarray(cn(grid)), "force": force, "a": a_ch}
+        grid=grid, channels={"c_n": cn(grid), "force": force, "a": a_ch}
     )
 
 
@@ -380,26 +369,23 @@ def _checked_quad(f, lo: float, hi: float, epsabs: float = 1e-13) -> float:
 
 class _ScalarHill:
     """Scalar closed-form concentration and Hill values tuned for the many
-    pointwise calls adaptive quadrature makes."""
+    pointwise calls adaptive quadrature makes: the state of
+    :class:`fespulse.model.ConcentrationState` as Python floats."""
 
     def __init__(self, train: PulseTrain, params: ModelParams):
-        from .model import _pulse_weights
-
-        self.times = list(train.times)
-        self.weights = [float(w) for w in _pulse_weights(train, params)]
+        state = concentration_state(train, params)
+        self.times = state.times.tolist()
+        self.a = state.a.tolist()
+        self.b = state.b.tolist()
         self.tau_c = params.tau_c
         self.k_m = params.k_m
         self.tau_1 = params.tau_1
         self.tau_2 = params.tau_2
 
     def cn(self, s: float) -> float:
-        total = 0.0
-        for t_i, w in zip(self.times, self.weights):
-            if s < t_i:
-                break
-            u = (s - t_i) / self.tau_c
-            total += w * u * math.exp(-u)
-        return total
+        j = bisect.bisect_right(self.times, s)
+        u = max(s - self.times[max(j - 1, 0)], 0.0) / self.tau_c
+        return math.exp(-u) * (self.a[j] + self.b[j] * u)
 
     def m1(self, s: float) -> float:
         c = self.cn(s)
@@ -497,8 +483,10 @@ def reparam_force_check(
         + [np.array([t_end])]
     )
 
+    cn = concentration_state(train, params).cn
+
     def m2_of_t(x):
-        return np.asarray(eval_m2(eval_cn(train, params, x), params))
+        return eval_m2(cn(x), params)
 
     lo, hi = x_nodes[:-1], x_nodes[1:]
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
@@ -509,9 +497,9 @@ def reparam_force_check(
 
     def m3_of_u(u):
         x = t_of_s(u)
-        c = np.asarray(eval_cn(train, params, x))
-        m1 = np.asarray(eval_m1(c, params))
-        m2 = np.asarray(eval_m2(c, params))
+        c = cn(x)
+        m1 = eval_m1(c, params)
+        m2 = eval_m2(c, params)
         return params.a_rest_ms * m1 / m2
 
     # Sample times snapped onto the dense grid so s is exact there.

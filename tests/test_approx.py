@@ -21,6 +21,7 @@ from fespulse import (
     force_approximator,
     force_error_bound,
     interval_average_cn,
+    interval_averages,
     persistence_order,
     persistence_profile,
     simulate_force,
@@ -29,6 +30,7 @@ from fespulse import (
     upper_lower_envelope,
 )
 from fespulse.exppoly import _SERIES_BELOW, PiecewisePoly, exp_affine_integral
+from fespulse.model import _pulse_weights
 
 from conftest import random_train
 
@@ -133,6 +135,29 @@ def test_averages_match_quadrature_on_random_trains():
                 lambda s: eval_cn(train, P, s), t_q, train.horizon, points=inner, limit=300
             )[0] / (train.horizon - t_q)
             assert tail_average_cn(train, P, q) == pytest.approx(num, abs=1e-10)
+
+
+def test_interval_averages_equal_per_interval_dot_products():
+    # Bit-for-bit the per-interval formula: the weights are built once, the
+    # arithmetic of each interval is unchanged.
+    rng = np.random.default_rng(11)
+    tau = P.tau_c
+    for _ in range(25):
+        train = random_train(rng, n_max=9, amp_lo=0.0)
+        means = interval_averages(train, P)
+        assert means.shape == (train.n + 1,)
+        for k in range(train.n + 1):
+            lo, hi = train.interval(k)
+            w = _pulse_weights(train, P)[: k + 1]
+            t_i = np.asarray(train.times[: k + 1])
+            chi_lo = np.exp(-(lo - t_i) / tau) * (tau + (lo - t_i))
+            chi_hi = np.exp(-(hi - t_i) / tau) * (tau + (hi - t_i))
+            assert means[k] == float(w @ (chi_lo - chi_hi)) / (hi - lo)
+            assert interval_average_cn(train, P, k) == means[k]
+    with pytest.raises(IndexError):
+        interval_average_cn(THREE_PULSE, P, THREE_PULSE.n + 1)
+    with pytest.raises(IndexError):
+        interval_average_cn(THREE_PULSE, P, -1)
 
 
 def test_tail_average_at_last_pulse_reduces_to_interval_average():

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fespulse import ModelParams, QuadratureNoConvergence, StepTooLarge
+from fespulse import ModelParams, OptOutcome, QuadratureNoConvergence, StepTooLarge
 from fespulse.cli import (
     ConfigError,
     EXIT_CONFIG,
@@ -13,6 +13,7 @@ from fespulse.cli import (
     EXIT_SOLVER,
     EXIT_VALIDATION,
     _suite_fatigue,
+    _write_csv,
     load_config,
     main,
     parse_config,
@@ -96,6 +97,17 @@ def test_simulate_zero_amplitude_train(tmp_path):
         if line and not line.startswith("#") and not line.startswith("t_ms")
     ]
     assert all(float(r[2]) == 0.0 for r in rows)
+
+
+def test_csv_writer_matches_format_9g(tmp_path):
+    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e-300,
+              1e16, 0.1, 1.0 / 3.0, -123456789.987654321, 12345678950.0]
+    other = list(reversed(values))
+    path = tmp_path / "x.csv"
+    _write_csv(path, parse_config(NOMINAL), "simulate", 0, ["a", "b"], [np.array(values), other])
+    lines = path.read_text().splitlines()
+    body = lines[lines.index("a,b") + 1 :]
+    assert body == [f"{format(float(x), '.9g')},{format(float(y), '.9g')}" for x, y in zip(values, other)]
 
 
 def test_simulate_outputs_byte_identical(tmp_path):
@@ -207,7 +219,8 @@ def test_validate_default_suite_passes(tmp_path):
 
 
 def test_optimize_infeasible_config_clean_error(tmp_path):
-    bad = OPT_SMALL.replace("n = 2", "n = 40").replace("i_min = 20.0", "i_min = 60.0")
+    bad = OPT_SMALL.replace("\nn = 2\n", "\nn = 40\n").replace("i_min = 20.0", "i_min = 60.0")
+    assert "\nn = 40\n" in bad and "i_min = 60.0" in bad
     cfg = write(tmp_path, bad)
     out = tmp_path / "out"
     assert main(["optimize", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
@@ -295,10 +308,7 @@ def test_bench_reports_speedup(tmp_path):
     assert report["n_points"] == 4000
 
 
-def test_plan_writes_program(tmp_path):
-    cfg = write(
-        tmp_path,
-        """\
+PLAN_SMALL = """\
 [model]
 k_m = 0.103
 
@@ -310,8 +320,11 @@ train_horizon = 250.0
 rest = 300.0
 t_f = 1100.0
 sim_step = 1.0
-""",
-    )
+"""
+
+
+def test_plan_writes_program(tmp_path):
+    cfg = write(tmp_path, PLAN_SMALL)
     out = tmp_path / "out"
     assert main(["plan", "--config", cfg, "--out", str(out)]) == EXIT_OK
     prog = json.loads((out / "program.json").read_text())
@@ -319,3 +332,30 @@ sim_step = 1.0
     assert total == pytest.approx(1100.0, abs=1e-6)
     assert prog["c_n_ref"] > 0.0
     assert (out / "program_trajectory.csv").exists()
+
+
+def test_plan_unreachable_force_is_config_error(tmp_path, capsys):
+    # The saturated steady force is a_rest (tau_1 + tau_2) = 0.528 kN.
+    cfg = write(tmp_path, PLAN_SMALL.replace("f_ref = 0.1", "f_ref = 1.0"))
+    out = tmp_path / "out"
+    assert main(["plan", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: f_ref=1.0 kN") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_plan_unconverged_template_is_solver_failure(tmp_path, monkeypatch, capsys):
+    def unconverged(objective, init, params, opts):
+        return OptOutcome(
+            sigma_star=init, objective=0.0, multipliers=(), kkt_residual=0.5,
+            stationarity=0.5, complementarity=0.0, feasibility=0.0,
+            iterations=400, status="max_iterations", i_min=opts.i_min,
+        )
+
+    monkeypatch.setattr("fespulse.planner.solve", unconverged)
+    out = tmp_path / "out"
+    assert main(["plan", "--config", write(tmp_path, PLAN_SMALL), "--out", str(out)]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: template solve") and err.count("\n") == 1
+    assert "status=max_iterations" in err
+    assert not out.exists()

@@ -17,6 +17,7 @@ from fespulse import (
     eval_m2,
     eval_signal,
     steady_state_root,
+    truncated_cn,
 )
 
 from conftest import random_train, rk4_cn_max_error
@@ -136,6 +137,54 @@ def test_cn_matches_ode_integration():
     for _ in range(5):
         train = random_train(rng)
         assert rk4_cn_max_error(train, P) < 1e-8
+
+
+def _dense_lobes(train: PulseTrain, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every lobe, and every pulse's term of tau_c E, at every time, as
+    (N_t, N_p) arrays: the superposition written out."""
+    w = np.asarray(compute_scaling(train, P).values) * np.asarray(train.amplitudes)
+    u = (t[:, None] - np.asarray(train.times)) / P.tau_c
+    active = u >= 0.0
+    u = np.where(active, u, 0.0)
+    with np.errstate(under="ignore"):
+        return np.where(active, w * u * np.exp(-u), 0.0), np.where(active, w * np.exp(-u), 0.0)
+
+
+@given(
+    gaps=st.lists(
+        st.one_of(st.floats(min_value=0.5, max_value=300.0), st.just(1e7)), max_size=10
+    ),
+    amps=st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)), min_size=11, max_size=11
+    ),
+    tail=st.floats(min_value=1.0, max_value=200.0),
+    p=st.integers(min_value=1, max_value=12),
+)
+@settings(max_examples=150, deadline=None)
+def test_concentration_state_matches_dense_lobe_sum(gaps, amps, tail, p):
+    times = tuple(np.concatenate([[0.0], np.cumsum(gaps)]))
+    train = PulseTrain(times, tuple(amps[: len(times)]), times[-1] + tail)
+    offsets = np.array([0.0, 1e-3, 0.37, P.tau_c, 3.1 * P.tau_c, 40.0 * P.tau_c])
+    ts = np.concatenate([[-1e3, -1.0, train.horizon], (np.asarray(times)[:, None] + offsets).ravel()])
+    ts = ts[ts <= train.horizon]
+    lobes, signal_terms = _dense_lobes(train, ts)
+    k_of_t = np.searchsorted(times, ts, side="right") - 1
+    i = np.arange(len(times))
+    window = (i <= k_of_t[:, None]) & (i > k_of_t[:, None] - p)
+    with np.errstate(all="raise"):
+        cn = eval_cn(train, P, ts)
+        signal = eval_signal(train, P, ts)
+        trunc = truncated_cn(train, P, p)(ts)
+        k = len(times) // 2
+        lobe = eval_lobe(train, P, k, ts)
+        scalars = [eval_cn(train, P, float(t)) for t in ts]
+    assert np.max(np.abs(cn - lobes.sum(axis=1))) <= 1e-14
+    assert np.max(np.abs(signal - signal_terms.sum(axis=1) / P.tau_c)) <= 1e-14
+    assert np.max(np.abs(trunc - np.where(window, lobes, 0.0).sum(axis=1))) <= 1e-14
+    assert np.max(np.abs(lobe - lobes[:, k])) <= 1e-14
+    assert all(isinstance(c, float) for c in scalars) and np.array_equal(scalars, cn)
+    assert np.all(trunc <= cn + 1e-14)
+    assert np.all(cn[ts < 0.0] == 0.0) and np.all(trunc[ts < 0.0] == 0.0)
 
 
 # ---------------------------------------------------------------------------
