@@ -18,24 +18,20 @@ import io
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, checks
 from .approx import (
     build_m_approx,
-    error_bound_persistent,
     eval_f_tilde,
     force_approximator,
-    force_error_bound,
     interval_averages,
-    persistence_order,
     truncated_cn,
 )
-from .model import ModelParams, PulseTrain, UnreachableForce, eval_cn
+from .model import ModelParams, PulseTrain, UnreachableForce
 from .optimize import (
     DecisionVector,
     InfeasibleSigma,
@@ -47,13 +43,9 @@ from .optimize import (
 from .planner import ProgramSpec, TemplateNotConverged, plan_endurance
 from .simulate import (
     QuadratureNoConvergence,
-    Rest,
     SimOptions,
     StepTooLarge,
-    oracle_force_quadrature,
-    reparam_force_check,
     simulate_force,
-    simulate_force_fatigue,
 )
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "main"]
@@ -512,15 +504,6 @@ def run_plan(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _random_train(rng: np.random.Generator, i_min: float = 20.0, n_max: int = 6) -> PulseTrain:
-    n = int(rng.integers(1, n_max + 1))
-    gaps = i_min + rng.exponential(25.0, size=n)
-    times = np.concatenate([[0.0], np.cumsum(gaps)])
-    horizon = float(times[-1] + rng.uniform(40.0, 140.0))
-    amps = rng.uniform(0.25, 1.0, size=n + 1)
-    return PulseTrain(tuple(times), tuple(amps), horizon, i_min)
-
-
 def _check(name: str, passed: bool, measured: float, threshold: float, info: str = "") -> dict:
     return {
         "name": name,
@@ -531,157 +514,51 @@ def _check(name: str, passed: bool, measured: float, threshold: float, info: str
     }
 
 
-def _suite_lobe(params: ModelParams, rng, n_trains: int, sim_step) -> list[dict]:
-    from .model import eval_lobe
-
-    worst_peak = 0.0
-    worst_mass = 1.0
-    inflect_ok = True
-    for _ in range(n_trains):
-        train = _random_train(rng)
-        k = int(rng.integers(0, train.n + 1))
-        scal = 1.0 if k == 0 else 1.0 + (params.r_bar - 1.0) * math.exp(
-            -(train.times[k] - train.times[k - 1]) / params.tau_c
-        )
-        amp = train.amplitudes[k]
-        if amp < 1e-12:
-            continue
-        t_k = train.times[k]
-        peak = eval_lobe(train, params, k, t_k + params.tau_c)
-        worst_peak = max(worst_peak, abs(peak - scal * amp / math.e) / (scal * amp / math.e))
-        u = np.linspace(0.0, 5.0 * params.tau_c, 801)
-        lobe = np.asarray(eval_lobe(train, params, k, t_k + u))
-        mass_5tau = float(np.trapezoid(lobe, u))
-        total = scal * amp * params.tau_c  # int_0^inf (u/tau) e^(-u/tau) du = tau
-        worst_mass = min(worst_mass, mass_5tau / total)
-        dd = np.diff(np.asarray(eval_lobe(train, params, k, t_k + np.linspace(
-            1.6 * params.tau_c, 2.4 * params.tau_c, 41))), 2)
-        inflect_ok = inflect_ok and dd[0] < 0.0 < dd[-1]
-    return [
-        _check("lobe-peak-value", worst_peak < 1e-10, worst_peak, 1e-10),
-        _check("lobe-mass-95pct", worst_mass >= 0.95, worst_mass, 0.95, "fraction within 5 tau_c"),
-        _check("lobe-inflection-2tau", inflect_ok, float(inflect_ok), 1.0),
-    ]
+_SUITES = ("lobe", "oracles", "truncation", "force_bound", "envelope", "fatigue")
 
 
-def _suite_oracles(params: ModelParams, rng, n_trains: int, sim_step) -> list[dict]:
-    worst_sq = 0.0
-    worst_rep = 0.0
-    opts = SimOptions(step=sim_step)
-    for _ in range(n_trains):
-        train = _random_train(rng, n_max=4)
-        traj = simulate_force(train, params, opts)
-        for frac in (0.4, 0.8, 1.0):
-            target = frac * train.horizon
-            t = float(traj.grid[np.argmin(np.abs(traj.grid - target))])
-            f_sim = traj.at("force", t)
-            f_quad = oracle_force_quadrature(train, params, t)
-            worst_sq = max(worst_sq, abs(f_sim - f_quad))
-        worst_rep = max(worst_rep, reparam_force_check(train, params, n_samples=4))
-    return [
-        _check("sim-vs-quadrature", worst_sq < 1e-6, worst_sq, 1e-6, "kN"),
-        _check("reparam-vs-quadrature", worst_rep < 1e-6, worst_rep, 1e-6, "kN"),
-    ]
-
-
-def _suite_truncation(params: ModelParams, rng, n_trains: int, sim_step) -> list[dict]:
-    worst_margin = math.inf
-    violations = 0
-    for _ in range(n_trains):
-        train = _random_train(rng)
-        p = persistence_order(train, params)
-        trunc = truncated_cn(train, params, p)
-        for k in range(train.n + 1):
-            lo, hi = train.interval(k)
-            # The truncation window switches right-continuously at t_{k+1};
-            # the per-interval sup statement is over [t_k, t_{k+1}).
-            ts = np.linspace(lo, hi, 121)[:-1]
-            gap = float(np.max(np.asarray(eval_cn(train, params, ts)) - np.asarray(trunc(ts))))
-            bound = error_bound_persistent(train, params, p, k)
-            if gap > bound + 1e-12:
-                violations += 1
-            worst_margin = min(worst_margin, bound - gap)
-    return [
-        _check("truncation-bound-dominates", violations == 0, violations, 0.0,
-               f"min bound-gap margin {worst_margin:.3e}")
-    ]
-
-
-def _suite_force_bound(params: ModelParams, rng, n_trains: int, sim_step) -> list[dict]:
-    violations = 0
-    refine_ok = 0
-    refine_total = 0
-    for _ in range(n_trains):
-        n = int(rng.integers(2, 4))
-        gaps = rng.uniform(20.0, 2.0 * params.tau_c, size=n)
-        times = np.concatenate([[0.0], np.cumsum(gaps)])
-        train = PulseTrain(
-            tuple(times), tuple(rng.uniform(0.4, 1.0, size=n + 1)),
-            float(times[-1] + rng.uniform(25.0, 2.0 * params.tau_c)), 20.0,
-        )
-        traj = simulate_force(train, params, SimOptions(step=sim_step))
-        errs = {}
-        for p in (2, 4):
-            approx = build_m_approx(train, params, scheme="constant-average", p=p)
-            nodes = approx.pulse_breaks
-            f_tilde = np.atleast_1d(eval_f_tilde(approx, params, params.a_rest, np.asarray(nodes)))
-            f_true = np.array([traj.at("force", t) for t in nodes])
-            errs[p] = float(np.max(np.abs(f_tilde - f_true)))
-            if p == 2:
-                for k in range(1, len(nodes)):
-                    rep = force_error_bound(train, params, approx, k)
-                    if not rep.hypotheses_ok:
-                        continue
-                    measured = abs(f_tilde[k] - f_true[k]) / params.a_rest_ms
-                    if measured > rep.bound + 1e-12:
-                        violations += 1
-        refine_total += 1
-        if errs[4] <= errs[2] + 1e-12:
-            refine_ok += 1
-    frac = refine_ok / max(refine_total, 1)
-    return [
-        _check("force-error-bound-dominates", violations == 0, violations, 0.0),
-        _check("force-refinement-monotone", frac >= 0.9, frac, 0.9,
-               "fraction of cases with err(p=4) <= err(p=2)"),
-    ]
-
-
-def _suite_envelope(params: ModelParams, rng, n_trains: int, sim_step) -> list[dict]:
-    from .approx import upper_lower_envelope
-
-    train = PulseTrain(
-        tuple(i * 360.0 / 6 for i in range(6)), (1.0,) * 6, 360.0, 20.0
-    )
-    traj = simulate_force(train, params, SimOptions(step=sim_step))
-    f_low, f_high = upper_lower_envelope(train, params, 1.05, 0.95, traj.grid)
-    worst_hi = float(np.min(np.atleast_1d(f_high) - traj.channel("force")))
-    worst_lo = float(np.max(np.atleast_1d(f_low) - traj.channel("force")))
-    return [
-        _check("nu-upper-envelope", worst_hi >= -1e-9, worst_hi, -1e-9,
-               "min(F_high(nu=0.95) - F_oracle) on the scenario grid"),
-        _check("nu-lower-envelope", worst_lo <= 1e-9, worst_lo, 1e-9,
-               "max(F_low(nu=1.05) - F_oracle) on the scenario grid"),
-    ]
-
-
-def _suite_fatigue(params: ModelParams, rng, n_trains: int, sim_step) -> list[dict]:
-    train = PulseTrain(
-        tuple(i * 60.0 for i in range(5)), (1.0,) * 5, 300.0, 20.0
-    )
-    rest = 8000.0
-    traj = simulate_force_fatigue([train, Rest(rest)], params, SimOptions(step=sim_step or 1.0))
-    a_ch = traj.channel("a")
-    grid = traj.grid
-    during = a_ch[(grid > train.times[1]) & (grid <= 300.0)]
-    declined = bool(np.all(during < params.a_rest)) and float(during.min()) < params.a_rest - 1e-9
-    sel = (grid >= 2000.0) & (grid <= 8000.0)
-    deficit = params.a_rest - a_ch[sel]
-    ok_window = np.all(deficit > 0.0)
-    if ok_window:
-        slope = np.polyfit(grid[sel], np.log(deficit), 1)[0]
-        rate_err = abs(-slope - 1.0 / params.tau_fat_ms) * params.tau_fat_ms
-    else:
-        rate_err = math.inf
+def _validation_checks(suite: str, params: ModelParams, rng, n_trains: int, sim_step) -> list[dict]:
+    """The named pass/fail checks of one suite, from :mod:`fespulse.checks`."""
+    if suite == "lobe":
+        peak, mass, inflection_ok = checks.lobe_law(params, rng, n_trains)
+        return [
+            _check("lobe-peak-value", peak < 1e-10, peak, 1e-10),
+            _check("lobe-mass-95pct", mass >= 0.95, mass, 0.95, "fraction within 5 tau_c"),
+            _check("lobe-inflection-2tau", inflection_ok, float(inflection_ok), 1.0),
+        ]
+    if suite == "oracles":
+        sq, rq = checks.oracle_concordance(params, rng, n_trains, sim_step)
+        return [
+            _check("sim-vs-quadrature", sq < 1e-6, sq, 1e-6, "kN"),
+            _check("reparam-vs-quadrature", rq < 1e-6, rq, 1e-6, "kN"),
+        ]
+    if suite == "truncation":
+        trains = [checks.random_train(rng) for _ in range(n_trains)]
+        _, violations, margin = checks.truncation_bound(params, trains)
+        return [
+            _check("truncation-bound-dominates", violations == 0, violations, 0.0,
+                   f"min bound-gap margin {margin:.3e}")
+        ]
+    if suite == "force_bound":
+        _, violations, refine_ok = checks.force_bound(params, rng, n_trains, sim_step)
+        frac = refine_ok / max(n_trains, 1)
+        return [
+            _check("force-error-bound-dominates", violations == 0, violations, 0.0),
+            _check("force-refinement-monotone", frac >= 0.9, frac, 0.9,
+                   "fraction of cases with err(p=4) <= err(p=2)"),
+        ]
+    if suite == "envelope":
+        train = DecisionVector.regular(5, 360.0).to_train(20.0)
+        upper, lower, _ = checks.envelope_margins(params, train, sim_step)
+        return [
+            _check("nu-upper-envelope", upper >= -1e-9, upper, -1e-9,
+                   "min(F_high(nu=0.95) - F_oracle) on the scenario grid"),
+            _check("nu-lower-envelope", lower <= 1e-9, lower, 1e-9,
+                   "max(F_low(nu=1.05) - F_oracle) on the scenario grid"),
+        ]
+    # suite == "fatigue"; run_validate has rejected unknown names
+    stays_below, drop, rate_err = checks.fatigue_response(params, sim_step)
+    declined = stays_below and drop > 1e-9
     return [
         _check("fatigue-declines-under-load", declined, float(declined), 1.0),
         _check("fatigue-recovery-rate", rate_err < 0.02, rate_err, 0.02,
@@ -689,40 +566,30 @@ def _suite_fatigue(params: ModelParams, rng, n_trains: int, sim_step) -> list[di
     ]
 
 
-_SUITES = {
-    "lobe": _suite_lobe,
-    "oracles": _suite_oracles,
-    "truncation": _suite_truncation,
-    "force_bound": _suite_force_bound,
-    "envelope": _suite_envelope,
-    "fatigue": _suite_fatigue,
-}
-
-
 def run_validate(cfg: ScenarioConfig, out_dir: Path, seed: int, suite: str | None) -> int:
     suite = suite or cfg.get("validate", "suite", "default")
     n_trains = cfg.get("validate", "n_trains", 6)
     sim_step = cfg.get("validate", "sim_step", 0.2)
     rng = np.random.default_rng(cfg.get("validate", "seed", seed))
-    checks: list[dict] = []
+    results: list[dict] = []
     try:
         params = cfg.model_params()
     except ConfigError as exc:
-        checks.append(_check("model-invariants", False, math.nan, 0.0, str(exc)))
+        results.append(_check("model-invariants", False, math.nan, 0.0, str(exc)))
         params = None
     if params is not None:
         names = list(_SUITES) if suite == "default" else [suite]
         if any(name not in _SUITES for name in names):
             raise ConfigError(f"unknown suite {suite!r}; choices: default, {', '.join(_SUITES)}")
         for name in names:
-            checks.extend(_SUITES[name](params, rng, n_trains, sim_step))
-    all_passed = all(c["passed"] for c in checks)
+            results.extend(_validation_checks(name, params, rng, n_trains, sim_step))
+    all_passed = all(c["passed"] for c in results)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(
         out_dir / "validation.json", cfg, "validate", seed,
-        {"suite": suite, "all_passed": all_passed, "checks": checks},
+        {"suite": suite, "all_passed": all_passed, "checks": results},
     )
-    for c in checks:
+    for c in results:
         tag = "PASS" if c["passed"] else "FAIL"
         print(f"[{tag}] {c['name']}: measured={c['measured']:.6g} threshold={c['threshold']:.6g}")
     return EXIT_OK if all_passed else EXIT_VALIDATION
@@ -730,35 +597,13 @@ def run_validate(cfg: ScenarioConfig, out_dir: Path, seed: int, suite: str | Non
 
 def run_bench(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
     params = cfg.model_params()
-    n = cfg.get("bench", "n", 5)
-    horizon = cfg.get("bench", "horizon", 360.0)
-    nu = cfg.get("bench", "nu", 0.95)
     n_points = cfg.get("bench", "n_points", 10000)
     threshold = cfg.get("bench", "threshold", 5.0)
-    train = PulseTrain(
-        tuple(i * horizon / (n + 1) for i in range(n + 1)), (1.0,) * (n + 1), horizon, 20.0
+    n, horizon = cfg.get("bench", "n", 5), cfg.get("bench", "horizon", 360.0)
+    train = DecisionVector.regular(n, horizon).to_train(20.0)
+    build_s, eval_s, oracle_s = checks.evaluation_speedup(
+        params, train, n_points, cfg.get("bench", "nu", 0.95)
     )
-    t0 = time.perf_counter()
-    approx = build_m_approx(train, params, scheme="affine-constant", p=2, nu=nu)
-    evaluator = force_approximator(approx)
-    build_s = time.perf_counter() - t0
-    ts = np.linspace(0.0, horizon, n_points)
-
-    def time_best(fn, repeats: int = 5) -> float:
-        best = math.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    eval_s = time_best(lambda: evaluator.values(ts, params.a_rest))
-
-    def oracle():
-        traj = simulate_force(train, params)
-        np.interp(ts, traj.grid, traj.channel("force"))
-
-    oracle_s = time_best(oracle)
     speedup = oracle_s / eval_s if eval_s > 0 else math.inf
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(

@@ -50,11 +50,6 @@ OBJECTIVE_KINDS = (
     "track_cn",
 )
 
-# Stand-in amplitude backing the extra slack index in each bound block,
-# which keeps the constraint count at 3n+5; it is constant, strictly
-# feasible, and never enters the barrier.
-PHANTOM_AMPLITUDE = 0.5
-
 # Costs summed over the pulse intervals [t_k, t_{k+1}] (see horizon_gap).
 _INTERVAL_WEIGHTED_KINDS = ("track_cn", "track_force")
 
@@ -181,19 +176,19 @@ class DecisionVector:
 def eval_constraints(
     sigma: DecisionVector, i_min: float, horizon_gap: float = 0.0
 ) -> np.ndarray:
-    """Constraint vector of length 3n+5, all entries <= 0 when feasible.
+    """Constraint vector of length 3n+3, all entries <= 0 when feasible.
 
     Order: spacing (n entries, t_{i-1} - t_i + i_min), horizon
-    (t_n - T + horizon_gap), lower amplitude bounds (n+2 entries, the last
-    backed by the phantom amplitude), upper amplitude bounds (n+2, likewise).
+    (t_n - T + horizon_gap), lower amplitude bounds (n+1 entries, -eta_i),
+    upper amplitude bounds (n+1, eta_i - 1).
     ``solve`` sets ``horizon_gap`` per objective (see :func:`horizon_gap`).
     """
     n = sigma.n
     t = (0.0,) + sigma.times
     spacing = [t[i - 1] - t[i] + i_min for i in range(1, n + 1)]
     horizon = [t[n] - sigma.horizon + horizon_gap]
-    lower = [-a for a in sigma.amplitudes] + [-PHANTOM_AMPLITUDE]
-    upper = [a - 1.0 for a in sigma.amplitudes] + [PHANTOM_AMPLITUDE - 1.0]
+    lower = [-a for a in sigma.amplitudes]
+    upper = [a - 1.0 for a in sigma.amplitudes]
     return np.array(spacing + horizon + lower + upper)
 
 
@@ -212,15 +207,13 @@ def constraint_matrix(n: int) -> np.ndarray:
         row[2 * n] = 1.0
     row[2 * n + 1] = -1.0
     rows.append(row)
-    for i in range(n + 2):  # -eta_i
+    for i in range(n + 1):  # -eta_i
         row = np.zeros(dim)
-        if i <= n:
-            row[i] = -1.0
+        row[i] = -1.0
         rows.append(row)
-    for i in range(n + 2):  # eta_i - 1
+    for i in range(n + 1):  # eta_i - 1
         row = np.zeros(dim)
-        if i <= n:
-            row[i] = 1.0
+        row[i] = 1.0
         rows.append(row)
     return np.array(rows)
 
@@ -241,7 +234,7 @@ class ConstraintSet:
         return constraint_matrix(self.n)
 
     def __len__(self) -> int:
-        return 3 * self.n + 5
+        return 3 * self.n + 3
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ class ProgramSpec:
     threshold is a_rest / k_fatigue; both ratios must exceed 1.
     """
 
-    kind: str = "endurance"
     f_ref: float | None = None
     k_ratio: float | None = None
     n: int = 5
@@ -54,8 +53,6 @@ class ProgramSpec:
     redrift_tol: float = 0.10        # re-solve when A drifts more than this
 
     def __post_init__(self) -> None:
-        if self.kind not in ("endurance", "punch", "train-endurance"):
-            raise ValueError(f"unknown program kind {self.kind!r}")
         if self.f_ref is None and self.k_ratio is None:
             raise ValueError("give f_ref or k_ratio")
         if self.k_ratio is not None and self.k_ratio <= 1.0:

@@ -4,9 +4,10 @@ The concentration layer is always evaluated in closed form (see
 :mod:`fespulse.model`); only the force and fatigue states are integrated.
 Every integration step is split at impulse times so the right-hand side is
 smooth within each step. Three independent force evaluations are provided:
-a fixed-step RK4 / adaptive RK45 integrator, a nested adaptive-quadrature
-evaluation of the exact integral form, and a time-reparameterized
-re-derivation used as a consistency check.
+an integrator (hand-written fixed-step RK4, or scipy's adaptive RK45 called
+once per pulse interval on one force-fatigue right-hand side), a nested
+adaptive-quadrature evaluation of the exact integral form, and a
+time-reparameterized re-derivation used as a consistency check.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import IntegrationWarning, quad, solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from .model import (
@@ -43,7 +44,7 @@ __all__ = [
 
 
 class StepTooLarge(RuntimeError):
-    """Adaptive step controller underflowed the minimum step size."""
+    """The adaptive integrator could not reach the end of an interval."""
 
 
 class QuadratureNoConvergence(RuntimeError):
@@ -52,13 +53,13 @@ class QuadratureNoConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Integrator options. ``step=None`` resolves to tau_c / 50."""
+    """Integrator options: ``step`` for RK4 (``None`` resolves to
+    tau_c / 50), the tolerances for the adaptive method."""
 
     step: float | None = None
     method: str = "rk4"          # "rk4" (fixed step) or "adaptive"
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    refine_at_pulses: bool = True
 
     def __post_init__(self) -> None:
         if self.step is not None and self.step <= 0.0:
@@ -109,64 +110,51 @@ class Rest:
             raise ValueError(f"rest duration must be positive, got {self.duration}")
 
 
-def _interval_nodes(lo: float, hi: float, step: float, min_sub: int) -> np.ndarray:
-    m = max(min_sub, int(math.ceil((hi - lo) / step - 1e-12)))
+def _interval_nodes(lo: float, hi: float, step: float) -> np.ndarray:
+    # At least four RK4 steps per interval, however short.
+    m = max(4, int(math.ceil((hi - lo) / step - 1e-12)))
     return np.linspace(lo, hi, m + 1)
 
 
-def _segment_grid(breaks, step: float, min_sub: int) -> list[np.ndarray]:
+def _segment_grid(breaks, step: float) -> list[np.ndarray]:
     return [
-        _interval_nodes(a, b, step, min_sub)
+        _interval_nodes(a, b, step)
         for a, b in zip(breaks, breaks[1:])
         if b - a > 1e-12
     ]
 
 
-# Dormand-Prince 5(4) tableau.
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+def _adaptive_interval(rhs, lo: float, hi: float, y0, rel_tol: float, abs_tol: float):
+    """scipy's RK45 over [lo, hi]; returns the accepted nodes and states."""
+    sol = solve_ivp(rhs, (lo, hi), y0, method="RK45", rtol=rel_tol, atol=abs_tol)
+    if not sol.success:
+        raise StepTooLarge(f"adaptive step failed on [{lo}, {hi}]: {sol.message}")
+    return sol.t, sol.y
 
 
-def _rk45_interval(rhs, lo, hi, y0, rel_tol, abs_tol, h0):
-    """Adaptive RK45 over [lo, hi]; returns accepted nodes and states."""
-    y = np.asarray(y0, dtype=float)
-    t = lo
-    h = min(h0, hi - lo)
-    h_min = max(1e-13, (hi - lo) * 1e-14)
-    ts = [lo]
-    ys = [y.copy()]
-    k = [np.zeros_like(y) for _ in range(7)]
-    while t < hi - 1e-12:
-        h = min(h, hi - t)
-        if h < h_min:
-            raise StepTooLarge(f"adaptive step underflow at t={t} (h={h})")
-        for i in range(7):
-            yi = y.copy()
-            for j, a in enumerate(_DP_A[i] if i < 6 else _DP_B5[:6]):
-                yi += h * a * k[j]
-            k[i] = rhs(t + _DP_C[i] * h, yi)
-        y5 = y + h * sum(b * ki for b, ki in zip(_DP_B5, k))
-        y4 = y + h * sum(b * ki for b, ki in zip(_DP_B4, k))
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.max(np.abs(y5 - y4) / scale))
-        if err <= 1.0:
-            t += h
-            y = y5
-            ts.append(t)
-            ys.append(y.copy())
-        factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-    return ts, ys
+def _adaptive_sweep(cn, breaks, params: ModelParams, opts: SimOptions, alpha: float):
+    """Adaptive RK45 on (F, A) over each interval between ``breaks``, from
+    rest. With ``alpha`` = 0, A stays at a_rest exactly."""
+    a_rest = params.a_rest_ms
+    tau_fat = params.tau_fat_ms
+
+    def rhs(t, y):
+        c = cn(t)
+        m1 = c / (params.k_m + c)
+        m2 = 1.0 / (params.tau_1 + params.tau_2 * m1)
+        return [-m2 * y[0] + m1 * y[1], -(y[1] - a_rest) / tau_fat + alpha * y[0]]
+
+    grid_parts, f_parts, a_parts = [], [], []
+    y = [0.0, a_rest]
+    for lo, hi in zip(breaks, breaks[1:]):
+        if hi - lo <= 1e-12:
+            continue
+        ts, ys = _adaptive_interval(rhs, lo, hi, y, opts.rel_tol, opts.abs_tol)
+        y = ys[:, -1]
+        grid_parts.append(ts)
+        f_parts.append(ys[0])
+        a_parts.append(ys[1])
+    return grid_parts, f_parts, a_parts
 
 
 def _rk4_linear_sweep(nodes: np.ndarray, m1, m2, a_val: float, f0: float):
@@ -212,7 +200,6 @@ def simulate_force(
     opts = opts or SimOptions()
     cn = concentration_state(train, params).cn
     step = opts.step if opts.step is not None else params.tau_c / 50.0
-    min_sub = 4 if opts.refine_at_pulses else 1
     breaks = list(train.times) + [train.horizon]
     a_val = params.a_rest_ms
 
@@ -220,24 +207,14 @@ def simulate_force(
     force_parts: list[np.ndarray] = []
     f = 0.0
     if opts.method == "rk4":
-        for nodes in _segment_grid(breaks, step, min_sub):
+        for nodes in _segment_grid(breaks, step):
             c = cn(_stage_times(nodes))
             vals = _rk4_linear_sweep(nodes, eval_m1(c, params), eval_m2(c, params), a_val, f)
             f = float(vals[-1])
             grid_parts.append(nodes)
             force_parts.append(vals)
     else:
-        def rhs(t, y):
-            c = cn(t)
-            return np.array([-eval_m2(c, params) * y[0] + eval_m1(c, params) * a_val])
-
-        for lo, hi in zip(breaks, breaks[1:]):
-            if hi - lo <= 1e-12:
-                continue
-            ts, ys = _rk45_interval(rhs, lo, hi, [f], opts.rel_tol, opts.abs_tol, step)
-            f = float(ys[-1][0])
-            grid_parts.append(np.asarray(ts))
-            force_parts.append(np.array([y[0] for y in ys]))
+        grid_parts, force_parts, _ = _adaptive_sweep(cn, breaks, params, opts, alpha=0.0)
 
     grid = np.concatenate([p[:-1] for p in grid_parts] + [grid_parts[-1][-1:]])
     force = np.concatenate([p[:-1] for p in force_parts] + [force_parts[-1][-1:]])
@@ -281,7 +258,6 @@ def simulate_force_fatigue(
     """
     opts = opts or SimOptions()
     step = opts.step if opts.step is not None else params.tau_c / 50.0
-    min_sub = 4 if opts.refine_at_pulses else 1
     times, amps, bounds, t_f = _flatten_program(segments)
     if t_f <= 0.0:
         raise ValueError("program must have positive total duration")
@@ -298,24 +274,9 @@ def simulate_force_fatigue(
     f, a = 0.0, a_rest
 
     if opts.method == "adaptive":
-        def rhs(t, y):
-            c = cn(t)
-            m1 = c / (params.k_m + c)
-            m2 = 1.0 / (params.tau_1 + params.tau_2 * m1)
-            return np.array(
-                [-m2 * y[0] + m1 * y[1], -(y[1] - a_rest) / tau_fat + alpha * y[0]]
-            )
-
-        for lo, hi in zip(breaks, breaks[1:]):
-            if hi - lo <= 1e-12:
-                continue
-            ts, ys = _rk45_interval(rhs, lo, hi, [f, a], opts.rel_tol, opts.abs_tol, step)
-            f, a = float(ys[-1][0]), float(ys[-1][1])
-            grid_parts.append(np.asarray(ts))
-            f_parts.append(np.array([y[0] for y in ys]))
-            a_parts.append(np.array([y[1] for y in ys]))
+        grid_parts, f_parts, a_parts = _adaptive_sweep(cn, breaks, params, opts, alpha)
     else:
-        for nodes in _segment_grid(breaks, step, min_sub):
+        for nodes in _segment_grid(breaks, step):
             c = cn(_stage_times(nodes))
             m1 = np.asarray(eval_m1(c, params))
             m2 = np.asarray(eval_m2(c, params))

@@ -12,23 +12,6 @@ def params() -> ModelParams:
     return ModelParams()
 
 
-def random_train(
-    rng: np.random.Generator,
-    i_min: float = 20.0,
-    n_max: int = 6,
-    n_min: int = 1,
-    gap_scale: float = 25.0,
-    amp_lo: float = 0.25,
-) -> PulseTrain:
-    """Admissible random train: exponential gap slack over the spacing floor."""
-    n = int(rng.integers(n_min, n_max + 1))
-    gaps = i_min + rng.exponential(gap_scale, size=n)
-    times = np.concatenate([[0.0], np.cumsum(gaps)])
-    horizon = float(times[-1] + rng.uniform(40.0, 140.0))
-    amps = rng.uniform(amp_lo, 1.0, size=n + 1)
-    return PulseTrain(tuple(times), tuple(amps), horizon, i_min)
-
-
 def rk4_cn_max_error(train: PulseTrain, params: ModelParams, step: float = 0.2) -> float:
     """Independent oracle: RK4 on c' = E(t) - c/tau_c against the closed form.
 

@@ -1,7 +1,6 @@
 """Acceptance gate: one test per criterion, each printing a PASS line with
 its measured figure so the run doubles as a report."""
 
-import math
 import time
 
 import numpy as np
@@ -12,32 +11,19 @@ from fespulse import (
     ModelParams,
     ObjectiveSpec,
     PulseTrain,
-    Rest,
-    SimOptions,
     SolveOptions,
-    build_m_approx,
-    compute_scaling,
-    error_bound_persistent,
-    eval_cn,
-    eval_f_tilde,
-    eval_lobe,
     eval_m1,
     eval_m2,
-    force_approximator,
-    force_error_bound,
-    interval_average_cn,
-    oracle_force_quadrature,
     persistence_order,
-    reparam_force_check,
     simulate_force,
-    simulate_force_fatigue,
     solve,
     steady_state_root,
-    truncated_cn,
 )
+from fespulse import checks
+from fespulse.checks import random_train
 from fespulse.optimize import objective_value
 
-from conftest import random_train, rk4_cn_max_error
+from conftest import rk4_cn_max_error
 
 P = ModelParams()
 
@@ -85,42 +71,15 @@ def test_criterion_01_closed_form_concentration_vs_ode():
 
 
 def test_criterion_02_lobe_law():
-    rng = np.random.default_rng(202)
-    tau = P.tau_c
-    worst_peak = 0.0
-    worst_mass = 1.0
-    for _ in range(50):
-        train = random_train(rng, n_max=10)
-        k = int(rng.integers(0, train.n + 1))
-        amp = train.amplitudes[k]
-        if amp < 1e-9:
-            continue
-        scal = compute_scaling(train, P)[k]
-        t_k = train.times[k]
-        peak = eval_lobe(train, P, k, t_k + tau)
-        worst_peak = max(worst_peak, abs(peak - scal * amp / math.e) / (scal * amp / math.e))
-        window = np.asarray(eval_lobe(train, P, k, t_k + np.linspace(1.6 * tau, 2.4 * tau, 41)))
-        dd = np.diff(window, 2)
-        assert dd[0] < 0.0 < dd[-1]  # inflection at t_k + 2 tau_c
-        u = np.linspace(0.0, 5.0 * tau, 1501)
-        mass = float(np.trapezoid(np.asarray(eval_lobe(train, P, k, t_k + u)), u))
-        worst_mass = min(worst_mass, mass / (scal * amp * tau))
+    worst_peak, worst_mass, inflection_ok = checks.lobe_law(P, np.random.default_rng(202), 50)
+    assert inflection_ok  # inflection at t_k + 2 tau_c
     assert worst_peak < 1e-10
     assert worst_mass >= 0.95
     report("ACCEPT-02", f"lobe law: peak rel err {worst_peak:.2e}, min 5tau mass fraction {worst_mass:.4f}")
 
 
 def test_criterion_03_oracle_concordance():
-    rng = np.random.default_rng(303)
-    worst_sq = 0.0
-    worst_rq = 0.0
-    for _ in range(50):
-        train = random_train(rng, n_max=5)
-        traj = simulate_force(train, P, SimOptions(step=0.2))
-        for frac in (0.5, 1.0):
-            t = float(traj.grid[int(np.argmin(np.abs(traj.grid - frac * train.horizon)))])
-            worst_sq = max(worst_sq, abs(traj.at("force", t) - oracle_force_quadrature(train, P, t)))
-        worst_rq = max(worst_rq, reparam_force_check(train, P, n_samples=2))
+    worst_sq, worst_rq = checks.oracle_concordance(P, np.random.default_rng(303), 50, 0.2)
     assert worst_sq < 1e-6 and worst_rq < 1e-6
     assert worst_sq + worst_rq < 1e-6  # covers the third pair by triangle bound
     report(
@@ -148,25 +107,13 @@ def _persistent_train(rng: np.random.Generator, p: int, i_min: float = 20.0) -> 
 
 def test_criterion_04_truncation_bound():
     rng = np.random.default_rng(404)
-    violations = 0
-    cases = 0
-    min_margin = math.inf
+    trains = []
     for p in (1, 2, 3):
         for _ in range(34):
             train = _persistent_train(rng, p)
             assert persistence_order(train, P) == p
-            trunc = truncated_cn(train, P, p)
-            for k in range(train.n + 1):
-                lo, hi = train.interval(k)
-                ts = np.linspace(lo, hi, 161)[:-1]
-                gap = float(
-                    np.max(np.asarray(eval_cn(train, P, ts)) - np.asarray(trunc(ts)))
-                )
-                bound = error_bound_persistent(train, P, p, k)
-                cases += 1
-                if gap > bound + 1e-12:
-                    violations += 1
-                min_margin = min(min_margin, bound - gap)
+            trains.append(train)
+    cases, violations, min_margin = checks.truncation_bound(P, trains)
     assert violations == 0
     report(
         "ACCEPT-04",
@@ -175,40 +122,10 @@ def test_criterion_04_truncation_bound():
 
 
 def test_criterion_05_force_error_bound_and_refinement():
-    rng = np.random.default_rng(505)
-    violations = 0
-    nodes_checked = 0
-    refine_ok = 0
     n_cases = 12
-    for _ in range(n_cases):
-        n = int(rng.integers(2, 5))
-        gaps = rng.uniform(20.0, 2.0 * P.tau_c, size=n)
-        times = np.concatenate([[0.0], np.cumsum(gaps)])
-        train = PulseTrain(
-            tuple(times),
-            tuple(rng.uniform(0.4, 1.0, size=n + 1)),
-            float(times[-1] + rng.uniform(24.0, 2.0 * P.tau_c)),
-            20.0,
-        )
-        traj = simulate_force(train, P, SimOptions(step=0.2))
-        errs = {}
-        for p in (2, 4):
-            ap = build_m_approx(train, P, scheme="constant-average", p=p)
-            nodes = np.asarray(ap.pulse_breaks)
-            f_tilde = np.asarray(eval_f_tilde(ap, P, P.a_rest, nodes))
-            f_true = np.array([traj.at("force", t) for t in nodes])
-            errs[p] = float(np.max(np.abs(f_tilde - f_true)))
-            if p == 2:
-                for k in range(len(nodes)):
-                    rep = force_error_bound(train, P, ap, k)
-                    if not rep.hypotheses_ok:
-                        continue
-                    nodes_checked += 1
-                    measured = abs(f_tilde[k] - f_true[k]) / P.a_rest_ms
-                    if measured > rep.bound + 1e-12:
-                        violations += 1
-        if errs[4] <= errs[2] + 1e-15:
-            refine_ok += 1
+    nodes_checked, violations, refine_ok = checks.force_bound(
+        P, np.random.default_rng(505), n_cases, 0.2
+    )
     assert violations == 0
     assert nodes_checked > 3 * n_cases
     assert refine_ok >= 0.9 * n_cases
@@ -221,16 +138,12 @@ def test_criterion_05_force_error_bound_and_refinement():
 
 def test_criterion_06_nu_envelope_on_ocp2_grid(ocp2a_outcome):
     _, _, out = ocp2a_outcome
-    train = out.sigma_star.to_train(20.0)
-    traj = simulate_force(train, P, SimOptions(step=0.2))
-    ap = build_m_approx(train, P, scheme="staircase-upper", p=2, nu=0.95)
-    upper = np.asarray(eval_f_tilde(ap, P, P.a_rest, traj.grid))
-    worst = float(np.min(upper - traj.channel("force")))
+    worst, _, points = checks.envelope_margins(P, out.sigma_star.to_train(20.0), 0.2)
     assert worst >= -1e-9
     report(
         "ACCEPT-06",
         f"nu=0.95 upper envelope on the tracking scenario grid: min margin {worst:.3e} kN "
-        f"({len(traj.grid)} grid points)",
+        f"({points} grid points)",
     )
 
 
@@ -346,25 +259,7 @@ def test_criterion_10_planner_self_consistency():
 
 def test_criterion_11_precomputed_evaluation_speedup():
     train = PulseTrain(tuple(i * 360.0 / 6 for i in range(6)), (1.0,) * 6, 360.0, 20.0)
-    ap = build_m_approx(train, P, scheme="affine-constant", p=2, nu=0.95)
-    evaluator = force_approximator(ap)
-    ts = np.linspace(0.0, 360.0, 10_000)
-
-    def best_of(fn, repeats=5):
-        best = math.inf
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    eval_s = best_of(lambda: evaluator.values(ts, P.a_rest))
-
-    def oracle():
-        traj = simulate_force(train, P)
-        np.interp(ts, traj.grid, traj.channel("force"))
-
-    oracle_s = best_of(oracle)
+    _, eval_s, oracle_s = checks.evaluation_speedup(P, train, 10_000, 0.95)
     speedup = oracle_s / eval_s
     threshold = 5.0
     assert speedup >= threshold
@@ -376,16 +271,8 @@ def test_criterion_11_precomputed_evaluation_speedup():
 
 
 def test_criterion_12_fatigue_dynamics():
-    train = PulseTrain(tuple(i * 60.0 for i in range(5)), (1.0,) * 5, 300.0, 20.0)
-    program = [train, train, train, Rest(9000.0)]
-    traj = simulate_force_fatigue(program, P, SimOptions(step=1.0))
-    grid, a = traj.grid, traj.channel("a")
-    stim = (grid > train.times[1]) & (grid <= 900.0)
-    assert np.all(a[stim] < P.a_rest)
-    drop = P.a_rest - float(a[stim].min())
-    sel = (grid >= 3000.0) & (grid <= 9900.0)
-    slope = np.polyfit(grid[sel], np.log(P.a_rest - a[sel]), 1)[0]
-    rate_err = abs(-slope - 1.0 / P.tau_fat_ms) * P.tau_fat_ms
+    declined, drop, rate_err = checks.fatigue_response(P, 1.0)
+    assert declined
     assert rate_err < 0.02
     report(
         "ACCEPT-12",

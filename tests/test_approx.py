@@ -29,10 +29,9 @@ from fespulse import (
     truncated_cn,
     upper_lower_envelope,
 )
+from fespulse.checks import random_train
 from fespulse.exppoly import _SERIES_BELOW, PiecewisePoly, exp_affine_integral
 from fespulse.model import _pulse_weights
-
-from conftest import random_train
 
 P = ModelParams()
 THREE_PULSE = PulseTrain((0.0, 25.0, 55.0), (1.0, 0.7, 0.9), 160.0, 20.0)

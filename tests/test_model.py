@@ -20,7 +20,9 @@ from fespulse import (
     truncated_cn,
 )
 
-from conftest import random_train, rk4_cn_max_error
+from fespulse.checks import random_train
+
+from conftest import rk4_cn_max_error
 
 P = ModelParams()
 

@@ -46,7 +46,7 @@ def test_decision_vector_layout():
 def test_constraint_vector_count_and_values():
     sig = DecisionVector.regular(3, 400.0, amplitude=0.999)
     xi = eval_constraints(sig, i_min=20.0)
-    assert len(xi) == 3 * 3 + 5
+    assert len(xi) == 3 * 3 + 3
     assert np.all(xi < 0.0)  # strictly feasible
 
 
@@ -56,7 +56,7 @@ def test_constraint_active_cases():
     xi = eval_constraints(sig, i_min=20.0)
     assert xi[0] == 0.0          # t_0 - t_1 + i_min
     n = sig.n
-    assert xi[2 * n + 3] == 0.0  # eta_0 - 1 with eta_0 = 1
+    assert xi[2 * n + 2] == 0.0  # eta_0 - 1 with eta_0 = 1
 
 
 def test_constraint_jacobian_matches_fd():
@@ -79,7 +79,7 @@ def test_horizon_gap_shifts_only_the_horizon_row():
     sig = DecisionVector.regular(n, 400.0, amplitude=0.7)
     plain = eval_constraints(sig, i_min=20.0)
     gapped = eval_constraints(sig, i_min=20.0, horizon_gap=20.0)
-    assert len(gapped) == 3 * n + 5
+    assert len(gapped) == 3 * n + 3
     assert gapped[n] == pytest.approx(sig.times[-1] - sig.horizon + 20.0, abs=1e-12)
     others = np.arange(len(plain)) != n
     assert np.array_equal(gapped[others], plain[others])
@@ -95,7 +95,7 @@ def test_horizon_gap_depends_on_objective_kind():
 
 def test_constraint_set_wrapper():
     cs = ConstraintSet(n=2, i_min=20.0)
-    assert len(cs) == 11
+    assert len(cs) == 9
     sig = DecisionVector.regular(2, 300.0, amplitude=0.9)
     assert np.all(cs.values(sig) < 0.0)
     with pytest.raises(ValueError):
@@ -363,7 +363,7 @@ def test_kkt_check_uses_the_objective_horizon_gap():
     # active (xi = 0), the ungapped one has slack i_min.
     sig = DecisionVector((0.5, 0.5), (60.0,), 80.0)
     n = sig.n
-    lam = [0.0] * (3 * n + 5)
+    lam = [0.0] * (3 * n + 3)
     lam[n] = 1e-3
     fake = OptOutcome(
         sigma_star=sig, objective=0.0, multipliers=tuple(lam),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fespulse import (
     ModelParams,
@@ -24,8 +26,6 @@ FAST = SolveOptions(i_min=20.0, t_max=600.0)
 
 
 def test_program_spec_validation():
-    with pytest.raises(ValueError):
-        ProgramSpec(kind="sprint", f_ref=0.1)
     with pytest.raises(ValueError):
         ProgramSpec()  # neither f_ref nor k_ratio
     with pytest.raises(ValueError):
@@ -74,6 +74,21 @@ def test_program_recovery_monotone_in_rests(nominal_program):
         sel = (traj.grid >= lo) & (traj.grid <= hi) & (force < 1e-6)
         if int(sel.sum()) > 2:
             assert np.all(np.diff(a[sel]) >= -1e-12)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(f_ref=st.floats(0.05, 0.3), rest=st.floats(50.0, 1000.0))
+def test_tiled_program_concentration_decays_through_rests(f_ref, rest):
+    # A tracking template keeps T - t_n > i_min >= tau_c, so the peak of its
+    # last lobe falls inside the train and c_N only decays during a rest.
+    spec = ProgramSpec(f_ref=f_ref, n=4, train_horizon=300.0, rest_duration=rest, t_f=1500.0)
+    prog = plan_endurance(spec, P, options=FAST)
+    traj = prog.trajectory
+    c = traj.channel("c_n")
+    for seg in prog.segments:
+        if not seg.is_train:
+            sel = (traj.grid >= seg.start) & (traj.grid <= seg.start + seg.duration)
+            assert np.all(np.diff(c[sel]) <= 0.0)
 
 
 def test_program_force_within_envelope(nominal_program):

@@ -16,8 +16,7 @@ from fespulse import (
     simulate_force,
     simulate_force_fatigue,
 )
-
-from conftest import random_train
+from fespulse.checks import random_train
 
 P = ModelParams()
 THREE_PULSE = PulseTrain((0.0, 25.0, 55.0), (1.0, 0.7, 0.9), 160.0, 20.0)
@@ -129,16 +128,25 @@ def test_adaptive_matches_fixed_step():
     assert adaptive == pytest.approx(fixed, abs=1e-7)
 
 
-def test_adaptive_step_underflow_raises():
-    # A jump inside the span keeps the embedded error estimate above the
-    # tolerance at any step, so the controller shrinks h to its floor.
-    from fespulse.simulate import _rk45_interval
+def test_fatigue_adaptive_matches_fixed_step():
+    train = PulseTrain(tuple(i * 60.0 for i in range(5)), (1.0,) * 5, 300.0, 20.0)
+    program = [train, Rest(500.0), train]
+    fixed = simulate_force_fatigue(program, P, SimOptions(step=0.1))
+    adaptive = simulate_force_fatigue(
+        program, P, SimOptions(method="adaptive", rel_tol=1e-9, abs_tol=1e-12)
+    )
+    assert adaptive.grid[-1] == fixed.grid[-1]
+    assert adaptive.terminal("force") == pytest.approx(fixed.terminal("force"), abs=1e-7)
+    assert adaptive.terminal("a") == pytest.approx(fixed.terminal("a"), abs=1e-7)
 
-    def rhs(t, y):
-        return np.array([1.0 if t < 0.5 else -1.0])
+
+def test_adaptive_step_underflow_raises():
+    # y' = y^2 from y(0) = 1 blows up at t = 1, so the step size collapses
+    # before the end of [0, 2].
+    from fespulse.simulate import _adaptive_interval
 
     with pytest.raises(StepTooLarge):
-        _rk45_interval(rhs, 0.0, 1.0, [0.0], rel_tol=1e-16, abs_tol=1e-18, h0=0.3)
+        _adaptive_interval(lambda t, y: y**2, 0.0, 2.0, [1.0], rel_tol=1e-9, abs_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
