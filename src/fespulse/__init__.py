@@ -1,15 +1,13 @@
 """Pulse-train simulation and optimization for isometric FES force-fatigue
 dynamics: exact concentration evaluation (a pulse-to-pulse state
 recurrence), reference force oracles, a closed-form force approximation
-(piecewise-affine Hill stand-ins, one exponential-affine integral per
-segment) with computable error bounds, constrained impulse-timing
+(piecewise-affine Hill stand-ins, a solved linear ODE per segment) with computable error bounds, constrained impulse-timing
 optimization and endurance program planning."""
 
 __version__ = "0.1.0"
 
 from .model import (
     ConcentrationState,
-    HillState,
     ModelParams,
     PulseTrain,
     ScalingFactors,

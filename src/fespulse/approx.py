@@ -10,10 +10,11 @@ The concentration admits cheap surrogates in two directions:
 For the force, the Hill nonlinearities m1 and m2 are replaced on a refined
 partition of the pulse intervals by piecewise-affine functions, stored as
 flat coefficient arrays (:class:`fespulse.exppoly.PiecewisePoly`). With m2
-entering through its segment mean, the approximate force has a closed form
-on every segment; one pass over the segments precomputes the discounted
-prefixes, after which evaluating it at any time costs one segment lookup
-plus one integral of an affine function against an exponential. A scalar
+entering through its segment mean mu, the approximate force solves a
+linear ODE with constant rate on every segment, so it is p + q x +
+r e^{-mu x} there; one pass over the segments precomputes (p, q, r), after
+which evaluating it at any time costs one segment lookup, one exponential
+and two multiply-adds. A scalar
 deformation ``nu`` of m1 and m2 turns the same machinery into
 guaranteed-side (upper or lower) force approximations, and an L1-type
 bound certifies the error of the interval-averaged m2 scheme.
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .exppoly import PiecewisePoly, exp_affine_integral
+from .exppoly import PiecewisePoly
 from .model import (
     ConcentrationState,
     ModelParams,
@@ -412,12 +413,16 @@ def build_m_approx(
 class ForceApprox:
     """Precomputed closed-form evaluator of the approximate force.
 
-    On segment g of the partition, m1 is c0_g + c1_g u and m2 enters through
-    its segment mean mu_g, so F~/A = e^{-mu_g x}(sbar_g + int_0^x (c0_g +
-    c1_g u) e^{mu_g u} du) at x = t - (segment start). Every stored prefix
-    sbar_g is already discounted by the accumulated decay, so nothing in
-    the table can overflow no matter how long the train is. Evaluation is
-    pure and re-entrant.
+    On segment g of the partition, m1 is c0_g + c1_g x and m2 enters through
+    its segment mean mu_g > 0, so F~/A solves F' = -mu_g F + c0_g + c1_g x
+    with x = t - (segment start). Its solution is
+    F~/A = p_g + q_g x + r_g e^{-mu_g x} with q_g = c1_g/mu_g,
+    p_g = (c0_g - q_g)/mu_g and r_g = sbar_g - p_g, where sbar_g is F~/A at
+    the segment start: sbar_0 = 0 and
+    sbar_{g+1} = p_g + q_g w_g + r_g e^{-mu_g w_g} over the segment width
+    w_g. Only decaying exponentials appear, so nothing in the table can
+    overflow no matter how long the train is. Evaluation is pure and
+    re-entrant.
     """
 
     def __init__(self, m_approx: MApprox):
@@ -425,14 +430,16 @@ class ForceApprox:
         widths = np.diff(m_approx.partition)
         m2 = m_approx.m2_tilde.coeffs
         self.mu = m2[:, 0] + m2[:, 1] * widths / 2.0
-        self.c0, self.c1 = m_approx.m1_tilde.coeffs.T
-        # sbar[g+1] is F~/A at the end of segment g, (sbar[g] + J_g) e^{-mu_g w_g}
-        # with J_g the integral over the whole segment.
-        full, growth = exp_affine_integral(self.c0, self.c1, self.mu, widths)
+        c0, c1 = m_approx.m1_tilde.coeffs.T
+        q = c1 / self.mu
+        p = (c0 - q) / self.mu
+        decay = np.exp(-self.mu * widths)
         sbar = [0.0]
-        for j_g, e_g in zip(full[:-1].tolist(), growth[:-1].tolist()):
-            sbar.append((sbar[-1] + j_g) / e_g)
-        self.sbar = np.asarray(sbar)
+        for p_g, q_g, w_g, d_g in zip(p.tolist(), q.tolist(), widths.tolist(), decay.tolist()):
+            sbar.append(p_g + q_g * w_g + (sbar[-1] - p_g) * d_g)
+        # One row (p, q, r, -mu) per segment, so evaluation gathers the
+        # coefficients of all its points with a single take.
+        self.rows = np.column_stack([p, q, np.asarray(sbar[:-1]) - p, -self.mu])
 
     @property
     def horizon(self) -> float:
@@ -442,9 +449,8 @@ class ForceApprox:
         """F~(t)/A in ms units (multiply by A in kN/ms for force in kN)."""
         t_arr = np.asarray(t, dtype=float)
         g, x = self.m_approx.m1_tilde.locate(t_arr.ravel())
-        out, growth = exp_affine_integral(self.c0[g], self.c1[g], self.mu[g], x)
-        out += self.sbar[g]
-        out /= growth
+        p, q, r, rate = np.take(self.rows, g, axis=0).T
+        out = p + q * x + r * np.exp(rate * x)
         return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
     def values(self, t, a_value: float) -> np.ndarray | float:

@@ -4,7 +4,8 @@ Subcommands: simulate, approximate, optimize, plan, validate, bench. Each
 reads an INI scenario file, writes deterministic CSV/JSON artifacts into
 --out, and returns exit code 0 (ok), 2 (config error), 3 (solver or
 numerical failure: a solve that does not converge or cannot start,
-``StepTooLarge``, ``QuadratureNoConvergence``) or 4 (validation failure).
+``StepTooLarge``, ``QuadratureNoConvergence``) or 4 (validation failure:
+a failed ``validate`` suite, or a ``bench`` speed-up below its threshold).
 Every output carries a provenance header with the config hash and artifact
 version so plots and regressions can be pinned to an exact scenario.
 """
@@ -605,6 +606,7 @@ def run_bench(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
         params, train, n_points, cfg.get("bench", "nu", 0.95)
     )
     speedup = oracle_s / eval_s if eval_s > 0 else math.inf
+    passed = speedup >= threshold
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(
         out_dir / "bench.json", cfg, "bench", seed,
@@ -615,12 +617,12 @@ def run_bench(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
             "oracle_sim_seconds": oracle_s,
             "speedup": speedup,
             "threshold": threshold,
-            "passed": speedup >= threshold,
+            "passed": passed,
         },
     )
     print(f"F~ evaluation {eval_s * 1e3:.3f} ms vs oracle {oracle_s * 1e3:.3f} ms "
           f"(speedup {speedup:.1f}x, threshold {threshold}x)")
-    return EXIT_OK
+    return EXIT_OK if passed else EXIT_VALIDATION
 
 
 # ---------------------------------------------------------------------------

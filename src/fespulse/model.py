@@ -39,7 +39,6 @@ __all__ = [
     "ModelParams",
     "PulseTrain",
     "ScalingFactors",
-    "HillState",
     "ConcentrationState",
     "UnreachableForce",
     "compute_scaling",
@@ -171,19 +170,6 @@ class ScalingFactors:
 
     def __getitem__(self, i: int) -> float:
         return self.values[i]
-
-
-@dataclass(frozen=True)
-class HillState:
-    """Instantaneous model state (c_n dimensionless, force in kN, a in kN/s)."""
-
-    c_n: float
-    force: float
-    a: float
-
-    @classmethod
-    def rest(cls, params: ModelParams) -> "HillState":
-        return cls(c_n=0.0, force=0.0, a=params.a_rest)
 
 
 def compute_scaling(train: PulseTrain, params: ModelParams) -> ScalingFactors:

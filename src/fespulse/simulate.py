@@ -4,10 +4,12 @@ The concentration layer is always evaluated in closed form (see
 :mod:`fespulse.model`); only the force and fatigue states are integrated.
 Every integration step is split at impulse times so the right-hand side is
 smooth within each step. Three independent force evaluations are provided:
-an integrator (hand-written fixed-step RK4, or scipy's adaptive RK45 called
-once per pulse interval on one force-fatigue right-hand side), a nested
-adaptive-quadrature evaluation of the exact integral form, and a
-time-reparameterized re-derivation used as a consistency check.
+an integrator of the (F, A) system (one hand-written fixed-step RK4 sweep,
+or scipy's adaptive RK45 called once per pulse interval on the same
+right-hand side), a nested adaptive-quadrature evaluation of the exact
+integral form, and a time-reparameterized re-derivation used as a
+consistency check. The force-only simulation is the force-fatigue
+integrator with alpha = 0, under which A stays at a_rest exactly.
 """
 
 from __future__ import annotations
@@ -116,12 +118,46 @@ def _interval_nodes(lo: float, hi: float, step: float) -> np.ndarray:
     return np.linspace(lo, hi, m + 1)
 
 
-def _segment_grid(breaks, step: float) -> list[np.ndarray]:
-    return [
-        _interval_nodes(a, b, step)
-        for a, b in zip(breaks, breaks[1:])
-        if b - a > 1e-12
-    ]
+def _stage_times(nodes: np.ndarray) -> np.ndarray:
+    """Nodes interleaved with midpoints: t0, t0+h/2, t1, t1+h/2, ..., tm."""
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    out = np.empty(2 * len(nodes) - 1)
+    out[0::2] = nodes
+    out[1::2] = mids
+    return out
+
+
+def _rk4_sweep(h: float, m1: list, m2: list, f: float, a: float, a_rest: float,
+               tau_fat: float, alpha: float) -> tuple[list, list]:
+    """Fixed-step RK4 for F' = -m2 F + m1 A, A' = -(A - a_rest)/tau_fat + alpha F.
+
+    ``m1`` / ``m2`` are sampled at the stage times of :func:`_stage_times`
+    (node 0, mid 0, node 1, ..., node m). Python floats throughout: the loop
+    is scalar, and float arithmetic is the same IEEE arithmetic as numpy's
+    scalars at a fraction of the cost. With ``alpha`` = 0 and ``a`` =
+    ``a_rest`` every A increment is exactly zero, so A stays at a_rest.
+    """
+    half, sixth = 0.5 * h, h / 6.0
+    fs, as_ = [f], [a]
+    for i in range(0, len(m1) - 1, 2):
+        m1a, m1m, m1b = m1[i], m1[i + 1], m1[i + 2]
+        m2a, m2m, m2b = m2[i], m2[i + 1], m2[i + 2]
+        k1f = -m2a * f + m1a * a
+        k1a = -(a - a_rest) / tau_fat + alpha * f
+        f2, a2 = f + half * k1f, a + half * k1a
+        k2f = -m2m * f2 + m1m * a2
+        k2a = -(a2 - a_rest) / tau_fat + alpha * f2
+        f3, a3 = f + half * k2f, a + half * k2a
+        k3f = -m2m * f3 + m1m * a3
+        k3a = -(a3 - a_rest) / tau_fat + alpha * f3
+        f4, a4 = f + h * k3f, a + h * k3a
+        k4f = -m2b * f4 + m1b * a4
+        k4a = -(a4 - a_rest) / tau_fat + alpha * f4
+        f += sixth * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
+        a += sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        fs.append(f)
+        as_.append(a)
+    return fs, as_
 
 
 def _adaptive_interval(rhs, lo: float, hi: float, y0, rel_tol: float, abs_tol: float):
@@ -132,11 +168,12 @@ def _adaptive_interval(rhs, lo: float, hi: float, y0, rel_tol: float, abs_tol: f
     return sol.t, sol.y
 
 
-def _adaptive_sweep(cn, breaks, params: ModelParams, opts: SimOptions, alpha: float):
-    """Adaptive RK45 on (F, A) over each interval between ``breaks``, from
-    rest. With ``alpha`` = 0, A stays at a_rest exactly."""
+def _integrate(cn, breaks, params: ModelParams, opts: SimOptions, alpha: float):
+    """(F, A) from rest over every interval between ``breaks`` (RK4 or
+    scipy's RK45 per interval), stitched into one grid; A in kN/ms."""
     a_rest = params.a_rest_ms
     tau_fat = params.tau_fat_ms
+    step = opts.step if opts.step is not None else params.tau_c / 50.0
 
     def rhs(t, y):
         c = cn(t)
@@ -145,47 +182,28 @@ def _adaptive_sweep(cn, breaks, params: ModelParams, opts: SimOptions, alpha: fl
         return [-m2 * y[0] + m1 * y[1], -(y[1] - a_rest) / tau_fat + alpha * y[0]]
 
     grid_parts, f_parts, a_parts = [], [], []
-    y = [0.0, a_rest]
+    f, a = 0.0, a_rest
     for lo, hi in zip(breaks, breaks[1:]):
         if hi - lo <= 1e-12:
             continue
-        ts, ys = _adaptive_interval(rhs, lo, hi, y, opts.rel_tol, opts.abs_tol)
-        y = ys[:, -1]
+        if opts.method == "rk4":
+            ts = _interval_nodes(lo, hi, step)
+            c = cn(_stage_times(ts))
+            fs, as_ = _rk4_sweep(
+                float(ts[1] - ts[0]), eval_m1(c, params).tolist(),
+                eval_m2(c, params).tolist(), f, a, a_rest, tau_fat, alpha,
+            )
+        else:
+            ts, (fs, as_) = _adaptive_interval(rhs, lo, hi, [f, a], opts.rel_tol, opts.abs_tol)
+        f, a = fs[-1], as_[-1]
         grid_parts.append(ts)
-        f_parts.append(ys[0])
-        a_parts.append(ys[1])
-    return grid_parts, f_parts, a_parts
+        f_parts.append(fs)
+        a_parts.append(as_)
 
+    def stitch(parts):
+        return np.concatenate([p[:-1] for p in parts] + [parts[-1][-1:]])
 
-def _rk4_linear_sweep(nodes: np.ndarray, m1, m2, a_val: float, f0: float):
-    """RK4 for F' = -m2(t) F + m1(t) a_val on a uniform node array.
-
-    ``m1`` / ``m2`` are arrays sampled at nodes and midpoints, shape
-    (2*len(nodes)-1,): values at node 0, mid 0, node 1, mid 1, ...
-    """
-    h = nodes[1] - nodes[0]
-    out = np.empty(len(nodes))
-    out[0] = f = f0
-    for j in range(len(nodes) - 1):
-        m1a, m2a = m1[2 * j], m2[2 * j]
-        m1m, m2m = m1[2 * j + 1], m2[2 * j + 1]
-        m1b, m2b = m1[2 * j + 2], m2[2 * j + 2]
-        k1 = -m2a * f + m1a * a_val
-        k2 = -m2m * (f + 0.5 * h * k1) + m1m * a_val
-        k3 = -m2m * (f + 0.5 * h * k2) + m1m * a_val
-        k4 = -m2b * (f + h * k3) + m1b * a_val
-        f += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[j + 1] = f
-    return out
-
-
-def _stage_times(nodes: np.ndarray) -> np.ndarray:
-    """Nodes interleaved with midpoints: t0, t0+h/2, t1, t1+h/2, ..., tm."""
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    out = np.empty(2 * len(nodes) - 1)
-    out[0::2] = nodes
-    out[1::2] = mids
-    return out
+    return stitch(grid_parts), stitch(f_parts), stitch(a_parts)
 
 
 def simulate_force(
@@ -193,31 +211,14 @@ def simulate_force(
 ) -> Trajectory:
     """Integrate F' = -m2 F + m1 A from rest with A fixed at a_rest.
 
-    The concentration entering m1 and m2 comes from the closed form, never
-    from integrating the stimulation signal. The output grid contains every
-    impulse time exactly once.
+    This is the force-fatigue integrator with alpha = 0, under which A
+    never leaves a_rest. The concentration entering m1 and m2 comes from
+    the closed form, never from integrating the stimulation signal. The
+    output grid contains every impulse time exactly once.
     """
-    opts = opts or SimOptions()
     cn = concentration_state(train, params).cn
-    step = opts.step if opts.step is not None else params.tau_c / 50.0
     breaks = list(train.times) + [train.horizon]
-    a_val = params.a_rest_ms
-
-    grid_parts: list[np.ndarray] = []
-    force_parts: list[np.ndarray] = []
-    f = 0.0
-    if opts.method == "rk4":
-        for nodes in _segment_grid(breaks, step):
-            c = cn(_stage_times(nodes))
-            vals = _rk4_linear_sweep(nodes, eval_m1(c, params), eval_m2(c, params), a_val, f)
-            f = float(vals[-1])
-            grid_parts.append(nodes)
-            force_parts.append(vals)
-    else:
-        grid_parts, force_parts, _ = _adaptive_sweep(cn, breaks, params, opts, alpha=0.0)
-
-    grid = np.concatenate([p[:-1] for p in grid_parts] + [grid_parts[-1][-1:]])
-    force = np.concatenate([p[:-1] for p in force_parts] + [force_parts[-1][-1:]])
+    grid, force, _ = _integrate(cn, breaks, params, opts or SimOptions(), alpha=0.0)
     return Trajectory(grid=grid, channels={"c_n": cn(grid), "force": force})
 
 
@@ -256,60 +257,13 @@ def simulate_force_fatigue(
     across segment boundaries (and dies off naturally over long rests).
     The ``a`` channel is reported in kN/s.
     """
-    opts = opts or SimOptions()
-    step = opts.step if opts.step is not None else params.tau_c / 50.0
     times, amps, bounds, t_f = _flatten_program(segments)
     if t_f <= 0.0:
         raise ValueError("program must have positive total duration")
     cn = ConcentrationState.from_pulses(times, amps, params).cn
-
     breaks = sorted(set(t for t in times if t < t_f) | set(bounds))
-    a_rest = params.a_rest_ms
-    alpha = params.alpha_a_ms
-    tau_fat = params.tau_fat_ms
-
-    grid_parts: list[np.ndarray] = []
-    f_parts: list[np.ndarray] = []
-    a_parts: list[np.ndarray] = []
-    f, a = 0.0, a_rest
-
-    if opts.method == "adaptive":
-        grid_parts, f_parts, a_parts = _adaptive_sweep(cn, breaks, params, opts, alpha)
-    else:
-        for nodes in _segment_grid(breaks, step):
-            c = cn(_stage_times(nodes))
-            m1 = np.asarray(eval_m1(c, params))
-            m2 = np.asarray(eval_m2(c, params))
-            h = nodes[1] - nodes[0]
-            fs = np.empty(len(nodes))
-            as_ = np.empty(len(nodes))
-            fs[0], as_[0] = f, a
-            for j in range(len(nodes) - 1):
-                i0, i1, i2 = 2 * j, 2 * j + 1, 2 * j + 2
-
-                def deriv(fv, av, i):
-                    return (
-                        -m2[i] * fv + m1[i] * av,
-                        -(av - a_rest) / tau_fat + alpha * fv,
-                    )
-
-                k1f, k1a = deriv(f, a, i0)
-                k2f, k2a = deriv(f + 0.5 * h * k1f, a + 0.5 * h * k1a, i1)
-                k3f, k3a = deriv(f + 0.5 * h * k2f, a + 0.5 * h * k2a, i1)
-                k4f, k4a = deriv(f + h * k3f, a + h * k3a, i2)
-                f += h / 6.0 * (k1f + 2 * k2f + 2 * k3f + k4f)
-                a += h / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
-                fs[j + 1], as_[j + 1] = f, a
-            grid_parts.append(nodes)
-            f_parts.append(fs)
-            a_parts.append(as_)
-
-    grid = np.concatenate([p[:-1] for p in grid_parts] + [grid_parts[-1][-1:]])
-    force = np.concatenate([p[:-1] for p in f_parts] + [f_parts[-1][-1:]])
-    a_ch = np.concatenate([p[:-1] for p in a_parts] + [a_parts[-1][-1:]]) * 1e3
-    return Trajectory(
-        grid=grid, channels={"c_n": cn(grid), "force": force, "a": a_ch}
-    )
+    grid, force, a = _integrate(cn, breaks, params, opts or SimOptions(), params.alpha_a_ms)
+    return Trajectory(grid=grid, channels={"c_n": cn(grid), "force": force, "a": a * 1e3})
 
 
 def _checked_quad(f, lo: float, hi: float, epsabs: float = 1e-13) -> float:
@@ -405,14 +359,14 @@ def oracle_force_quadrature(train: PulseTrain, params: ModelParams, t: float) ->
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(10)
 
 
-def _gauss_cells(edges: np.ndarray, fn) -> float:
-    """Composite 10-point Gauss-Legendre integral of fn over cell edges."""
+def _gauss_cells(edges: np.ndarray, fn) -> np.ndarray:
+    """10-point Gauss-Legendre integrals of fn over each cell between edges."""
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     pts = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
     vals = fn(pts.ravel()).reshape(pts.shape)
-    return float(((vals @ _GAUSS_W) * half).sum())
+    return (vals @ _GAUSS_W) * half
 
 
 def reparam_force_check(
@@ -449,11 +403,7 @@ def reparam_force_check(
     def m2_of_t(x):
         return eval_m2(cn(x), params)
 
-    lo, hi = x_nodes[:-1], x_nodes[1:]
-    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-    pts = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
-    incr = (m2_of_t(pts.ravel()).reshape(pts.shape) @ _GAUSS_W) * half
-    s_nodes = np.concatenate([[0.0], np.cumsum(incr)])
+    s_nodes = np.concatenate([[0.0], np.cumsum(_gauss_cells(x_nodes, m2_of_t))])
     t_of_s = PchipInterpolator(s_nodes, x_nodes)
 
     def m3_of_u(u):
@@ -480,7 +430,7 @@ def reparam_force_check(
                 m = max(1, int(math.ceil((b - a) / 0.05)))
                 edges_list.append(np.linspace(a, b, m + 1)[:-1])
             edges = np.concatenate(edges_list + [np.array([s_i])])
-            f_rep = _gauss_cells(edges, lambda u: np.exp(u - s_i) * m3_of_u(u))
+            f_rep = float(_gauss_cells(edges, lambda u: np.exp(u - s_i) * m3_of_u(u)).sum())
         f_ora = oracle_force_quadrature(train, params, t_i)
         worst = max(worst, abs(f_rep - f_ora))
     return worst

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -30,7 +31,8 @@ from fespulse import (
     upper_lower_envelope,
 )
 from fespulse.checks import random_train
-from fespulse.exppoly import _SERIES_BELOW, PiecewisePoly, exp_affine_integral
+from fespulse.approx import ENVELOPE_SCHEMES, SCHEMES
+from fespulse.exppoly import PiecewisePoly
 from fespulse.model import _pulse_weights
 
 P = ModelParams()
@@ -270,34 +272,37 @@ def test_piecewise_poly_boundaries_are_right_continuous():
 
 
 # ---------------------------------------------------------------------------
-# the exponential-affine integral
+# the closed form of F~ on each segment
 # ---------------------------------------------------------------------------
 
 
-def test_exp_affine_integral_matches_quadrature():
-    # Both branches (the Taylor sum below |mu x| = _SERIES_BELOW, the closed
-    # form above it), for each monomial alone and for a mix.
-    zs = (1e-7, 1e-4, 0.5 * _SERIES_BELOW, 0.999 * _SERIES_BELOW, _SERIES_BELOW, 0.5, 3.0)
-    for mu in (0.03, -0.03, 2.0):
-        for z in zs:
-            x = z / abs(mu)
-            for c0, c1 in ((1.0, 0.0), (0.0, 1.0), (0.7, -0.2)):
-                num = quad(
-                    lambda u: (c0 + c1 * u) * math.exp(mu * u), 0.0, x, epsabs=0.0, epsrel=1e-13
+def test_f_tilde_matches_per_segment_variation_of_constants():
+    # On segment g, F~/A solves F' = -mu_g F + c0_g + c1_g x with mu_g the
+    # mean of the m2 stand-in. Chain that ODE independently, segment by
+    # segment, through quadrature of the variation-of-constants formula
+    # F(x) = e^{-mu x} F(0) + int_0^x e^{-mu (x - u)} (c0 + c1 u) du, at
+    # points with mu x < 0.01 and at every segment end.
+    trains = (THREE_PULSE, random_train(np.random.default_rng(5)))
+    for train, scheme, p, nu in itertools.product(
+        trains, SCHEMES + ENVELOPE_SCHEMES, (1, 2, 8), (0.95, 1.0, 1.05)
+    ):
+        ap = build_m_approx(train, P, scheme=scheme, p=p, nu=nu)
+        fa = force_approximator(ap)
+        part = ap.partition.tolist()
+        f_start = 0.0
+        for g, (lo, hi) in enumerate(zip(part, part[1:])):
+            w = hi - lo
+            b0, b1 = ap.m2_tilde.coeffs[g]
+            mu = b0 + 0.5 * b1 * w
+            c0, c1 = ap.m1_tilde.coeffs[g]
+            for x in [z / mu for z in (0.005, 0.009) if z / mu < w] + [w]:
+                forced = quad(
+                    lambda u: math.exp(-mu * (x - u)) * (c0 + c1 * u),
+                    0.0, x, epsabs=0.0, epsrel=1e-13,
                 )[0]
-                val, growth = exp_affine_integral(c0, c1, mu, np.array([x]))
-                assert val[0] == pytest.approx(num, rel=1e-12, abs=0.0)
-                assert growth[0] == pytest.approx(math.exp(mu * x), rel=1e-15)
-
-
-def test_exp_affine_integral_at_zero_rate():
-    x = np.array([0.0, 0.5, 2.0, 40.0])
-    for mu in (0.0, 1e-16):
-        with np.errstate(all="raise"):  # no division by a vanishing mu
-            val, growth = exp_affine_integral(2.0, 1.0, mu, x)
-        # int_0^x (2 + u) du = 2x + x^2/2, up to mu x^3 / 3 for mu = 1e-16
-        assert np.allclose(val, 2.0 * x + x**2 / 2.0, rtol=1e-12, atol=0.0)
-        assert np.allclose(growth, 1.0, rtol=1e-14, atol=0.0)
+                ref = math.exp(-mu * x) * f_start + forced
+                assert fa.scaled_values(lo + x) == pytest.approx(ref, rel=1e-10, abs=0.0)
+            f_start = ref
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +319,8 @@ def test_psi_constant_m2_is_linear():
 
 
 def test_psi_anchored_and_derivative_matches():
-    # psi(x) = int_0^x m2~ on segment (i, j) is the rate-0 case of the
-    # exponential-affine integral; the force table uses psi(w) = mu * w.
+    # psi(x) = int_0^x m2~ = c0 x + c1 x^2 / 2 on segment (i, j); the force
+    # table uses psi(w) = mu * w.
     ap = build_m_approx(THREE_PULSE, P, scheme="triangular", p=2)
     fa = force_approximator(ap)
     for (i, j) in ((0, 0), (1, 1), (2, 1)):
@@ -324,7 +329,7 @@ def test_psi_anchored_and_derivative_matches():
         c0, c1 = ap.m2_tilde.coeffs[g]
 
         def psi(x):
-            return exp_affine_integral(c0, c1, 0.0, np.array([x]))[0][0]
+            return c0 * x + c1 * x**2 / 2.0
 
         assert psi(0.0) == 0.0
         h = 1e-3

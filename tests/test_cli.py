@@ -302,11 +302,21 @@ def test_fatigue_check_negative_control_direct():
 def test_bench_reports_speedup(tmp_path):
     cfg = write(tmp_path, NOMINAL + "\n[bench]\nn_points = 4000\n")
     out = tmp_path / "out"
-    assert main(["bench", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    code = main(["bench", "--config", cfg, "--out", str(out)])
     report = json.loads((out / "bench.json").read_text())
+    assert code == (EXIT_OK if report["passed"] else EXIT_VALIDATION)
     assert report["speedup"] > 1.0
     assert report["f_tilde_eval_seconds"] > 0.0
     assert report["n_points"] == 4000
+
+
+def test_bench_below_threshold_exits_validation(tmp_path):
+    cfg = write(tmp_path, NOMINAL + "\n[bench]\nn_points = 4000\nthreshold = 1000\n")
+    out = tmp_path / "out"
+    assert main(["bench", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    report = json.loads((out / "bench.json").read_text())
+    assert report["passed"] is False
+    assert report["threshold"] == 1000
 
 
 PLAN_SMALL = """\

@@ -47,13 +47,6 @@ def test_params_unit_conversions():
     assert P.tau_fat_ms == pytest.approx(127000.0)
 
 
-def test_hill_state_at_rest():
-    from fespulse import HillState
-
-    state = HillState.rest(P)
-    assert state.c_n == 0.0 and state.force == 0.0 and state.a == P.a_rest
-
-
 def test_pulse_train_validation():
     with pytest.raises(ValueError):
         PulseTrain((1.0, 2.0), (1.0, 1.0), 10.0)  # first pulse not at zero

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,6 +139,20 @@ def test_fatigue_adaptive_matches_fixed_step():
     assert adaptive.grid[-1] == fixed.grid[-1]
     assert adaptive.terminal("force") == pytest.approx(fixed.terminal("force"), abs=1e-7)
     assert adaptive.terminal("a") == pytest.approx(fixed.terminal("a"), abs=1e-7)
+
+
+@pytest.mark.parametrize("method", ["rk4", "adaptive"])
+def test_force_is_force_fatigue_without_fatigue(method):
+    # With alpha_a = 0 the force-fatigue integrator leaves A at a_rest bit
+    # for bit, so it reproduces the force-only simulation exactly.
+    params = replace(P, alpha_a=0.0)
+    opts = SimOptions(method=method)
+    for train in (THREE_PULSE, random_train(np.random.default_rng(11))):
+        force = simulate_force(train, params, opts)
+        both = simulate_force_fatigue([train], params, opts)
+        assert np.array_equal(both.grid, force.grid)
+        assert np.array_equal(both.channel("force"), force.channel("force"))
+        assert np.all(both.channel("a") == params.a_rest)
 
 
 def test_adaptive_step_underflow_raises():
