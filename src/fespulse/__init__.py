@@ -58,7 +58,6 @@ from .approx import (
     upper_lower_envelope,
 )
 from .optimize import (
-    ConstraintSet,
     DecisionVector,
     InfeasibleSigma,
     KKTReport,

@@ -36,6 +36,7 @@ from .model import (
     _pulse_weights,
     concentration_state,
     eval_m1,
+    eval_m2,
 )
 
 __all__ = [
@@ -235,14 +236,6 @@ def tail_average_cn(train: PulseTrain, params: ModelParams, q: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _m1_nu(c, params: ModelParams, nu: float):
-    return np.asarray(c) / (nu * params.k_m + np.asarray(c))
-
-
-def _m2_nu(c, params: ModelParams, nu: float):
-    return nu / (params.tau_1 + params.tau_2 * np.asarray(eval_m1(c, params)))
-
-
 def _refined_partition(
     train: PulseTrain, state: ConcentrationState, p: int
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -349,8 +342,8 @@ def build_m_approx(
     partition, pulse_breaks = _refined_partition(train, state, p)
     part = np.asarray(partition)
     cn_nodes = state.cn(part)
-    f1 = _m1_nu(cn_nodes, params, nu)
-    f2 = _m2_nu(cn_nodes, params, nu)
+    f1 = eval_m1(cn_nodes, params, nu)
+    f2 = eval_m2(cn_nodes, params, nu)
     # Node values at the left (a) and right (b) end of every segment.
     v1a, v1b, v2a, v2b = f1[:-1], f1[1:], f2[:-1], f2[1:]
     w = np.diff(part)
@@ -367,8 +360,8 @@ def build_m_approx(
         c_star = state.cn(t_star[inside])
         m1_star = np.full(n_int, np.nan)
         m2_star = np.full(n_int, np.nan)
-        m1_star[inside] = _m1_nu(c_star, params, nu)
-        m2_star[inside] = _m2_nu(c_star, params, nu)
+        m1_star[inside] = eval_m1(c_star, params, nu)
+        m2_star[inside] = eval_m2(c_star, params, nu)
         t_seg = np.repeat(np.where(inside, t_star, np.nan), p)
         holds_peak = (part[:-1] <= t_seg) & (t_seg <= part[1:])
         hi1 = np.where(holds_peak, np.maximum(hi1, np.repeat(m1_star, p)), hi1)  # m1 peaks there
@@ -495,8 +488,8 @@ def euler_nodes(
     c = state.cn(np.asarray(partition))
     return EulerNodes(
         nodes=partition,
-        m1=tuple(float(v) for v in _m1_nu(c, params, nu)),
-        m2=tuple(float(v) for v in _m2_nu(c, params, nu)),
+        m1=tuple(float(v) for v in eval_m1(c, params, nu)),
+        m2=tuple(float(v) for v in eval_m2(c, params, nu)),
     )
 
 
@@ -576,7 +569,7 @@ def force_error_bound(
         return float(eval_m1(cn(s), params))
 
     def m2_true(s: float) -> float:
-        return float(_m2_nu(cn(s), params, 1.0))
+        return float(eval_m2(cn(s), params))
 
     m1_l1 = 0.0
     m2_l1 = 0.0

@@ -320,20 +320,24 @@ def eval_lobe(train: PulseTrain, params: ModelParams, k: int, t) -> float | np.n
     return concentration_state(train, params).lobe(k, t)
 
 
-def eval_m1(c_n, params: ModelParams) -> float | np.ndarray:
-    """Saturation nonlinearity m1 = c_n / (k_m + c_n), in [0, 1)."""
+def eval_m1(c_n, params: ModelParams, nu: float = 1.0) -> float | np.ndarray:
+    """Saturation nonlinearity m1 = c_n / (nu k_m + c_n), in [0, 1).
+
+    ``nu`` is the deformation of the force approximation (1 is the model).
+    """
     c = np.asarray(c_n, dtype=float)
-    out = c / (params.k_m + c)
+    out = c / (nu * params.k_m + c)
     return float(out) if c.ndim == 0 else out
 
 
-def eval_m2(c_n, params: ModelParams) -> float | np.ndarray:
-    """Force decay rate m2 = 1 / (tau_1 + tau_2 * m1(c_n)) in 1/ms.
+def eval_m2(c_n, params: ModelParams, nu: float = 1.0) -> float | np.ndarray:
+    """Force decay rate m2 = nu / (tau_1 + tau_2 * m1(c_n)) in 1/ms.
 
-    Decreasing in c_n, bounded in [1/(tau_1 + tau_2), 1/tau_1].
+    Decreasing in c_n, bounded in [1/(tau_1 + tau_2), 1/tau_1] at nu = 1.
+    The deformation ``nu`` scales the rate; m1 here stays undeformed.
     """
     m1 = np.asarray(eval_m1(c_n, params), dtype=float)
-    out = 1.0 / (params.tau_1 + params.tau_2 * m1)
+    out = nu / (params.tau_1 + params.tau_2 * m1)
     return float(out) if out.ndim == 0 else out
 
 

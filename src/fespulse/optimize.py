@@ -1,15 +1,19 @@
 """Constrained optimization of pulse amplitudes, impulse times and horizon.
 
 The decision vector is sigma = (eta_0..eta_n, t_1..t_n, T). Constraints are
-linear: minimal interpulse spacing, the horizon row t_n + g <= T, and
-amplitude bounds. The horizon gap g is i_min for the interval-weighted
-tracking costs (``track_cn``, ``track_force``), whose last interval [t_n, T]
-is the only place pulse n enters the cost, and 0 for terminal costs and
-plain callables, where T is an observation time. The solver is a
-log-barrier interior-point loop with finite-difference cost gradients (the
-cost is the only non-analytic ingredient; the barrier gradient is exact), a
-damped BFGS inner update and a fraction-to-boundary line search, driving the
-barrier weight from 1 down to 1e-8.
+linear, xi = A sigma + b <= 0 (:func:`constraint_matrix`): minimal
+interpulse spacing, the horizon row t_n + g <= T, and amplitude bounds.
+The horizon gap g is i_min for the interval-weighted tracking costs
+(``track_cn``, ``track_force``), whose last interval [t_n, T] is the only
+place pulse n enters the cost, and 0 for terminal costs and plain
+callables, where T is an observation time. The solver is a log-barrier
+interior-point loop with finite-difference cost gradients (the cost is the
+only non-analytic ingredient; the barrier gradient is exact), a damped BFGS
+inner update and a fraction-to-boundary line search. The barrier weight mu
+starts at |cost(init)| (at least 1e-4) and shrinks by ``_MU_SHRINK`` per
+outer round to a floor of min(mu_min |cost(init)|, kkt_tol / 10);
+``_ARMIJO_C1``, ``_MAX_LINE_HALVINGS`` and ``_STEP_CAP`` set the line
+search, and ``_AMPLITUDE_NUDGE`` pulls free start amplitudes off their bounds.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .simulate import Rest, SimOptions, simulate_force, simulate_force_fatigue
 
 __all__ = [
     "DecisionVector",
-    "ConstraintSet",
     "ObjectiveSpec",
     "OptOutcome",
     "SolveOptions",
@@ -56,6 +59,13 @@ _INTERVAL_WEIGHTED_KINDS = ("track_cn", "track_force")
 # Finite-difference probes may step a hair past an amplitude bound; the
 # model is smooth there, so evaluation tolerates this much overshoot.
 _AMP_EVAL_SLACK = 0.05
+
+# Barrier schedule and line search of the solver.
+_MU_SHRINK = 0.1            # barrier weight factor per outer round
+_AMPLITUDE_NUDGE = 0.01     # pull free start amplitudes off their bounds
+_ARMIJO_C1 = 1e-4
+_MAX_LINE_HALVINGS = 45
+_STEP_CAP = 120.0           # trust cap on ||alpha * d||_inf per iterate
 
 
 class InfeasibleSigma(ValueError):
@@ -184,57 +194,25 @@ def eval_constraints(
     ``solve`` sets ``horizon_gap`` per objective (see :func:`horizon_gap`).
     """
     n = sigma.n
-    t = (0.0,) + sigma.times
-    spacing = [t[i - 1] - t[i] + i_min for i in range(1, n + 1)]
-    horizon = [t[n] - sigma.horizon + horizon_gap]
-    lower = [-a for a in sigma.amplitudes]
-    upper = [a - 1.0 for a in sigma.amplitudes]
-    return np.array(spacing + horizon + lower + upper)
+    return constraint_matrix(n) @ sigma.flat() + _constraint_offset(n, i_min, horizon_gap)
 
 
 def constraint_matrix(n: int) -> np.ndarray:
-    """Jacobian of the constraint vector w.r.t. the flat sigma layout."""
-    dim = 2 * n + 2
-    rows = []
-    for i in range(1, n + 1):  # t_{i-1} - t_i + i_min
-        row = np.zeros(dim)
-        if i - 1 >= 1:
-            row[n + 1 + (i - 2)] = 1.0
-        row[n + 1 + (i - 1)] = -1.0
-        rows.append(row)
-    row = np.zeros(dim)  # t_n - T + horizon_gap
-    if n >= 1:
-        row[2 * n] = 1.0
-    row[2 * n + 1] = -1.0
-    rows.append(row)
-    for i in range(n + 1):  # -eta_i
-        row = np.zeros(dim)
-        row[i] = -1.0
-        rows.append(row)
-    for i in range(n + 1):  # eta_i - 1
-        row = np.zeros(dim)
-        row[i] = 1.0
-        rows.append(row)
-    return np.array(rows)
+    """A in xi = A sigma + b, over the flat sigma layout; the Jacobian of
+    the constraint vector."""
+    a = np.zeros((3 * n + 3, 2 * n + 2))
+    r = np.arange(n + 1)
+    # Spacing and horizon rows: consecutive differences of (0, t_1..t_n, T).
+    a[r[1:], n + r[1:]] = 1.0
+    a[r, n + 1 + r] = -1.0
+    a[n + 1 + r, r] = -1.0  # -eta_i
+    a[2 * n + 2 + r, r] = 1.0  # eta_i - 1
+    return a
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Bound evaluator for a fixed problem size."""
-
-    n: int
-    i_min: float
-
-    def values(self, sigma: DecisionVector) -> np.ndarray:
-        if sigma.n != self.n:
-            raise ValueError(f"sigma has n={sigma.n}, constraint set expects {self.n}")
-        return eval_constraints(sigma, self.i_min)
-
-    def jacobian(self) -> np.ndarray:
-        return constraint_matrix(self.n)
-
-    def __len__(self) -> int:
-        return 3 * self.n + 3
+def _constraint_offset(n: int, i_min: float, gap: float) -> np.ndarray:
+    """b in xi = A sigma + b."""
+    return np.concatenate([np.full(n, i_min), [gap], np.zeros(n + 1), np.full(n + 1, -1.0)])
 
 
 @dataclass(frozen=True)
@@ -401,19 +379,12 @@ def fd_gradient(
 class SolveOptions:
     i_min: float = 20.0
     t_max: float = 1500.0            # safety cap on T, inactive in practice
-    mu0: float = 1.0                 # barrier weights, relative to |cost(init)|
-    mu_min: float = 1e-8
-    mu_shrink: float = 0.1
+    mu_min: float = 1e-8             # barrier weight floor, relative to |cost(init)|
     inner_max_iter: int = 300
     h_rel: float = 1e-5
     kkt_tol: float = 1e-6
-    feas_tol: float = 1e-8
-    amplitude_nudge: float = 0.01    # pull free amplitudes off their bounds
     n_starts: int = 1
     seed: int = 0
-    armijo_c1: float = 1e-4
-    max_line_halvings: int = 45
-    step_cap: float = 120.0          # trust cap on ||alpha * d||_inf per iterate
 
 
 @dataclass(frozen=True)
@@ -439,32 +410,34 @@ class OptOutcome:
     trace: tuple[dict, ...] = field(default_factory=tuple)
 
 
-def _nudge_start(sigma: DecisionVector, opts: SolveOptions) -> DecisionVector:
+def _nudge_start(sigma: DecisionVector) -> DecisionVector:
     if sigma.freeze_amplitudes:
         return sigma
-    eps = opts.amplitude_nudge
+    eps = _AMPLITUDE_NUDGE
     amps = tuple(min(max(a, eps), 1.0 - eps) for a in sigma.amplitudes)
     return replace(sigma, amplitudes=amps)
 
 
 def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> OptOutcome:
     n = start.n
-    jac_full = constraint_matrix(n)
+    a_full = constraint_matrix(n)
     free = start.free_mask()
-    jac = jac_full[:, free]
+    jac = a_full[:, free]
     rows = np.flatnonzero(np.abs(jac).sum(axis=1) > 0.0)
     cap_grad = np.zeros(int(free.sum()))
     cap_grad[-1] = 1.0  # T is always the last free coordinate
 
     gap = horizon_gap(spec, opts.i_min)
-    sigma = _nudge_start(start, opts)
+    b = _constraint_offset(n, opts.i_min, gap)
+    sigma = _nudge_start(start)
     xi0 = eval_constraints(sigma, opts.i_min, gap)
     if np.any(xi0[rows] >= 0.0) or sigma.horizon >= opts.t_max:
         raise InfeasibleSigma(
             f"initialization is not strictly feasible: max constraint {float(xi0[rows].max())}"
         )
 
-    x = sigma.flat()[free]
+    flat = sigma.flat()  # frozen coordinates stay; free ones take the iterate
+    x = flat[free]
     total_iters = 0
     trace: list[dict] = []
     status = "converged"
@@ -473,10 +446,8 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
         return objective_value(spec, sigma.with_free(xv), params)
 
     def barrier_terms(xv: np.ndarray):
-        sv = sigma.with_free(xv)
-        xi = eval_constraints(sv, opts.i_min, gap)
-        cap = sv.horizon - opts.t_max
-        return xi, cap
+        flat[free] = xv
+        return a_full @ flat + b, float(xv[-1]) - opts.t_max
 
     def phi(xv: np.ndarray, mu: float, theta_x: float | None = None) -> tuple[float, float]:
         """Barrier merit and cost at xv; a known cost ``theta_x`` is reused."""
@@ -509,7 +480,7 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
     # the floor still honors the complementarity tolerance for large costs.
     theta_x = theta(x)  # the cost at the current iterate, carried along
     theta_scale = max(1e-4, abs(theta_x))
-    mu = opts.mu0 * theta_scale
+    mu = theta_scale
     mu_floor = max(min(opts.mu_min * theta_scale, 0.1 * opts.kkt_tol), 1e-18)
     while True:
         g_b, h_b = barrier_grad_hess(x, mu)
@@ -526,20 +497,19 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
                 d = -g
             xi, cap = barrier_terms(x)
             deltas = jac[rows] @ d
-            alpha_max = math.inf
-            for xi_j, dj in zip(xi[rows], deltas):
-                if dj > 1e-14:
-                    alpha_max = min(alpha_max, -xi_j / dj)
+            toward = deltas > 1e-14
+            ratios = -xi[rows][toward] / deltas[toward]
+            alpha_max = float(ratios.min()) if ratios.size else math.inf
             if d[-1] > 1e-14:
                 alpha_max = min(alpha_max, -cap / d[-1])
             d_inf = float(np.max(np.abs(d)))
-            alpha_limit = min(0.99 * alpha_max, opts.step_cap / max(d_inf, 1e-30))
+            alpha_limit = min(0.99 * alpha_max, _STEP_CAP / max(d_inf, 1e-30))
             alpha = min(1.0, alpha_limit)
             phi0, _ = phi(x, mu, theta_x)
             slope = float(g @ d)
             accepted = False
             phi_a, theta_a = phi(x + alpha * d, mu)
-            if phi_a <= phi0 + opts.armijo_c1 * alpha * slope:
+            if phi_a <= phi0 + _ARMIJO_C1 * alpha * slope:
                 # Newton steps through flat valleys may still be short;
                 # expand greedily while the merit keeps dropping.
                 accepted = True
@@ -551,10 +521,10 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
                     else:
                         break
             else:
-                for _ in range(opts.max_line_halvings):
+                for _ in range(_MAX_LINE_HALVINGS):
                     alpha *= 0.5
                     phi_a, theta_a = phi(x + alpha * d, mu)
-                    if phi_a <= phi0 + opts.armijo_c1 * alpha * slope:
+                    if phi_a <= phi0 + _ARMIJO_C1 * alpha * slope:
                         accepted = True
                         break
             if not accepted:
@@ -597,17 +567,15 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
             status = "line_search_stalled"
         if mu <= mu_floor * (1.0 + 1e-12):
             break
-        mu = max(mu * opts.mu_shrink, mu_floor)
+        mu = max(mu * _MU_SHRINK, mu_floor)
 
     sigma_star = sigma.with_free(x)
     xi = eval_constraints(sigma_star, opts.i_min, gap)
     lam = np.zeros(len(xi))
     lam[rows] = mu_floor / (-xi[rows])
-    g_theta = g_t  # the cost gradient at x, already taken by the loop
     cap_term = (mu_floor / (opts.t_max - sigma_star.horizon)) * cap_grad
-    stationarity = float(np.max(np.abs(g_theta + jac.T @ lam + cap_term)))
-    complementarity = float(np.max(np.abs(lam * xi)))
-    feasibility = float(max(0.0, xi.max()))
+    # g_t is the cost gradient at x, already taken by the loop.
+    stationarity, complementarity, feasibility = _kkt_residuals(g_t, jac, lam, xi, cap_term)
     kkt = max(stationarity, complementarity, feasibility)
     if status == "converged" and kkt > opts.kkt_tol:
         status = "max_iterations"
@@ -624,6 +592,15 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
         i_min=opts.i_min,
         trace=tuple(trace),
     )
+
+
+def _kkt_residuals(g, jac, lam, xi, cap_term=0.0) -> tuple[float, float, float]:
+    """Stationarity, complementarity and feasibility of (x, lam): the
+    largest |g + jac^T lam + cap_term|, |lam * xi| and max(xi, 0)."""
+    stationarity = float(np.max(np.abs(g + jac.T @ lam + cap_term)))
+    complementarity = float(np.max(np.abs(lam * xi)))
+    feasibility = float(max(0.0, xi.max()))
+    return stationarity, complementarity, feasibility
 
 
 def _jittered_starts(init: DecisionVector, opts: SolveOptions) -> list[DecisionVector]:
@@ -695,9 +672,7 @@ def kkt_check(
     lam = np.asarray(outcome.multipliers)
     jac = constraint_matrix(sigma.n)[:, sigma.free_mask()]
     g = fd_gradient(spec, sigma, params)
-    stationarity = float(np.max(np.abs(g + jac.T @ lam)))
     xi = eval_constraints(sigma, outcome.i_min, horizon_gap(spec, outcome.i_min))
-    complementarity = float(np.max(np.abs(lam * xi)))
-    feasibility = float(max(0.0, xi.max()))
+    stationarity, complementarity, feasibility = _kkt_residuals(g, jac, lam, xi)
     passed = stationarity <= tol and complementarity <= tol and feasibility <= tol
     return KKTReport(stationarity, complementarity, feasibility, passed)

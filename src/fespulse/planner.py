@@ -26,6 +26,10 @@ __all__ = [
     "derive_f_max",
 ]
 
+# Re-solve the template when A at a train start drifts more than this
+# (relative) from the A of every template solved so far.
+_REDRIFT_TOL = 0.10
+
 
 class TemplateNotConverged(RuntimeError):
     """A template solve ended with a status other than ``converged``."""
@@ -50,7 +54,6 @@ class ProgramSpec:
     t_f: float = 2000.0              # ms, total session span
     k_fatigue: float = 2.0
     sim_step: float | None = None
-    redrift_tol: float = 0.10        # re-solve when A drifts more than this
 
     def __post_init__(self) -> None:
         if self.f_ref is None and self.k_ratio is None:
@@ -162,7 +165,7 @@ def plan_endurance(
 
     def pick_template(a_start: float) -> PulseTrain:
         for a_used, train, _ in templates_by_a:
-            if abs(a_start - a_used) / a_used <= spec.redrift_tol:
+            if abs(a_start - a_used) / a_used <= _REDRIFT_TOL:
                 return train
         _, c_ref_k = steady_state_root(params, a_start, f_ref)
         out_k = _solve_template(c_ref_k, spec, params, options)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fespulse import (
-    ConstraintSet,
     DecisionVector,
     InfeasibleSigma,
     ModelParams,
@@ -59,6 +58,28 @@ def test_constraint_active_cases():
     assert xi[2 * n + 2] == 0.0  # eta_0 - 1 with eta_0 = 1
 
 
+def test_constraint_map_equals_written_out_rows():
+    rng = np.random.default_rng(7)
+    i_min = 20.0
+    for n in range(7):
+        for gap in (0.0, i_min):
+            for overshoot in (False, True):
+                t = np.cumsum(i_min + rng.uniform(0.5, 60.0, size=n + 1))
+                lo, hi = (-0.04, 1.04) if overshoot else (0.0, 1.0)
+                amps = rng.uniform(lo, hi, size=n + 1)
+                sig = DecisionVector(tuple(amps), tuple(t[:-1]), float(t[-1]) + gap)
+                times = (0.0,) + sig.times
+                expected = (
+                    [times[i - 1] - times[i] + i_min for i in range(1, n + 1)]
+                    + [times[n] - sig.horizon + gap]
+                    + [-a for a in sig.amplitudes]
+                    + [a - 1.0 for a in sig.amplitudes]
+                )
+                xi = eval_constraints(sig, i_min, gap)
+                assert xi.shape == (3 * n + 3,)
+                assert all(x == e for x, e in zip(xi.tolist(), expected)), (n, gap, overshoot)
+
+
 def test_constraint_jacobian_matches_fd():
     n = 3
     jac = constraint_matrix(n)
@@ -91,15 +112,6 @@ def test_horizon_gap_depends_on_objective_kind():
     for kind in ("max_force_terminal", "max_cn_terminal"):
         assert horizon_gap(ObjectiveSpec(kind=kind), 20.0) == 0.0
     assert horizon_gap(lambda sig: 0.0, 20.0) == 0.0
-
-
-def test_constraint_set_wrapper():
-    cs = ConstraintSet(n=2, i_min=20.0)
-    assert len(cs) == 9
-    sig = DecisionVector.regular(2, 300.0, amplitude=0.9)
-    assert np.all(cs.values(sig) < 0.0)
-    with pytest.raises(ValueError):
-        cs.values(DecisionVector.regular(3, 300.0))
 
 
 # ---------------------------------------------------------------------------
