@@ -10,7 +10,6 @@ from .model import (
     ConcentrationState,
     ModelParams,
     PulseTrain,
-    ScalingFactors,
     UnreachableForce,
     argmax_cn_interval,
     compute_scaling,
@@ -49,7 +48,6 @@ from .approx import (
     eval_f_tilde,
     force_approximator,
     force_error_bound,
-    interval_average_cn,
     interval_averages,
     persistence_order,
     persistence_profile,

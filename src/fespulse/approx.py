@@ -4,8 +4,9 @@ The concentration admits cheap surrogates in two directions:
 
 * truncation: on each inter-pulse interval only the last ``p`` lobes are
   kept (a lower approximation with a computable sup bound),
-* averaging: interval and tail means of the concentration have exact
-  closed forms through the lobe antiderivative chi.
+* averaging: interval and tail means of the concentration are exact, from
+  the interval integrals of the concentration state
+  (:meth:`fespulse.model.ConcentrationState.integrals`).
 
 For the force, the Hill nonlinearities m1 and m2 are replaced on a refined
 partition of the pulse intervals by piecewise-affine functions, stored as
@@ -33,7 +34,7 @@ from .model import (
     ConcentrationState,
     ModelParams,
     PulseTrain,
-    _pulse_weights,
+    _ScalarHill,
     concentration_state,
     eval_m1,
     eval_m2,
@@ -52,7 +53,6 @@ __all__ = [
     "persistence_profile",
     "truncated_cn",
     "error_bound_persistent",
-    "interval_average_cn",
     "interval_averages",
     "tail_average_cn",
     "build_m_approx",
@@ -182,53 +182,20 @@ def error_bound_persistent(
 # ---------------------------------------------------------------------------
 
 
-def _chi(t, t_i, tau_c: float):
-    u = t - t_i
-    return np.exp(-u / tau_c) * (tau_c + u)
-
-
 def interval_averages(train: PulseTrain, params: ModelParams) -> np.ndarray:
     """Exact means of the concentration over every interval [t_k, t_{k+1}]
-    (t_{n+1} = horizon) via the lobe antiderivative
-    chi_i(t) = e^{-(t-t_i)/tau_c} (tau_c + t - t_i): the weights are built
-    once and interval k takes one dot product over lobes 0..k."""
-    w = _pulse_weights(train, params)
-    t_i = np.asarray(train.times)
-    bounds = train.times + (train.horizon,)
-    out = np.empty(train.n + 1)
-    for k in range(train.n + 1):
-        lo, hi = bounds[k], bounds[k + 1]
-        fired = t_i[: k + 1]
-        total = float(w[: k + 1] @ (_chi(lo, fired, params.tau_c) - _chi(hi, fired, params.tau_c)))
-        out[k] = total / (hi - lo)
-    return out
-
-
-def interval_average_cn(train: PulseTrain, params: ModelParams, k: int) -> float:
-    """Exact mean of the concentration over [t_k, t_{k+1}]; see
-    :func:`interval_averages`."""
-    if not 0 <= k <= train.n:
-        raise IndexError(f"interval index {k} out of range 0..{train.n}")
-    return float(interval_averages(train, params)[k])
+    (t_{n+1} = horizon), from :meth:`ConcentrationState.integrals`."""
+    widths = np.diff(train.times + (train.horizon,))
+    return concentration_state(train, params).integrals(train.horizon) / widths
 
 
 def tail_average_cn(train: PulseTrain, params: ModelParams, q: int) -> float:
-    """Exact mean of the concentration over [t_q, horizon].
-
-    Lobes up to q contribute chi differences as in the interval average;
-    each later lobe i > q starts inside the tail and contributes from its
-    own impulse time, i.e. tau_c - chi_i(horizon).
-    """
+    """Exact mean of the concentration over [t_q, horizon]: the interval
+    integrals from q on, over the tail width."""
     if not 0 <= q <= train.n:
         raise IndexError(f"tail index {q} out of range 0..{train.n}")
-    t_end = train.horizon
-    tau = params.tau_c
-    w = _pulse_weights(train, params)
-    t_i = np.asarray(train.times)
-    t_q = train.times[q]
-    past = float(w[: q + 1] @ (_chi(t_q, t_i[: q + 1], tau) - _chi(t_end, t_i[: q + 1], tau)))
-    future = float(w[q + 1 :] @ (tau - _chi(t_end, t_i[q + 1 :], tau))) if q < train.n else 0.0
-    return (past + future) / (t_end - t_q)
+    integrals = concentration_state(train, params).integrals(train.horizon)
+    return float(integrals[q:].sum()) / (train.horizon - train.times[q])
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +266,18 @@ def _quad_mean(fn, lo: float, hi: float) -> float:
     return val / (hi - lo)
 
 
+def _check_m_approx_args(scheme: str, p: int, nu: float) -> None:
+    """Raise ValueError unless :func:`build_m_approx` accepts these settings."""
+    if scheme not in SCHEMES + ENVELOPE_SCHEMES:
+        raise ValueError(
+            f"unknown scheme {scheme!r}; expected one of {SCHEMES + ENVELOPE_SCHEMES}"
+        )
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    if nu <= 0.0:
+        raise ValueError(f"nu must be positive, got {nu}")
+
+
 def build_m_approx(
     train: PulseTrain,
     params: ModelParams,
@@ -329,15 +308,7 @@ def build_m_approx(
     makes the force approximation dominate (or be dominated by) the true
     force pointwise, for any nu.
     """
-    if scheme not in SCHEMES + ENVELOPE_SCHEMES:
-        raise ValueError(
-            f"unknown scheme {scheme!r}; expected one of {SCHEMES + ENVELOPE_SCHEMES}"
-        )
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if nu <= 0.0:
-        raise ValueError(f"nu must be positive, got {nu}")
-
+    _check_m_approx_args(scheme, p, nu)
     state = concentration_state(train, params)
     partition, pulse_breaks = _refined_partition(train, state, p)
     part = np.asarray(partition)
@@ -381,11 +352,11 @@ def build_m_approx(
         elif scheme == "affine-constant":
             m2 = np.column_stack([0.5 * (v2a + v2b), zero])
         else:
-            from .simulate import _ScalarHill
-
-            hill = _ScalarHill(train, params)
-            m2_exact = lambda s: nu / (params.tau_1 + params.tau_2 * hill.m1(s))
-            means = [_quad_mean(m2_exact, lo, hi) for lo, hi in zip(pulse_breaks, pulse_breaks[1:])]
+            hill = _ScalarHill(state, params)
+            means = [
+                _quad_mean(lambda s: hill.m2(s, nu), lo, hi)
+                for lo, hi in zip(pulse_breaks, pulse_breaks[1:])
+            ]
             m2 = np.column_stack([np.repeat(means, p), zero])
 
     return MApprox(
@@ -563,24 +534,18 @@ def force_error_bound(
     if t_k <= 0.0:
         return ForceErrorBound(0.0, 0.0, 0.0, 0.0, True, ())
 
-    cn = concentration_state(train, params).cn
-
-    def m1_true(s: float) -> float:
-        return float(eval_m1(cn(s), params))
-
-    def m2_true(s: float) -> float:
-        return float(eval_m2(cn(s), params))
+    hill = _ScalarHill(concentration_state(train, params), params)
 
     m1_l1 = 0.0
     m2_l1 = 0.0
     seg_edges = [b for b in m_approx.partition if b < t_k - 1e-12] + [t_k]
     for a, b in zip(seg_edges, seg_edges[1:]):
         v1, _ = quad(
-            lambda s: abs(m1_true(s) - m_approx.m1_tilde.value(s)),
+            lambda s: abs(hill.m1(s) - m_approx.m1_tilde.value(s)),
             a, b, epsabs=1e-12, epsrel=1e-10, limit=200,
         )
         v2, _ = quad(
-            lambda s: abs(m2_true(s) - m_approx.m2_tilde.value(s)),
+            lambda s: abs(hill.m2(s) - m_approx.m2_tilde.value(s)),
             a, b, epsabs=1e-12, epsrel=1e-10, limit=200,
         )
         m1_l1 += v1
@@ -599,8 +564,8 @@ def force_error_bound(
         if lo >= t_k - 1e-12:
             break
         s = np.linspace(lo, min(hi, t_k), 25)
-        y1 = np.array([m1_true(x) for x in s])
-        y2 = np.array([m2_true(x) for x in s])
+        y1 = np.array([hill.m1(x) for x in s])
+        y2 = np.array([hill.m2(x) for x in s])
         tol1 = 1e-12 + 1e-7 * float(np.ptp(y1))
         tol2 = 1e-12 + 1e-7 * float(np.ptp(y2))
         if np.any(np.diff(y1, 2) > tol1):

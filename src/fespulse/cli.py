@@ -39,6 +39,7 @@ from .optimize import (
     ObjectiveSpec,
     SolveOptions,
     StepCollision,
+    objective_value,
     solve,
 )
 from .planner import ProgramSpec, TemplateNotConverged, plan_endurance
@@ -300,13 +301,13 @@ def run_approximate(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
     trunc_p = cfg.get("approx", "trunc_p", 2)
     try:
         approx = build_m_approx(train, params, scheme=scheme, p=p, nu=nu)
+        trunc = truncated_cn(train, params, trunc_p)
     except ValueError as exc:
         raise ConfigError(f"[approx] {exc}") from exc
     evaluator = force_approximator(approx)
     traj = simulate_force(train, params, cfg.sim_options())
     grid = traj.grid
     f_tilde = np.atleast_1d(evaluator.values(grid, params.a_rest))
-    trunc = truncated_cn(train, params, trunc_p)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "approximation.csv", cfg, "approximate", seed,
@@ -388,8 +389,6 @@ def run_optimize(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
     opts, init = _solver_from_config(cfg, seed)
     init_cost = None
     try:
-        from .optimize import objective_value
-
         init_cost = objective_value(spec, init, params)
         outcome = solve(spec, init, params, opts)
     except (InfeasibleSigma, StepCollision) as exc:

@@ -17,8 +17,10 @@ with g = (t_{k+1} - t_k)/tau_c, A_0 = 0 and B_0 = R_0 eta_0.
 :class:`ConcentrationState` builds (A_k, B_k) once per train in O(N). The
 concentration, the stimulation signal E = e^{-u} B_k / tau_c and single
 lobes then cost one ``searchsorted`` and one ``exp`` per point, the
-last-p-lobe truncation at most p lobes per point, and the interval peaks
-t_k + tau_c (1 - A_k/B_k) one division per interval.
+last-p-lobe truncation at most p lobes per point, the interval peaks
+t_k + tau_c (1 - A_k/B_k) one division per interval, and the interval
+integrals tau_c (A_k (1 - e^{-g}) + B_k (1 - (1 + g) e^{-g})), from which
+every interval and tail mean follows, a few operations per interval.
 
 Unit conventions
 ----------------
@@ -30,6 +32,7 @@ values are exposed as properties on :class:`ModelParams`.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -38,7 +41,6 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "PulseTrain",
-    "ScalingFactors",
     "ConcentrationState",
     "UnreachableForce",
     "compute_scaling",
@@ -156,29 +158,13 @@ class PulseTrain:
         return self.times[k], hi
 
 
-@dataclass(frozen=True)
-class ScalingFactors:
-    """Tetanic memory factors R_0 .. R_n, with R_0 = 1."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
-
-
-def compute_scaling(train: PulseTrain, params: ModelParams) -> ScalingFactors:
-    """Memory factors of successive contractions.
+def compute_scaling(train: PulseTrain, params: ModelParams) -> tuple[float, ...]:
+    """Memory factors R_0 .. R_n of successive contractions.
 
     R_0 = 1 and R_i = 1 + (r_bar - 1) * exp(-(t_i - t_{i-1}) / tau_c): a
     pulse arriving shortly after its predecessor is enhanced, up to r_bar.
     """
-    return ScalingFactors(_scaling_from_times(train.times, params))
+    return _scaling_from_times(train.times, params)
 
 
 def _scaling_from_times(times, params: ModelParams) -> tuple[float, ...]:
@@ -186,11 +172,6 @@ def _scaling_from_times(times, params: ModelParams) -> tuple[float, ...]:
     for prev, cur in zip(times, times[1:]):
         out.append(1.0 + (params.r_bar - 1.0) * math.exp(-(cur - prev) / params.tau_c))
     return tuple(out)
-
-
-def _pulse_weights(train: PulseTrain, params: ModelParams) -> np.ndarray:
-    scaling = _scaling_from_times(train.times, params)
-    return np.array([r * eta for r, eta in zip(scaling, train.amplitudes)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,6 +264,15 @@ class ConcentrationState:
         ratio = np.divide(a, b, out=np.full_like(b, np.nan), where=live)
         return self.times + self.tau_c * (1.0 - ratio)
 
+    def integrals(self, horizon: float) -> np.ndarray:
+        """Exact integral of c_N over every interval [t_k, t_{k+1}], with
+        t_N = ``horizon``: tau_c (A_k (1 - e^{-g}) + B_k (1 - (1 + g) e^{-g}))
+        with g = (t_{k+1} - t_k)/tau_c."""
+        g = np.diff(self.times, append=horizon) / self.tau_c
+        with np.errstate(under="ignore"):
+            rise = -np.expm1(-g)
+            return self.tau_c * (self.a[1:] * rise + self.b[1:] * (rise - g * np.exp(-g)))
+
 
 def concentration_state(train: PulseTrain, params: ModelParams) -> ConcentrationState:
     """The (A_k, B_k) concentration state of a train."""
@@ -291,6 +281,34 @@ def concentration_state(train: PulseTrain, params: ModelParams) -> Concentration
 
 def _like(t_arr: np.ndarray, out: np.ndarray) -> float | np.ndarray:
     return float(out) if t_arr.ndim == 0 else out
+
+
+class _ScalarHill:
+    """Pointwise c_N, m1 and m2 on Python floats, for the many scalar calls
+    that adaptive quadrature and RK45 make: a :class:`ConcentrationState`
+    read with ``bisect`` and ``math.exp``. Same formulas as
+    :func:`eval_m1` (undeformed) and :func:`eval_m2`."""
+
+    def __init__(self, state: ConcentrationState, params: ModelParams):
+        self.times = state.times.tolist()
+        self.a = state.a.tolist()
+        self.b = state.b.tolist()
+        self.tau_c = state.tau_c
+        self.k_m = params.k_m
+        self.tau_1 = params.tau_1
+        self.tau_2 = params.tau_2
+
+    def cn(self, s: float) -> float:
+        j = bisect.bisect_right(self.times, s)
+        u = max(s - self.times[max(j - 1, 0)], 0.0) / self.tau_c
+        return math.exp(-u) * (self.a[j] + self.b[j] * u)
+
+    def m1(self, s: float) -> float:
+        c = self.cn(s)
+        return c / (self.k_m + c)
+
+    def m2(self, s: float, nu: float = 1.0) -> float:
+        return nu / (self.tau_1 + self.tau_2 * self.m1(s))
 
 
 def eval_signal(train: PulseTrain, params: ModelParams, t) -> float | np.ndarray:

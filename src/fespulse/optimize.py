@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .approx import build_m_approx, eval_f_tilde, interval_averages
+from .approx import _check_m_approx_args, build_m_approx, eval_f_tilde, interval_averages
 from .model import ModelParams, PulseTrain, eval_cn
 from .simulate import Rest, SimOptions, simulate_force, simulate_force_fatigue
 
@@ -255,6 +255,9 @@ class ObjectiveSpec:
                 raise ValueError("track_force_fatigue needs t_f, rest_duration and a_s")
         if self.w1 < 0.0:
             raise ValueError("w1 must be >= 0")
+        _check_m_approx_args(self.scheme, self.p, self.nu)
+        if self.sim_step is not None and self.sim_step <= 0.0:
+            raise ValueError(f"sim_step must be positive, got {self.sim_step}")
 
 
 def horizon_gap(spec, i_min: float) -> float:

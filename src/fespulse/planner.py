@@ -64,6 +64,10 @@ class ProgramSpec:
             raise ValueError(f"k_fatigue must exceed 1, got {self.k_fatigue}")
         if self.t_f < self.train_horizon:
             raise ValueError("session t_f must fit at least one train")
+        for name in ("rest_duration", "rest_cap", "sim_step"):
+            value = getattr(self, name)
+            if value is not None and value <= 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ integrator with alpha = 0, under which A stays at a_rest exactly.
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ from .model import (
     ConcentrationState,
     ModelParams,
     PulseTrain,
+    _ScalarHill,
     concentration_state,
     eval_m1,
     eval_m2,
@@ -168,18 +168,18 @@ def _adaptive_interval(rhs, lo: float, hi: float, y0, rel_tol: float, abs_tol: f
     return sol.t, sol.y
 
 
-def _integrate(cn, breaks, params: ModelParams, opts: SimOptions, alpha: float):
+def _integrate(state: ConcentrationState, breaks, params: ModelParams, opts: SimOptions,
+               alpha: float):
     """(F, A) from rest over every interval between ``breaks`` (RK4 or
     scipy's RK45 per interval), stitched into one grid; A in kN/ms."""
     a_rest = params.a_rest_ms
     tau_fat = params.tau_fat_ms
     step = opts.step if opts.step is not None else params.tau_c / 50.0
+    hill = _ScalarHill(state, params)
 
     def rhs(t, y):
-        c = cn(t)
-        m1 = c / (params.k_m + c)
-        m2 = 1.0 / (params.tau_1 + params.tau_2 * m1)
-        return [-m2 * y[0] + m1 * y[1], -(y[1] - a_rest) / tau_fat + alpha * y[0]]
+        m1 = hill.m1(t)
+        return [-hill.m2(t) * y[0] + m1 * y[1], -(y[1] - a_rest) / tau_fat + alpha * y[0]]
 
     grid_parts, f_parts, a_parts = [], [], []
     f, a = 0.0, a_rest
@@ -188,7 +188,7 @@ def _integrate(cn, breaks, params: ModelParams, opts: SimOptions, alpha: float):
             continue
         if opts.method == "rk4":
             ts = _interval_nodes(lo, hi, step)
-            c = cn(_stage_times(ts))
+            c = state.cn(_stage_times(ts))
             fs, as_ = _rk4_sweep(
                 float(ts[1] - ts[0]), eval_m1(c, params).tolist(),
                 eval_m2(c, params).tolist(), f, a, a_rest, tau_fat, alpha,
@@ -216,10 +216,10 @@ def simulate_force(
     the closed form, never from integrating the stimulation signal. The
     output grid contains every impulse time exactly once.
     """
-    cn = concentration_state(train, params).cn
+    state = concentration_state(train, params)
     breaks = list(train.times) + [train.horizon]
-    grid, force, _ = _integrate(cn, breaks, params, opts or SimOptions(), alpha=0.0)
-    return Trajectory(grid=grid, channels={"c_n": cn(grid), "force": force})
+    grid, force, _ = _integrate(state, breaks, params, opts or SimOptions(), alpha=0.0)
+    return Trajectory(grid=grid, channels={"c_n": state.cn(grid), "force": force})
 
 
 def _flatten_program(segments) -> tuple[list[float], list[float], list[float], float]:
@@ -260,10 +260,10 @@ def simulate_force_fatigue(
     times, amps, bounds, t_f = _flatten_program(segments)
     if t_f <= 0.0:
         raise ValueError("program must have positive total duration")
-    cn = ConcentrationState.from_pulses(times, amps, params).cn
+    state = ConcentrationState.from_pulses(times, amps, params)
     breaks = sorted(set(t for t in times if t < t_f) | set(bounds))
-    grid, force, a = _integrate(cn, breaks, params, opts or SimOptions(), params.alpha_a_ms)
-    return Trajectory(grid=grid, channels={"c_n": cn(grid), "force": force, "a": a * 1e3})
+    grid, force, a = _integrate(state, breaks, params, opts or SimOptions(), params.alpha_a_ms)
+    return Trajectory(grid=grid, channels={"c_n": state.cn(grid), "force": force, "a": a * 1e3})
 
 
 def _checked_quad(f, lo: float, hi: float, epsabs: float = 1e-13) -> float:
@@ -282,40 +282,12 @@ def _checked_quad(f, lo: float, hi: float, epsabs: float = 1e-13) -> float:
     return val
 
 
-class _ScalarHill:
-    """Scalar closed-form concentration and Hill values tuned for the many
-    pointwise calls adaptive quadrature makes: the state of
-    :class:`fespulse.model.ConcentrationState` as Python floats."""
-
-    def __init__(self, train: PulseTrain, params: ModelParams):
-        state = concentration_state(train, params)
-        self.times = state.times.tolist()
-        self.a = state.a.tolist()
-        self.b = state.b.tolist()
-        self.tau_c = params.tau_c
-        self.k_m = params.k_m
-        self.tau_1 = params.tau_1
-        self.tau_2 = params.tau_2
-
-    def cn(self, s: float) -> float:
-        j = bisect.bisect_right(self.times, s)
-        u = max(s - self.times[max(j - 1, 0)], 0.0) / self.tau_c
-        return math.exp(-u) * (self.a[j] + self.b[j] * u)
-
-    def m1(self, s: float) -> float:
-        c = self.cn(s)
-        return c / (self.k_m + c)
-
-    def m2(self, s: float) -> float:
-        return 1.0 / (self.tau_1 + self.tau_2 * self.m1(s))
-
-
 class _M2Accumulator:
     """Cached per-interval quadratures of m2, so Phi(s) = int_0^s m2 costs
     one partial quadrature regardless of how many pulse intervals precede s."""
 
     def __init__(self, train: PulseTrain, params: ModelParams, t_end: float):
-        self._hill = _ScalarHill(train, params)
+        self._hill = _ScalarHill(concentration_state(train, params), params)
         self._m2 = self._hill.m2
         self.breaks = [0.0] + [t for t in train.times if 0.0 < t < t_end] + [t_end]
         self._cum = [0.0]

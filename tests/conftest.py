@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fespulse import ModelParams, PulseTrain, eval_cn
-from fespulse.model import _pulse_weights
+from fespulse import ModelParams, PulseTrain, compute_scaling, eval_cn
 
 
 @pytest.fixture(scope="session")
@@ -21,7 +20,7 @@ def rk4_cn_max_error(train: PulseTrain, params: ModelParams, step: float = 0.2) 
     """
     breaks = list(train.times) + [train.horizon]
     tau = params.tau_c
-    w = np.asarray(_pulse_weights(train, params)) / tau
+    w = np.asarray(compute_scaling(train, params)) * np.asarray(train.amplitudes) / tau
     t_i = np.asarray(train.times)
     c = 0.0
     worst = 0.0

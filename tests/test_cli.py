@@ -334,6 +334,32 @@ sim_step = 1.0
 """
 
 
+OPT_APPROX = OPT_SMALL.replace("kind = max_cn_terminal\nbackend = exact", "kind = max_force_terminal")
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("plan", PLAN_SMALL.replace("rest = 300.0", "rest = 0")),
+        ("plan", PLAN_SMALL.replace("rest = 300.0", "rest_cap = -1")),
+        ("plan", PLAN_SMALL.replace("sim_step = 1.0", "sim_step = -1")),
+        ("optimize", OPT_APPROX.replace("[solver]", "p = 0\n\n[solver]")),
+        ("optimize", OPT_APPROX.replace("[solver]", "nu = -1\n\n[solver]")),
+        ("optimize", OPT_APPROX.replace("[solver]", "scheme = bogus\n\n[solver]")),
+        ("optimize", OPT_APPROX.replace("[solver]", "backend = oracle\nsim_step = -1\n\n[solver]")),
+        ("approximate", NOMINAL + "\n[approx]\ntrunc_p = 0\n"),
+    ],
+    ids=["plan-rest", "plan-rest_cap", "plan-sim_step", "optimize-p", "optimize-nu",
+         "optimize-scheme", "optimize-oracle-sim_step", "approximate-trunc_p"],
+)
+def test_invalid_setting_is_config_error(tmp_path, capsys, command, text):
+    out = tmp_path / "out"
+    assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_plan_writes_program(tmp_path):
     cfg = write(tmp_path, PLAN_SMALL)
     out = tmp_path / "out"

@@ -11,6 +11,7 @@ from fespulse import (
     UnreachableForce,
     argmax_cn_interval,
     compute_scaling,
+    concentration_state,
     eval_cn,
     eval_lobe,
     eval_m1,
@@ -65,7 +66,7 @@ def test_pulse_train_validation():
 
 def test_scaling_single_pulse_is_one():
     train = PulseTrain((0.0,), (1.0,), 100.0)
-    assert compute_scaling(train, P).values == (1.0,)
+    assert compute_scaling(train, P) == (1.0,)
 
 
 def test_scaling_vanishes_for_huge_gap():
@@ -137,12 +138,30 @@ def test_cn_matches_ode_integration():
 def _dense_lobes(train: PulseTrain, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every lobe, and every pulse's term of tau_c E, at every time, as
     (N_t, N_p) arrays: the superposition written out."""
-    w = np.asarray(compute_scaling(train, P).values) * np.asarray(train.amplitudes)
+    w = np.asarray(compute_scaling(train, P)) * np.asarray(train.amplitudes)
     u = (t[:, None] - np.asarray(train.times)) / P.tau_c
     active = u >= 0.0
     u = np.where(active, u, 0.0)
     with np.errstate(under="ignore"):
         return np.where(active, w * u * np.exp(-u), 0.0), np.where(active, w * np.exp(-u), 0.0)
+
+
+def _dense_integrals(train: PulseTrain) -> np.ndarray:
+    """Integral of c_N over every interval [t_k, t_{k+1}] (t_{n+1} = horizon)
+    as the lobe sum of w_i (chi_i(t_k) - chi_i(t_{k+1})) over the fired
+    lobes i <= k, with the lobe antiderivative
+    chi_i(t) = e^{-(t - t_i)/tau_c} (tau_c + t - t_i)."""
+    w = np.asarray(compute_scaling(train, P)) * np.asarray(train.amplitudes)
+    t_i = np.asarray(train.times)
+    bounds = np.append(t_i, train.horizon)
+    fired = np.arange(len(t_i)) <= np.arange(len(t_i))[:, None]
+
+    def chi(t):
+        u = np.where(fired, t[:, None] - t_i, 0.0)
+        with np.errstate(under="ignore"):
+            return np.exp(-u / P.tau_c) * (P.tau_c + u)
+
+    return np.where(fired, w * (chi(bounds[:-1]) - chi(bounds[1:])), 0.0).sum(axis=1)
 
 
 @given(
@@ -173,7 +192,11 @@ def test_concentration_state_matches_dense_lobe_sum(gaps, amps, tail, p):
         k = len(times) // 2
         lobe = eval_lobe(train, P, k, ts)
         scalars = [eval_cn(train, P, float(t)) for t in ts]
+        integrals = concentration_state(train, P).integrals(train.horizon)
     assert np.max(np.abs(cn - lobes.sum(axis=1))) <= 1e-14
+    # Below the smallest normal double, gradual underflow leaves no relative precision.
+    tiny = np.finfo(float).tiny
+    np.testing.assert_allclose(integrals, _dense_integrals(train), rtol=1e-12, atol=tiny)
     assert np.max(np.abs(signal - signal_terms.sum(axis=1) / P.tau_c)) <= 1e-14
     assert np.max(np.abs(trunc - np.where(window, lobes, 0.0).sum(axis=1))) <= 1e-14
     assert np.max(np.abs(lobe - lobes[:, k])) <= 1e-14

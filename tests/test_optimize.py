@@ -13,17 +13,17 @@ from fespulse import (
     SimOptions,
     SolveOptions,
     StepCollision,
+    compute_scaling,
     eval_constraints,
     fd_gradient,
     force_error_bound,
-    interval_average_cn,
+    interval_averages,
     kkt_check,
     objective_value,
     simulate_force_fatigue,
     solve,
 )
 from fespulse.approx import build_m_approx, eval_f_tilde
-from fespulse.model import _pulse_weights
 from fespulse.optimize import OptOutcome, constraint_matrix, horizon_gap
 
 P = ModelParams()
@@ -210,7 +210,7 @@ def test_fd_gradient_track_cn_vs_analytic():
     grad = fd_gradient(spec, sig, P)
 
     train = sig.to_train()
-    w = np.asarray(_pulse_weights(train, P))
+    scal = compute_scaling(train, P)
     tau = P.tau_c
 
     def chi(t, ti):
@@ -218,8 +218,7 @@ def test_fd_gradient_track_cn_vs_analytic():
 
     # Analytic amplitude gradient: the interval means are linear in eta.
     t = (0.0, 45.0, 130.0)
-    means = [interval_average_cn(train, P, k) for k in range(2)]
-    scal = [w[i] / train.amplitudes[i] for i in range(2)]
+    means = interval_averages(train, P)
     g_eta = np.zeros(2)
     for k in range(2):
         lo, hi = t[k], t[k + 1]
