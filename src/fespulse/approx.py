@@ -184,9 +184,8 @@ def error_bound_persistent(
 
 def interval_averages(train: PulseTrain, params: ModelParams) -> np.ndarray:
     """Exact means of the concentration over every interval [t_k, t_{k+1}]
-    (t_{n+1} = horizon), from :meth:`ConcentrationState.integrals`."""
-    widths = np.diff(train.times + (train.horizon,))
-    return concentration_state(train, params).integrals(train.horizon) / widths
+    (t_{n+1} = horizon), from :meth:`ConcentrationState.means`."""
+    return concentration_state(train, params).means(train.horizon)
 
 
 def tail_average_cn(train: PulseTrain, params: ModelParams, q: int) -> float:

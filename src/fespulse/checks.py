@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+import timeit
 
 import numpy as np
 
@@ -205,12 +206,15 @@ def fatigue_response(params: ModelParams, sim_step: float) -> tuple[bool, float,
     return bool(np.all(load < params.a_rest)), params.a_rest - float(load.min()), rate_err
 
 
-def _best_of_5(fn) -> float:
-    best = math.inf
+def _interleaved_best_of_5(*fns) -> list[float]:
+    """Seconds per call of each function: the best of 5 samples, each the
+    mean over enough calls to last about 20 ms (so one load spike cannot
+    decide a sample), interleaved across the functions, with GC on."""
+    timers = [timeit.Timer(fn, "gc.enable()") for fn in fns]
+    calls = [max(1, math.ceil(0.02 / timer.timeit(1))) for timer in timers]
+    best = [math.inf] * len(fns)
     for _ in range(5):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+        best = [min(b, t.timeit(c) / c) for b, t, c in zip(best, timers, calls)]
     return best
 
 
@@ -219,8 +223,8 @@ def evaluation_speedup(
 ) -> tuple[float, float, float]:
     """Precomputed F~ evaluation against re-simulation at ``n_points``
     times over [0, T]: seconds for one build of the affine-constant table,
-    the best of 5 evaluations, and the best of 5 default-step RK4 runs
-    interpolated to the same times."""
+    and seconds per F~ evaluation and per default-step RK4 run interpolated
+    to the same times (see :func:`_interleaved_best_of_5`)."""
     t0 = time.perf_counter()
     evaluator = force_approximator(
         build_m_approx(train, params, scheme="affine-constant", p=2, nu=nu)
@@ -232,5 +236,5 @@ def evaluation_speedup(
         traj = simulate_force(train, params)
         np.interp(ts, traj.grid, traj.channel("force"))
 
-    eval_s = _best_of_5(lambda: evaluator.values(ts, params.a_rest))
-    return build_s, eval_s, _best_of_5(oracle)
+    eval_s, oracle_s = _interleaved_best_of_5(lambda: evaluator.values(ts, params.a_rest), oracle)
+    return build_s, eval_s, oracle_s

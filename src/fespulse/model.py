@@ -164,12 +164,8 @@ def compute_scaling(train: PulseTrain, params: ModelParams) -> tuple[float, ...]
     R_0 = 1 and R_i = 1 + (r_bar - 1) * exp(-(t_i - t_{i-1}) / tau_c): a
     pulse arriving shortly after its predecessor is enhanced, up to r_bar.
     """
-    return _scaling_from_times(train.times, params)
-
-
-def _scaling_from_times(times, params: ModelParams) -> tuple[float, ...]:
     out = [1.0]
-    for prev, cur in zip(times, times[1:]):
+    for prev, cur in zip(train.times, train.times[1:]):
         out.append(1.0 + (params.r_bar - 1.0) * math.exp(-(cur - prev) / params.tau_c))
     return tuple(out)
 
@@ -195,14 +191,15 @@ class ConcentrationState:
     @classmethod
     def from_pulses(cls, times, amplitudes, params: ModelParams) -> "ConcentrationState":
         """Build the state of strictly increasing ``times`` in O(N)."""
-        tau = params.tau_c
-        weights = [r * eta for r, eta in zip(_scaling_from_times(times, params), amplitudes)]
+        tau, enhance = params.tau_c, params.r_bar - 1.0
+        weights = [1.0 * amplitudes[0]]  # R_0 = 1
         a, b = [0.0, 0.0], [0.0, weights[0]]
-        for prev, cur, w in zip(times, times[1:], weights[1:]):
+        for prev, cur, eta in zip(times, times[1:], amplitudes[1:]):
             g = (cur - prev) / tau
             decay = math.exp(-g)
+            weights.append((1.0 + enhance * decay) * eta)  # R_k eta_k
             a.append(decay * (a[-1] + b[-1] * g))
-            b.append(decay * b[-1] + w)
+            b.append(decay * b[-1] + weights[-1])
         return cls(
             times=np.asarray(times, dtype=float),
             weights=np.asarray(weights),
@@ -268,10 +265,14 @@ class ConcentrationState:
         """Exact integral of c_N over every interval [t_k, t_{k+1}], with
         t_N = ``horizon``: tau_c (A_k (1 - e^{-g}) + B_k (1 - (1 + g) e^{-g}))
         with g = (t_{k+1} - t_k)/tau_c."""
-        g = np.diff(self.times, append=horizon) / self.tau_c
+        g = (np.concatenate((self.times[1:], [horizon])) - self.times) / self.tau_c
         with np.errstate(under="ignore"):
             rise = -np.expm1(-g)
             return self.tau_c * (self.a[1:] * rise + self.b[1:] * (rise - g * np.exp(-g)))
+
+    def means(self, horizon: float) -> np.ndarray:
+        """Exact mean of c_N over every interval of :meth:`integrals`."""
+        return self.integrals(horizon) / (np.concatenate((self.times[1:], [horizon])) - self.times)
 
 
 def concentration_state(train: PulseTrain, params: ModelParams) -> ConcentrationState:

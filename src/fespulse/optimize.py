@@ -23,8 +23,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .approx import _check_m_approx_args, build_m_approx, eval_f_tilde, interval_averages
-from .model import ModelParams, PulseTrain, eval_cn
+from .approx import _check_m_approx_args, build_m_approx, eval_f_tilde
+from .model import ConcentrationState, ModelParams, PulseTrain, eval_cn
 from .simulate import Rest, SimOptions, simulate_force, simulate_force_fatigue
 
 __all__ = [
@@ -82,17 +82,18 @@ class _EvalTrain(PulseTrain):
     amplitudes may overshoot [0, 1] slightly (finite-difference probes)."""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "times", tuple(float(x) for x in self.times))
-        object.__setattr__(self, "amplitudes", tuple(float(x) for x in self.amplitudes))
-        object.__setattr__(self, "horizon", float(self.horizon))
-        object.__setattr__(self, "i_min", float(self.i_min))
-        if any(b - a <= 0.0 for a, b in zip(self.times, self.times[1:])):
-            raise InfeasibleSigma("impulse times must be strictly increasing")
-        if self.times[-1] >= self.horizon:
-            raise InfeasibleSigma("last impulse must precede the horizon")
-        lo, hi = -_AMP_EVAL_SLACK, 1.0 + _AMP_EVAL_SLACK
-        if any(a < lo or a > hi for a in self.amplitudes):
-            raise InfeasibleSigma(f"amplitudes {self.amplitudes} far outside [0, 1]")
+        _check_evaluable(self.times, self.amplitudes, self.horizon)
+
+
+def _check_evaluable(times, amplitudes, horizon: float) -> None:
+    """Raise :class:`InfeasibleSigma` where a cost is undefined."""
+    if any(b - a <= 0.0 for a, b in zip(times, times[1:])):
+        raise InfeasibleSigma("impulse times must be strictly increasing")
+    if times[-1] >= horizon:
+        raise InfeasibleSigma("last impulse must precede the horizon")
+    lo, hi = -_AMP_EVAL_SLACK, 1.0 + _AMP_EVAL_SLACK
+    if any(a < lo or a > hi for a in amplitudes):
+        raise InfeasibleSigma(f"amplitudes {tuple(amplitudes)} far outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -324,22 +325,31 @@ def _fatigue_cost(spec: ObjectiveSpec, train: PulseTrain, params: ModelParams) -
 def objective_value(spec, sigma: DecisionVector, params: ModelParams | None = None) -> float:
     """Cost of a decision vector. ``spec`` may also be a plain callable
     DecisionVector -> float (used by tests and custom problems)."""
-    if callable(spec) and not isinstance(spec, ObjectiveSpec):
-        return float(spec(sigma))
-    train = sigma.eval_train()
-    t = (0.0,) + sigma.times + (sigma.horizon,)
-    widths = np.diff(np.asarray(t))
+    return _cost(spec, sigma, sigma.flat(), params)
 
+
+def _cost(spec, sigma: DecisionVector, x: np.ndarray, params: ModelParams | None) -> float:
+    """Cost at the flat ``x`` laid out as ``sigma`` (``track_cn`` without a train)."""
+    if callable(spec) and not isinstance(spec, ObjectiveSpec):
+        return float(spec(sigma.with_flat(x)))
+    n = sigma.n
+    t = np.concatenate(([0.0], x[n + 1 :]))  # (0, t_1..t_n, T)
+    widths = t[1:] - t[:-1]
+
+    if spec.kind == "track_cn":
+        times, amps, horizon = t[:-1].tolist(), x[: n + 1].tolist(), float(t[-1])
+        _check_evaluable(times, amps, horizon)
+        means = ConcentrationState.from_pulses(times, amps, params).means(horizon)
+        return spec.scale * float(((means - spec.c_ref) ** 2 @ widths))
+
+    train = sigma.with_flat(x).eval_train()
     if spec.kind == "max_force_terminal":
-        value = -float(_force_at_nodes(spec, train, params, [sigma.horizon])[0])
+        value = -float(_force_at_nodes(spec, train, params, [train.horizon])[0])
     elif spec.kind == "track_force":
         f_nodes = _force_at_nodes(spec, train, params, t[1:])
         value = float(((f_nodes - spec.f_ref) ** 2 @ widths))
     elif spec.kind == "max_cn_terminal":
-        value = -float(eval_cn(train, params, sigma.horizon))
-    elif spec.kind == "track_cn":
-        means = interval_averages(train, params)
-        value = float(((means - spec.c_ref) ** 2 @ widths))
+        value = -float(eval_cn(train, params, train.horizon))
     else:  # track_force_fatigue
         value = _fatigue_cost(spec, train, params)
     return spec.scale * value
@@ -365,8 +375,8 @@ def fd_gradient(
                 hi[i] += h
                 lo = base.copy()
                 lo[i] -= h
-                f_hi = objective_value(spec, sigma.with_flat(hi), params)
-                f_lo = objective_value(spec, sigma.with_flat(lo), params)
+                f_hi = _cost(spec, sigma, hi, params)
+                f_lo = _cost(spec, sigma, lo, params)
                 grad[out_i] = (f_hi - f_lo) / (2.0 * h)
                 break
             except InfeasibleSigma:
@@ -446,7 +456,8 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
     status = "converged"
 
     def theta(xv: np.ndarray) -> float:
-        return objective_value(spec, sigma.with_free(xv), params)
+        flat[free] = xv
+        return _cost(spec, sigma, flat, params)
 
     def barrier_terms(xv: np.ndarray):
         flat[free] = xv
@@ -489,7 +500,7 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
         g_b, h_b = barrier_grad_hess(x, mu)
         g = g_t + g_b
         inner_tol = max(0.3 * opts.kkt_tol, 0.02 * mu)
-        stalled = False
+        stalled = capped = False
         for _ in range(opts.inner_max_iter):
             if float(np.max(np.abs(g))) <= inner_tol:
                 break
@@ -557,6 +568,8 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
             g_b, h_b = barrier_grad_hess(x, mu)
             g = g_t + g_b
             total_iters += 1
+        else:  # no break: every one of the inner_max_iter iterations ran
+            capped = float(np.max(np.abs(g))) > inner_tol
         trace.append(
             {
                 "mu": mu,
@@ -564,6 +577,7 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
                 "grad_inf": float(np.max(np.abs(g))),
                 "iterations": total_iters,
                 "stalled": stalled,
+                "capped": capped,
             }
         )
         if stalled and float(np.max(np.abs(g))) > 10.0 * inner_tol:

@@ -3,8 +3,10 @@
 A user-level force target is converted, through the steady-state root of
 the Hill dynamics, into a reference concentration; an L2 concentration
 tracking problem produces a template train; trains and recovery rests are
-tiled over the session, and the fatigue trajectory is re-simulated to flag
-any crossing of the fatigue threshold.
+tiled over the session. The force-fatigue trajectory is integrated once,
+train by train: (F, A) carries across segments, the fatigue state at each
+train start picks (or re-solves) its template, and the finished trajectory
+flags any crossing of the fatigue threshold.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ModelParams, PulseTrain, steady_state_root
+from .model import ConcentrationState, ModelParams, PulseTrain, steady_state_root
 from .optimize import DecisionVector, ObjectiveSpec, OptOutcome, SolveOptions, solve
-from .simulate import Rest, SimOptions, Trajectory, simulate_force, simulate_force_fatigue
+from .simulate import Rest, SimOptions, Trajectory, _integrate, _stitch, simulate_force
 
 __all__ = [
     "ProgramSpec",
@@ -161,8 +163,8 @@ def plan_endurance(
         )
     rest_len = spec.rest_duration if spec.rest_duration is not None else _default_rest(spec, params)
 
-    # First pass: tile with the single template, then re-solve wherever the
-    # simulated fatigue drift at a train start exceeds the tolerance.
+    # Tile with the single template, and re-solve wherever the simulated
+    # fatigue drift at a train start exceeds the tolerance.
     templates_by_a: list[tuple[float, PulseTrain, OptOutcome]] = [
         (params.a_rest, template, outcome)
     ]
@@ -176,14 +178,33 @@ def plan_endurance(
         templates_by_a.append((a_start, out_k.sigma_star.to_train(i_min=spec.i_min), out_k))
         return templates_by_a[-1][1]
 
+    sim_opts = SimOptions(step=spec.sim_step)
+    times, amps = [], []  # of the pulses placed so far, in global time
+    parts: tuple[list, list, list] = ([], [], [])  # grid, F and A per interval
+
+    def fits(at: float) -> bool:  # room for one more train from ``at``
+        return at + template.horizon <= spec.t_f + 1e-9
+
+    def advance(breaks: list[float], next_pulse: list[float]) -> None:
+        # A next pulse sets c_N at the segment's last node, where only its
+        # time matters (u = 0), so it enters with zero weight.
+        pad = [0.0] * len(next_pulse)
+        state = ConcentrationState.from_pulses(times + next_pulse, amps + pad, params)
+        start = (parts[1][-1][-1], parts[2][-1][-1]) if parts[0] else (0.0, None)
+        new = _integrate(state, breaks, params, sim_opts, params.alpha_a_ms, *start)
+        for acc, part in zip(parts, new):
+            acc.extend(part)
+
     segments: list[ProgramSegment] = []
-    sim_segments: list = []
     cur = 0.0
     a_start = params.a_rest
-    while cur + template.horizon <= spec.t_f + 1e-9:
+    while fits(cur):
         train_k = pick_template(a_start)
         segments.append(ProgramSegment(start=cur, train=train_k))
-        sim_segments.append(train_k)
+        pulses = [cur + t for t in train_k.times]
+        times.extend(pulses)
+        amps.extend(train_k.amplitudes)
+        advance(pulses + [cur + train_k.horizon], [])
         cur += train_k.horizon
         remaining = spec.t_f - cur
         if remaining <= 1e-9:
@@ -192,19 +213,17 @@ def plan_endurance(
         if remaining - r < template.horizon:
             r = remaining  # absorb a tail too short for another train
         segments.append(ProgramSegment(start=cur, rest=Rest(r)))
-        sim_segments.append(Rest(r))
-        cur += r
-        traj_so_far = simulate_force_fatigue(
-            sim_segments, params, SimOptions(step=spec.sim_step)
-        )
-        a_start = traj_so_far.terminal("a")
+        lo, cur = cur, cur + r
+        advance([lo, cur], [cur] if fits(cur) else [])
+        a_start = parts[2][-1][-1] * 1e3
     if cur < spec.t_f - 1e-9:
         tail = spec.t_f - cur
         segments.append(ProgramSegment(start=cur, rest=Rest(tail)))
-        sim_segments.append(Rest(tail))
-        cur += tail
+        advance([cur, cur + tail], [])
 
-    trajectory = simulate_force_fatigue(sim_segments, params, SimOptions(step=spec.sim_step))
+    grid, force, a_ms = map(_stitch, parts)
+    c_n = ConcentrationState.from_pulses(times, amps, params).cn(grid)
+    trajectory = Trajectory(grid=grid, channels={"c_n": c_n, "force": force, "a": a_ms * 1e3})
     a_threshold = params.a_rest / spec.k_fatigue
     a_ch = trajectory.channel("a")
     below = np.flatnonzero(a_ch < a_threshold)

@@ -169,9 +169,10 @@ def _adaptive_interval(rhs, lo: float, hi: float, y0, rel_tol: float, abs_tol: f
 
 
 def _integrate(state: ConcentrationState, breaks, params: ModelParams, opts: SimOptions,
-               alpha: float):
-    """(F, A) from rest over every interval between ``breaks`` (RK4 or
-    scipy's RK45 per interval), stitched into one grid; A in kN/ms."""
+               alpha: float, f: float = 0.0, a: float | None = None):
+    """(F, A) from (``f``, ``a``), by default rest, over every interval
+    between ``breaks`` (RK4 or scipy's RK45 per interval); A in kN/ms.
+    Returns the per-interval grid, F and A parts (see :func:`_stitch`)."""
     a_rest = params.a_rest_ms
     tau_fat = params.tau_fat_ms
     step = opts.step if opts.step is not None else params.tau_c / 50.0
@@ -182,7 +183,7 @@ def _integrate(state: ConcentrationState, breaks, params: ModelParams, opts: Sim
         return [-hill.m2(t) * y[0] + m1 * y[1], -(y[1] - a_rest) / tau_fat + alpha * y[0]]
 
     grid_parts, f_parts, a_parts = [], [], []
-    f, a = 0.0, a_rest
+    a = a_rest if a is None else a
     for lo, hi in zip(breaks, breaks[1:]):
         if hi - lo <= 1e-12:
             continue
@@ -199,11 +200,12 @@ def _integrate(state: ConcentrationState, breaks, params: ModelParams, opts: Sim
         grid_parts.append(ts)
         f_parts.append(fs)
         a_parts.append(as_)
+    return grid_parts, f_parts, a_parts
 
-    def stitch(parts):
-        return np.concatenate([p[:-1] for p in parts] + [parts[-1][-1:]])
 
-    return stitch(grid_parts), stitch(f_parts), stitch(a_parts)
+def _stitch(parts) -> np.ndarray:
+    """One array from per-interval parts that share their end points."""
+    return np.concatenate([p[:-1] for p in parts] + [parts[-1][-1:]])
 
 
 def simulate_force(
@@ -218,7 +220,7 @@ def simulate_force(
     """
     state = concentration_state(train, params)
     breaks = list(train.times) + [train.horizon]
-    grid, force, _ = _integrate(state, breaks, params, opts or SimOptions(), alpha=0.0)
+    grid, force, _ = map(_stitch, _integrate(state, breaks, params, opts or SimOptions(), 0.0))
     return Trajectory(grid=grid, channels={"c_n": state.cn(grid), "force": force})
 
 
@@ -262,7 +264,8 @@ def simulate_force_fatigue(
         raise ValueError("program must have positive total duration")
     state = ConcentrationState.from_pulses(times, amps, params)
     breaks = sorted(set(t for t in times if t < t_f) | set(bounds))
-    grid, force, a = _integrate(state, breaks, params, opts or SimOptions(), params.alpha_a_ms)
+    parts = _integrate(state, breaks, params, opts or SimOptions(), params.alpha_a_ms)
+    grid, force, a = map(_stitch, parts)
     return Trajectory(grid=grid, channels={"c_n": state.cn(grid), "force": force, "a": a * 1e3})
 
 

@@ -170,6 +170,46 @@ def test_objective_rejects_unordered_times():
         objective_value(spec, sig, P)
 
 
+def _random_sigmas(seed: int, gap_lo: float, amp_slack: float, count: int = 60):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 8))
+        t = np.cumsum(rng.uniform(gap_lo, 80.0, size=n + 1))
+        amps = rng.uniform(-amp_slack, 1.0 + amp_slack, size=n + 1)
+        yield DecisionVector(tuple(amps), tuple(t[:-1]), float(t[-1]))
+
+
+def test_track_cn_cost_equals_train_formula_bitwise():
+    # The cost reads the flat sigma; it must give the very floats of the
+    # interval means of the evaluation train.
+    spec = ObjectiveSpec(kind="track_cn", c_ref=0.3, backend="exact", scale=2.5)
+    for sig in _random_sigmas(11, 1.0, 0.04):
+        train = sig.eval_train()
+        widths = np.diff(train.times + (train.horizon,))
+        means = interval_averages(train, P)
+        expected = spec.scale * float(((means - spec.c_ref) ** 2 @ widths))
+        assert objective_value(spec, sig, P) == expected
+
+
+def test_track_cn_cost_rejects_the_probes_the_train_rejects():
+    spec = ObjectiveSpec(kind="track_cn", c_ref=0.3, backend="exact")
+    rejected = 0
+    for sig in _random_sigmas(12, -15.0, 0.1, count=200):
+        try:
+            sig.eval_train()
+            train_error = None
+        except InfeasibleSigma as exc:
+            train_error = str(exc)
+            rejected += 1
+        if train_error is None:
+            objective_value(spec, sig, P)
+        else:
+            with pytest.raises(InfeasibleSigma) as info:
+                objective_value(spec, sig, P)
+            assert str(info.value) == train_error
+    assert 0 < rejected < 200
+
+
 def test_fatigue_objective_runs_and_penalizes():
     spec = ObjectiveSpec(
         kind="track_force_fatigue", f_ref=0.1, backend="oracle",
@@ -286,6 +326,22 @@ def test_solve_descends_from_init():
     init = DecisionVector.regular(2, 240.0)
     out = solve(spec, init, P, SolveOptions(i_min=20.0))
     assert out.objective <= objective_value(spec, init, P)
+
+
+def test_trace_flags_inner_loops_that_hit_the_cap():
+    target = np.array([0.7, 0.4, 60.0, 150.0])
+
+    def quadratic(sig: DecisionVector) -> float:
+        return float(np.sum((sig.flat() - target) ** 2))
+
+    init = DecisionVector((0.5, 0.6), (45.0,), 120.0)
+    short = solve(quadratic, init, P, SolveOptions(i_min=20.0, inner_max_iter=2))
+    steps = np.diff([0] + [entry["iterations"] for entry in short.trace])
+    flags = [entry["capped"] for entry in short.trace]
+    assert any(flags) and not all(flags)
+    assert all(step == 2 for step, flag in zip(steps, flags) if flag)
+    full = solve(quadratic, init, P, SolveOptions(i_min=20.0))
+    assert not any(entry["capped"] for entry in full.trace)
 
 
 def test_solve_deterministic():

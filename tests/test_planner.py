@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fespulse.simulate
 from fespulse import (
     ModelParams,
     ProgramSpec,
+    Rest,
     SimOptions,
     SolveOptions,
     UnreachableForce,
@@ -16,6 +18,7 @@ from fespulse import (
     eval_m2,
     plan_endurance,
     simulate_force,
+    simulate_force_fatigue,
     steady_state_root,
     upper_lower_envelope,
 )
@@ -74,6 +77,57 @@ def test_program_recovery_monotone_in_rests(nominal_program):
         sel = (traj.grid >= lo) & (traj.grid <= hi) & (force < 1e-6)
         if int(sel.sum()) > 2:
             assert np.all(np.diff(a[sel]) >= -1e-12)
+
+
+def test_plan_integrates_the_session_once(monkeypatch):
+    # Each RK4 step of the session is taken exactly once: the trajectory's
+    # grid has one interval per step, and no train or rest is re-simulated.
+    steps = []
+    sweep = fespulse.simulate._rk4_sweep
+
+    def counting_sweep(h, m1, *rest):
+        steps.append((len(m1) - 1) // 2)
+        return sweep(h, m1, *rest)
+
+    monkeypatch.setattr(fespulse.simulate, "_rk4_sweep", counting_sweep)
+    spec = ProgramSpec(
+        f_ref=0.1, n=3, i_min=20.0, train_horizon=200.0,
+        rest_duration=150.0, t_f=2400.0, sim_step=1.0,
+    )
+    prog = plan_endurance(spec, P, options=FAST)
+    assert sum(seg.is_train for seg in prog.segments) >= 3
+    assert sum(steps) == len(prog.trajectory.grid) - 1
+
+
+# At the end of some of the 62.62 ms rests, np.exp and math.exp differ in
+# the last bit of c_N: the value there must come from the next train's pulse.
+@pytest.mark.parametrize("rest", [1.0, 37.5, 62.62, 400.0, 2000.0])
+def test_plan_trajectory_equals_program_simulation_bitwise(rest, monkeypatch):
+    # Integrating train by train gives, bit for bit, the trajectory of one
+    # simulation of the finished program from t = 0, and every RK4 sweep
+    # sees the Hill coefficients of that simulation.
+    sweeps = []
+    sweep = fespulse.simulate._rk4_sweep
+
+    def recording_sweep(h, m1, m2, *rest):
+        sweeps.append((h, m1, m2))
+        return sweep(h, m1, m2, *rest)
+
+    monkeypatch.setattr(fespulse.simulate, "_rk4_sweep", recording_sweep)
+    spec = ProgramSpec(
+        f_ref=0.12, n=3, i_min=20.0, train_horizon=200.0,
+        rest_duration=rest, t_f=3200.0, k_fatigue=1.1,
+    )
+    prog = plan_endurance(spec, P, options=FAST)
+    planned = list(sweeps)
+    sweeps.clear()
+    program = [seg.train if seg.is_train else Rest(seg.duration) for seg in prog.segments]
+    assert sum(seg.is_train for seg in prog.segments) >= 2
+    ref = simulate_force_fatigue(program, P, SimOptions(step=spec.sim_step))
+    assert planned == sweeps
+    assert np.array_equal(prog.trajectory.grid, ref.grid)
+    for name in ("c_n", "force", "a"):
+        assert np.array_equal(prog.trajectory.channel(name), ref.channel(name)), name
 
 
 @settings(max_examples=6, deadline=None, derandomize=True)
