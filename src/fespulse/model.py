@@ -20,7 +20,9 @@ lobes then cost one ``searchsorted`` and one ``exp`` per point, the
 last-p-lobe truncation at most p lobes per point, the interval peaks
 t_k + tau_c (1 - A_k/B_k) one division per interval, and the interval
 integrals tau_c (A_k (1 - e^{-g}) + B_k (1 - (1 + g) e^{-g})), from which
-every interval and tail mean follows, a few operations per interval.
+every interval and tail mean follows, a few operations per interval. One
+forward sweep of tangents next to the recurrence gives the Jacobian of those
+integrals with respect to the amplitudes, pulse times and horizon.
 
 Unit conventions
 ----------------
@@ -273,6 +275,54 @@ class ConcentrationState:
     def means(self, horizon: float) -> np.ndarray:
         """Exact mean of c_N over every interval of :meth:`integrals`."""
         return self.integrals(horizon) / (np.concatenate((self.times[1:], [horizon])) - self.times)
+
+    def integrals_jacobian(self, horizon: float, params: ModelParams) -> np.ndarray:
+        """Jacobian of :meth:`integrals` with respect to (eta_0..eta_n,
+        t_1..t_n, horizon), with t_0 held fixed: an (N, 2N) array.
+        ``params`` are those the state was built with.
+
+        One forward sweep of the state recurrence carries the tangents
+        (dA_k, dB_k) next to (A_k, B_k). With g_k = (t_{k+1} - t_k)/tau_c
+        (t_N = horizon), the integral I_k moves by
+        tau_c ((1 - e^{-g}) dA_k + (1 - (1 + g) e^{-g}) dB_k) + c_N(t_{k+1}^-) tau_c dg_k,
+        and the gap g_k also enters the next state through e^{-g} and
+        through R_{k+1} = 1 + (r_bar - 1) e^{-g}.
+        """
+        n_pulses, tau, enhance = len(self.times), self.tau_c, params.r_bar - 1.0
+        gaps = (np.append(self.times[1:], horizon) - self.times).tolist()
+        weights = self.weights.tolist()
+        jac = np.empty((n_pulses, 2 * n_pulses))
+        d_a = np.zeros(2 * n_pulses)
+        d_b = np.zeros(2 * n_pulses)
+        d_b[0] = 1.0  # B_0 = R_0 eta_0 with R_0 = 1
+        for k in range(n_pulses):
+            # Column n_pulses - 1 + j is t_j for j = 1..N (t_N = horizon);
+            # tau_c dg_k is +1 on t_{k+1} and -1 on t_k.
+            hi, lo = n_pulses + k, n_pulses - 1 + k
+            g = gaps[k] / tau
+            decay = math.exp(-g)
+            rise = -math.expm1(-g)
+            a_k, b_k = float(self.a[k + 1]), float(self.b[k + 1])
+            c_end = decay * (a_k + b_k * g)
+            jac[k] = tau * (rise * d_a + (rise - g * decay) * d_b)
+            jac[k, hi] += c_end
+            if k > 0:
+                jac[k, lo] -= c_end
+            if k + 1 == n_pulses:
+                break
+            d_a = decay * (d_a + g * d_b)
+            d_b = decay * d_b
+            # d/dg of A_{k+1} and B_{k+1}, per unit of tau_c dg_k.
+            a_gap = (decay * b_k - c_end) / tau
+            r_next = 1.0 + enhance * decay  # R_{k+1}; w_{k+1} = R_{k+1} eta_{k+1}
+            b_gap = -decay * (b_k + enhance * weights[k + 1] / r_next) / tau
+            d_a[hi] += a_gap
+            d_b[hi] += b_gap
+            if k > 0:
+                d_a[lo] -= a_gap
+                d_b[lo] -= b_gap
+            d_b[k + 1] += r_next
+        return jac
 
 
 def concentration_state(train: PulseTrain, params: ModelParams) -> ConcentrationState:

@@ -6,14 +6,25 @@ interpulse spacing, the horizon row t_n + g <= T, and amplitude bounds.
 The horizon gap g is i_min for the interval-weighted tracking costs
 (``track_cn``, ``track_force``), whose last interval [t_n, T] is the only
 place pulse n enters the cost, and 0 for terminal costs and plain
-callables, where T is an observation time. The solver is a log-barrier
-interior-point loop with finite-difference cost gradients (the cost is the
-only non-analytic ingredient; the barrier gradient is exact), a damped BFGS
-inner update and a fraction-to-boundary line search. The barrier weight mu
-starts at |cost(init)| (at least 1e-4) and shrinks by ``_MU_SHRINK`` per
-outer round to a floor of min(mu_min |cost(init)|, kkt_tol / 10);
-``_ARMIJO_C1``, ``_MAX_LINE_HALVINGS`` and ``_STEP_CAP`` set the line
-search, and ``_AMPLITUDE_NUDGE`` pulls free start amplitudes off their bounds.
+callables, where T is an observation time.
+
+The solver is a log-barrier interior-point loop with a fraction-to-boundary
+line search. Its inner model of the Hessian is the exact barrier Hessian
+plus 2 J^T J + S for the cost. ``track_cn`` is a sum of squared residuals
+r_k = sqrt(scale w_k) (mean_k - c_ref) with an exact Jacobian J (one
+forward sweep of the concentration state), so its gradient is 2 J^T r; S is
+a Powell-damped BFGS matrix updated with the structured secant
+dg - 2 J+^T J+ s. The other costs and plain callables have no exact
+Jacobian: they take central finite-difference gradients (:func:`fd_gradient`)
+and a J with no rows, which leaves S a damped BFGS model of the whole cost.
+An inner loop ends when the gradient is below max(0.3 kkt_tol, 0.02 mu) and,
+with an exact Jacobian, the model's Newton step is below
+``_NEWTON_STEP_TOL``; at ``inner_max_iter`` iterations it stops and the
+barrier trace marks it ``capped``. The barrier weight mu starts at
+|cost(init)| (at least 1e-4) and shrinks by ``_MU_SHRINK`` per outer round
+to a floor of min(mu_min |cost(init)|, kkt_tol / 10); ``_ARMIJO_C1``,
+``_MAX_LINE_HALVINGS`` and ``_STEP_CAP`` set the line search, and
+``_AMPLITUDE_NUDGE`` pulls free start amplitudes off their bounds.
 """
 
 from __future__ import annotations
@@ -66,6 +77,16 @@ _AMPLITUDE_NUDGE = 0.01     # pull free start amplitudes off their bounds
 _ARMIJO_C1 = 1e-4
 _MAX_LINE_HALVINGS = 45
 _STEP_CAP = 120.0           # trust cap on ||alpha * d||_inf per iterate
+# With an exact residual Jacobian an inner loop also waits until the model's
+# Newton step is below this fraction of every coordinate (taken as at least
+# 1). On a degenerate tracking optimum only the barrier picks the point, and
+# its gradient along the optimal set is far below any gradient tolerance.
+_NEWTON_STEP_TOL = 1e-5
+# Relative rounding level of the barrier merit. Where an exact gradient
+# predicts a smaller decrease, the line search cannot rank trial points and
+# the Newton step is taken whole (finite-difference gradients are not
+# accurate enough to be trusted there).
+_MERIT_ROUNDING = 1e-14
 
 
 class InfeasibleSigma(ValueError):
@@ -223,7 +244,8 @@ class ObjectiveSpec:
     ``backend`` is "approx" (closed-form force approximation), "exact"
     (closed-form concentration costs) or "oracle" (reference simulation;
     mandatory for the fatigue-penalized cost, otherwise for validation).
-    ``scale`` multiplies the cost; the minimizer location is invariant.
+    ``scale`` (positive) multiplies the cost; the minimizer location is
+    invariant.
     """
 
     kind: str
@@ -256,6 +278,8 @@ class ObjectiveSpec:
                 raise ValueError("track_force_fatigue needs t_f, rest_duration and a_s")
         if self.w1 < 0.0:
             raise ValueError("w1 must be >= 0")
+        if self.scale <= 0.0:
+            raise ValueError(f"scale must be positive, got {self.scale}")
         _check_m_approx_args(self.scheme, self.p, self.nu)
         if self.sim_step is not None and self.sim_step <= 0.0:
             raise ValueError(f"sim_step must be positive, got {self.sim_step}")
@@ -333,15 +357,12 @@ def _cost(spec, sigma: DecisionVector, x: np.ndarray, params: ModelParams | None
     if callable(spec) and not isinstance(spec, ObjectiveSpec):
         return float(spec(sigma.with_flat(x)))
     n = sigma.n
-    t = np.concatenate(([0.0], x[n + 1 :]))  # (0, t_1..t_n, T)
-    widths = t[1:] - t[:-1]
-
     if spec.kind == "track_cn":
-        times, amps, horizon = t[:-1].tolist(), x[: n + 1].tolist(), float(t[-1])
-        _check_evaluable(times, amps, horizon)
-        means = ConcentrationState.from_pulses(times, amps, params).means(horizon)
+        _, means, widths = _track_cn_state(x, n, params)
         return spec.scale * float(((means - spec.c_ref) ** 2 @ widths))
 
+    t = np.concatenate(([0.0], x[n + 1 :]))  # (0, t_1..t_n, T)
+    widths = t[1:] - t[:-1]
     train = sigma.with_flat(x).eval_train()
     if spec.kind == "max_force_terminal":
         value = -float(_force_at_nodes(spec, train, params, [train.horizon])[0])
@@ -353,6 +374,32 @@ def _cost(spec, sigma: DecisionVector, x: np.ndarray, params: ModelParams | None
     else:  # track_force_fatigue
         value = _fatigue_cost(spec, train, params)
     return spec.scale * value
+
+
+def _track_cn_state(x: np.ndarray, n: int, params: ModelParams):
+    """Concentration state, interval means and interval widths of the flat ``x``."""
+    t = np.concatenate(([0.0], x[n + 1 :]))  # (0, t_1..t_n, T)
+    times, amps, horizon = t[:-1].tolist(), x[: n + 1].tolist(), float(t[-1])
+    _check_evaluable(times, amps, horizon)
+    state = ConcentrationState.from_pulses(times, amps, params)
+    return state, state.means(horizon), t[1:] - t[:-1]
+
+
+def _track_cn_residuals(
+    spec: ObjectiveSpec, x: np.ndarray, n: int, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals r_k = sqrt(scale w_k) (mean_k - c_ref) of ``track_cn`` at the
+    flat ``x`` (their squared norm is the cost) and their exact Jacobian over
+    the flat layout: dr_k = sqrt(scale / w_k) (dI_k - (mean_k + c_ref) dw_k / 2),
+    with I_k the interval integral and w_k = t_{k+1} - t_k."""
+    state, means, widths = _track_cn_state(x, n, params)
+    root = np.sqrt(spec.scale / widths)
+    jac = state.integrals_jacobian(float(x[-1]), params)
+    half = 0.5 * (means + spec.c_ref)
+    k = np.arange(n + 1)
+    jac[k, n + 1 + k] -= half  # w_k grows with t_{k+1} (t_{n+1} = T) ...
+    jac[k[1:], n + k[1:]] += half[1:]  # ... and shrinks with t_k
+    return root * widths * (means - spec.c_ref), root[:, None] * jac
 
 
 def fd_gradient(
@@ -472,8 +519,20 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
             theta_x = theta(xv)
         return theta_x - mu * float(np.log(-xi[rows]).sum()) - mu * math.log(-cap), theta_x
 
-    def grad_theta(xv: np.ndarray) -> np.ndarray:
-        return fd_gradient(spec, sigma.with_free(xv), params, opts.h_rel)
+    exact = isinstance(spec, ObjectiveSpec) and spec.kind == "track_cn"
+    no_rows = np.zeros((0, len(x)))
+
+    def derivatives(xv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cost gradient, residuals r and their Jacobian J over the free
+        coordinates. Costs without an exact Jacobian take finite differences
+        and have no residual rows."""
+        if not exact:
+            grad = fd_gradient(spec, sigma.with_free(xv), params, opts.h_rel)
+            return grad, np.zeros(0), no_rows
+        flat[free] = xv
+        r, j = _track_cn_residuals(spec, flat, n, params)
+        j = j[:, free]
+        return 2.0 * (j.T @ r), r, j
 
     def barrier_grad_hess(xv: np.ndarray, mu: float):
         xi, cap = barrier_terms(xv)
@@ -485,10 +544,11 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
         return g_b, h_b
 
     dim = len(x)
-    # Quasi-Newton model of the objective curvature only; the barrier block
-    # of the Hessian is analytic and recomputed exactly at every iterate.
+    # The cost Hessian is modelled as 2 J^T J + S: the Gauss-Newton term is
+    # exact, S is a quasi-Newton model of the rest (of all of it when J has
+    # no rows). The barrier block is analytic and recomputed at every iterate.
     b_theta = 1e-8 * np.eye(dim)
-    g_t = grad_theta(x)
+    g_t, r_t, j_t = derivatives(x)
     # The barrier weight schedule follows the cost magnitude, which makes
     # the iterate path invariant under positive rescaling of the objective;
     # the floor still honors the complementarity tolerance for large costs.
@@ -501,12 +561,18 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
         g = g_t + g_b
         inner_tol = max(0.3 * opts.kkt_tol, 0.02 * mu)
         stalled = capped = False
-        for _ in range(opts.inner_max_iter):
-            if float(np.max(np.abs(g))) <= inner_tol:
-                break
-            h_full = b_theta + h_b
+        for used in range(opts.inner_max_iter + 1):
+            h_full = b_theta + 2.0 * (j_t.T @ j_t) + h_b
             h_full = h_full + (1e-12 * (1.0 + float(np.trace(h_full)) / dim)) * np.eye(dim)
             d = -np.linalg.solve(h_full, g)
+            if float(np.max(np.abs(g))) <= inner_tol and (
+                not exact
+                or float(np.max(np.abs(d) / np.maximum(np.abs(x), 1.0))) <= _NEWTON_STEP_TOL
+            ):
+                break
+            if used == opts.inner_max_iter:
+                capped = True
+                break
             if float(d @ g) >= 0.0:
                 d = -g
             xi, cap = barrier_terms(x)
@@ -523,11 +589,12 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
             slope = float(g @ d)
             accepted = False
             phi_a, theta_a = phi(x + alpha * d, mu)
-            if phi_a <= phi0 + _ARMIJO_C1 * alpha * slope:
+            whole = exact and -slope <= _MERIT_ROUNDING * abs(phi0) and math.isfinite(phi_a)
+            if whole or phi_a <= phi0 + _ARMIJO_C1 * alpha * slope:
                 # Newton steps through flat valleys may still be short;
                 # expand greedily while the merit keeps dropping.
                 accepted = True
-                while 2.0 * alpha <= alpha_limit:
+                while not whole and 2.0 * alpha <= alpha_limit:
                     phi_b, theta_b = phi(x + 2.0 * alpha * d, mu)
                     if phi_b < phi_a:
                         alpha *= 2.0
@@ -545,15 +612,21 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
                 stalled = True
                 break
             x_new = x + alpha * d
-            g_t_new = grad_theta(x_new)
+            g_t_new, r_t_new, j_t_new = derivatives(x_new)
             s = x_new - x
-            y = g_t_new - g_t
-            # Powell-damped BFGS keeps the objective model positive definite
-            # even where the true objective curvature is indefinite.
+            # Structured secant of NL2SOL (Dennis, Gay & Welsch): S learns
+            # 2 (J+ - J)^T r+, the change of gradient that the old Jacobian
+            # does not explain through the change of residuals.
+            y = g_t_new - g_t - 2.0 * (j_t.T @ (r_t_new - r_t))
             bs = b_theta @ s
             sbs = float(s @ bs)
             sy = float(s @ y)
-            if sbs > 0.0:
+            # Powell-damped BFGS keeps S positive definite. With an exact
+            # Jacobian, S is only the residual-curvature remainder, which may
+            # be indefinite: where it shows none along s, S is left as it is,
+            # since damping would inflate it across the badly scaled
+            # amplitude and time axes.
+            if sbs > 0.0 and not (exact and sy <= 0.0):
                 if sy < 0.2 * sbs:
                     tau_d = 0.8 * sbs / (sbs - sy)
                     y = tau_d * y + (1.0 - tau_d) * bs
@@ -564,12 +637,10 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
                         - np.outer(bs, bs) / sbs
                         + np.outer(y, y) / sy
                     )
-            x, g_t, theta_x = x_new, g_t_new, theta_a
+            x, g_t, r_t, j_t, theta_x = x_new, g_t_new, r_t_new, j_t_new, theta_a
             g_b, h_b = barrier_grad_hess(x, mu)
             g = g_t + g_b
             total_iters += 1
-        else:  # no break: every one of the inner_max_iter iterations ran
-            capped = float(np.max(np.abs(g))) > inner_tol
         trace.append(
             {
                 "mu": mu,

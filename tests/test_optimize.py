@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from fespulse import (
     solve,
 )
 from fespulse.approx import build_m_approx, eval_f_tilde
-from fespulse.optimize import OptOutcome, constraint_matrix, horizon_gap
+from fespulse.model import steady_state_root
+from fespulse.optimize import OptOutcome, _track_cn_residuals, constraint_matrix, horizon_gap
 
 P = ModelParams()
 
@@ -126,6 +128,8 @@ def test_objective_spec_validation():
         ObjectiveSpec(kind="track_force")  # missing f_ref
     with pytest.raises(ValueError):
         ObjectiveSpec(kind="track_force_fatigue", f_ref=0.1, backend="approx")
+    with pytest.raises(ValueError):
+        ObjectiveSpec(kind="track_cn", c_ref=0.1, scale=0.0)
 
 
 def test_track_cn_zero_reference_zero_amplitudes():
@@ -277,6 +281,29 @@ def test_fd_gradient_track_cn_vs_analytic():
     assert grad[-1] == pytest.approx(g_T, rel=1e-4)
 
 
+def test_track_cn_jacobian_matches_central_differences():
+    # The exact residual Jacobian against central differences of the
+    # residuals, and the gradient 2 J^T r over the free coordinates against
+    # fd_gradient, which stays the oracle.
+    spec = ObjectiveSpec(kind="track_cn", c_ref=0.3, backend="exact", scale=2.5)
+    for index, sig in enumerate(_random_sigmas(13, 5.0, 0.0)):
+        sig = replace(sig, freeze_amplitudes=index % 2 == 1)
+        n, base = sig.n, sig.flat()
+        resid, jac = _track_cn_residuals(spec, base, n, P)
+        assert float(resid @ resid) == pytest.approx(objective_value(spec, sig, P), rel=1e-12)
+        fd = np.empty_like(jac)
+        for i in range(len(base)):
+            h = 1e-6 * max(abs(base[i]), 1.0)
+            hi, lo = base.copy(), base.copy()
+            hi[i] += h
+            lo[i] -= h
+            fd[:, i] = (_track_cn_residuals(spec, hi, n, P)[0] - _track_cn_residuals(spec, lo, n, P)[0]) / (2 * h)
+        np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+        grad = 2.0 * jac[:, sig.free_mask()].T @ resid
+        oracle = fd_gradient(spec, sig, P)
+        np.testing.assert_allclose(grad, oracle, rtol=1e-6, atol=1e-6 * np.abs(oracle).max())
+
+
 def test_fd_gradient_step_collision():
     spec = ObjectiveSpec(kind="max_cn_terminal", backend="exact")
     sig = DecisionVector((1.0, 1.0, 1.0), (10.0, 10.0 + 1e-9), 200.0, freeze_amplitudes=True)
@@ -326,6 +353,38 @@ def test_solve_descends_from_init():
     init = DecisionVector.regular(2, 240.0)
     out = solve(spec, init, P, SolveOptions(i_min=20.0))
     assert out.objective <= objective_value(spec, init, P)
+    # A large-residual optimum with eta_0 nearly at its bound: every inner
+    # loop must end on its stop test, not on its iteration cap.
+    assert out.status == "converged"
+    assert not any(entry["capped"] for entry in out.trace)
+    assert out.iterations <= 150
+    assert kkt_check(spec, out, P).passed
+
+
+STEADY_C_REF = steady_state_root(P, P.a_rest, 0.15)[1]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        # The drifting benchmark session's second template, and its c_ref
+        # rounded by 4.6e-7 relative.
+        ((0.22102389910876216, 400.0), (0.221024, 400.0)),
+        # The steady benchmark session's template from two starts.
+        ((STEADY_C_REF, 400.0), (STEADY_C_REF, 600.0)),
+    ],
+)
+def test_template_solves_do_not_turn_on_the_last_bit(first, second):
+    # The tracking optimum is a manifold and only the barrier picks a point
+    # on it; each solve must reach that point, not stop where its path ends.
+    horizons = []
+    for c_ref, start in (first, second):
+        spec = ObjectiveSpec(kind="track_cn", c_ref=c_ref, backend="exact")
+        out = solve(spec, DecisionVector.regular(5, start), P, SolveOptions(i_min=20.0))
+        assert out.status == "converged"
+        assert out.iterations <= 150
+        horizons.append(out.sigma_star.horizon)
+    assert horizons[0] == pytest.approx(horizons[1], rel=2e-5)
 
 
 def test_trace_flags_inner_loops_that_hit_the_cap():
