@@ -34,6 +34,7 @@ from .model import (
     ConcentrationState,
     ModelParams,
     PulseTrain,
+    _linspace_nodes,
     _ScalarHill,
     concentration_state,
     eval_m1,
@@ -204,30 +205,30 @@ def tail_average_cn(train: PulseTrain, params: ModelParams, q: int) -> float:
 
 def _refined_partition(
     train: PulseTrain, state: ConcentrationState, p: int
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
+) -> tuple[np.ndarray, tuple[float, ...]]:
     """Partition with p segments per pulse interval, split at the (safely
     clamped) concentration peak; falls back to an even split when the peak
-    degenerates or all amplitudes so far vanish."""
+    degenerates or all amplitudes so far vanish. Each interval's nodes are
+    those of ``np.linspace`` on either side of the split, bit for bit."""
     pulse_breaks = tuple(train.times) + (train.horizon,)
-    nodes: list[float] = [pulse_breaks[0]]
-    peaks = state.peaks().tolist() if p > 1 else []
-    for k in range(train.n + 1):
-        lo, hi = pulse_breaks[k], pulse_breaks[k + 1]
-        if p == 1:
-            nodes.append(hi)
-            continue
-        t_star = peaks[k]
-        if math.isnan(t_star):
-            inner = np.linspace(lo, hi, p + 1)
-        else:
-            margin = _SPLIT_MARGIN * (hi - lo)
-            split = min(max(t_star, lo + margin), hi - margin)
-            left = (p + 1) // 2
-            inner = np.concatenate(
-                [np.linspace(lo, split, left + 1), np.linspace(split, hi, p - left + 1)[1:]]
-            )
-        nodes.extend(float(x) for x in inner[1:])
-    return tuple(nodes), pulse_breaks
+    bounds = np.asarray(pulse_breaks, dtype=float)
+    if p == 1:
+        return bounds, pulse_breaks
+    lo, hi = bounds[:-1, None], bounds[1:, None]
+    t_star = state.peaks()[:, None]
+    margin = _SPLIT_MARGIN * (hi - lo)
+    split = np.minimum(np.maximum(t_star, lo + margin), hi - margin)
+    left = (p + 1) // 2
+    j = np.arange(p + 1)
+    rows = np.concatenate(
+        [
+            _linspace_nodes(lo, split, left, j[1 : left + 1]),
+            _linspace_nodes(split, hi, p - left, j[1 : p - left + 1]),
+        ],
+        axis=1,
+    )
+    rows = np.where(np.isnan(t_star), _linspace_nodes(lo, hi, p, j[1:]), rows)
+    return np.concatenate([bounds[:1], rows.ravel()]), pulse_breaks
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,8 +310,7 @@ def build_m_approx(
     """
     _check_m_approx_args(scheme, p, nu)
     state = concentration_state(train, params)
-    partition, pulse_breaks = _refined_partition(train, state, p)
-    part = np.asarray(partition)
+    part, pulse_breaks = _refined_partition(train, state, p)
     cn_nodes = state.cn(part)
     f1 = eval_m1(cn_nodes, params, nu)
     f2 = eval_m2(cn_nodes, params, nu)
@@ -411,9 +411,24 @@ class ForceApprox:
     def scaled_values(self, t) -> np.ndarray | float:
         """F~(t)/A in ms units (multiply by A in kN/ms for force in kN)."""
         t_arr = np.asarray(t, dtype=float)
-        g, x = self.m_approx.m1_tilde.locate(t_arr.ravel())
-        p, q, r, rate = np.take(self.rows, g, axis=0).T
-        out = p + q * x + r * np.exp(rate * x)
+        flat = t_arr.ravel()
+        pieces = self.m_approx.m1_tilde
+        counts = pieces.sorted_counts(flat)
+        if counts is None:
+            g, x = pieces.locate(flat)
+            p, q, r, rate = np.take(self.rows, g, axis=0).T
+        else:
+            # A sorted grid (the usual case) expands each row over its run
+            # of points instead of gathering a row per point.
+            p, q, r, rate = np.repeat(self.rows.T, counts, axis=1)
+            x = flat - np.repeat(pieces.breakpoints[:-1], counts)
+        # p + q x + r e^{rate x}, in place on the fresh coefficient arrays.
+        out = q * x
+        out += p
+        rate *= x
+        np.exp(rate, out=rate)
+        rate *= r
+        out += rate
         return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
     def values(self, t, a_value: float) -> np.ndarray | float:
@@ -455,9 +470,9 @@ def euler_nodes(
 ) -> EulerNodes:
     state = concentration_state(train, params)
     partition, _ = _refined_partition(train, state, p)
-    c = state.cn(np.asarray(partition))
+    c = state.cn(partition)
     return EulerNodes(
-        nodes=partition,
+        nodes=tuple(partition.tolist()),
         m1=tuple(float(v) for v in eval_m1(c, params, nu)),
         m2=tuple(float(v) for v in eval_m2(c, params, nu)),
     )

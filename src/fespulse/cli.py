@@ -232,13 +232,14 @@ def _header_lines(cfg: ScenarioConfig, command: str, seed: int) -> list[str]:
 
 def _write_csv(path: Path, cfg, command, seed, columns, data) -> None:
     """One row per sample, every value as ``format(value, ".9g")``;
-    ``data`` holds one array per name in ``columns``."""
+    ``data`` holds one array per name in ``columns``. The body is one
+    ``%`` format of the row pattern repeated once per sample."""
     lines = _header_lines(cfg, command, seed)
     lines.append(",".join(columns))
-    row = ",".join(["%.9g"] * len(columns))
-    samples = zip(*(np.asarray(col, dtype=float).tolist() for col in data))
-    lines.extend(row % values for values in samples)
-    path.write_text("\n".join(lines) + "\n")
+    table = np.column_stack([np.asarray(col, dtype=float) for col in data])
+    row = ",".join(["%.9g"] * len(columns)) + "\n"
+    body = (row * len(table)) % tuple(table.ravel().tolist())
+    path.write_text("\n".join(lines) + "\n" + body)
 
 
 def _write_json(path: Path, cfg, command, seed, payload: dict) -> None:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _sorted_counts
+
 __all__ = ["PiecewisePoly"]
 
 
@@ -56,13 +58,27 @@ class PiecewisePoly:
         ValueError.
         """
         t_arr = np.asarray(t, dtype=float)
-        lo, hi = self.domain
-        if t_arr.size and (t_arr.min() < lo - 1e-9 or t_arr.max() > hi + 1e-9):
-            raise ValueError(f"time outside the domain [{lo}, {hi}]")
+        if t_arr.size:
+            self._check_domain(t_arr.min(), t_arr.max())
         # Counting interior breakpoints at or below t gives the piece index
         # directly, already clamped to the first and last piece.
         g = np.searchsorted(self.breakpoints[1:-1], t_arr, side="right")
         return g, t_arr - self.breakpoints[g]
+
+    def sorted_counts(self, t: np.ndarray) -> np.ndarray | None:
+        """How many points of a 1-D ``t`` fall in each piece, as
+        :meth:`locate` assigns them, when ``t`` is non-decreasing; None
+        otherwise (a NaN among two or more points makes ``t`` unsorted).
+        Times outside the domain raise as in :meth:`locate`."""
+        counts = _sorted_counts(t, self.breakpoints[1:-1])
+        if counts is not None and t.size:
+            self._check_domain(t[0], t[-1])
+        return counts
+
+    def _check_domain(self, first: float, last: float) -> None:
+        lo, hi = self.domain
+        if first < lo - 1e-9 or last > hi + 1e-9:
+            raise ValueError(f"time outside the domain [{lo}, {hi}]")
 
     def value(self, t) -> float | np.ndarray:
         """Value at time(s) t, located as in :meth:`locate`."""

@@ -16,7 +16,8 @@ pulse to pulse in closed form:
 with g = (t_{k+1} - t_k)/tau_c, A_0 = 0 and B_0 = R_0 eta_0.
 :class:`ConcentrationState` builds (A_k, B_k) once per train in O(N). The
 concentration, the stimulation signal E = e^{-u} B_k / tau_c and single
-lobes then cost one ``searchsorted`` and one ``exp`` per point, the
+lobes then cost one ``exp`` per point and a pulse lookup (one
+``searchsorted`` per point, or per pulse on a sorted grid), the
 last-p-lobe truncation at most p lobes per point, the interval peaks
 t_k + tau_c (1 - A_k/B_k) one division per interval, and the interval
 integrals tau_c (A_k (1 - e^{-g}) + B_k (1 - (1 + g) e^{-g})), from which
@@ -213,7 +214,11 @@ class ConcentrationState:
     def _locate(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(t as an array, padded state index, u >= 0 from that pulse)."""
         t_arr = np.asarray(t, dtype=float)
-        j = np.searchsorted(self.times, t_arr, side="right")
+        counts = _sorted_counts(t_arr, self.times)
+        if counts is None:
+            j = np.searchsorted(self.times, t_arr, side="right")
+        else:
+            j = np.repeat(np.arange(len(counts)), counts)
         u = np.maximum(t_arr - self.times[np.maximum(j - 1, 0)], 0.0) / self.tau_c
         return t_arr, j, u
 
@@ -332,6 +337,25 @@ def concentration_state(train: PulseTrain, params: ModelParams) -> Concentration
 
 def _like(t_arr: np.ndarray, out: np.ndarray) -> float | np.ndarray:
     return float(out) if t_arr.ndim == 0 else out
+
+
+def _sorted_counts(t: np.ndarray, edges: np.ndarray) -> np.ndarray | None:
+    """For a non-decreasing 1-D ``t``, how many points lie below edges[0],
+    in each [edges[i], edges[i+1]) and at or above edges[-1]: what
+    ``searchsorted(edges, t, side="right")`` finds point by point, from one
+    search per edge. None for any other ``t`` (a NaN among two or more
+    points makes ``t`` unsorted)."""
+    if t.ndim != 1 or not (t[1:] >= t[:-1]).all():
+        return None
+    ends = np.concatenate(([0], np.searchsorted(t, edges), [t.size]))
+    return ends[1:] - ends[:-1]
+
+
+def _linspace_nodes(lo, hi, m, j) -> np.ndarray:
+    """Node j of ``np.linspace(lo, hi, m + 1)``, bit for bit, elementwise
+    over broadcast arrays: j ((hi - lo) / m) + lo, with node m pinned to hi
+    as numpy pins it. Many grids of different lengths cost one pass."""
+    return np.where(j == m, hi, j * ((hi - lo) / m) + lo)
 
 
 class _ScalarHill:

@@ -468,6 +468,9 @@ class OptOutcome:
     status: str
     i_min: float
     trace: tuple[dict, ...] = field(default_factory=tuple)
+    # Multiplier of the horizon cap T < t_max, mu_floor / (t_max - T); it
+    # matters only where T ends at the cap.
+    cap_multiplier: float = 0.0
 
 
 def _nudge_start(sigma: DecisionVector) -> DecisionVector:
@@ -661,7 +664,8 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
     xi = eval_constraints(sigma_star, opts.i_min, gap)
     lam = np.zeros(len(xi))
     lam[rows] = mu_floor / (-xi[rows])
-    cap_term = (mu_floor / (opts.t_max - sigma_star.horizon)) * cap_grad
+    cap_multiplier = mu_floor / (opts.t_max - sigma_star.horizon)
+    cap_term = cap_multiplier * cap_grad
     # g_t is the cost gradient at x, already taken by the loop.
     stationarity, complementarity, feasibility = _kkt_residuals(g_t, jac, lam, xi, cap_term)
     kkt = max(stationarity, complementarity, feasibility)
@@ -679,6 +683,7 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
         status=status,
         i_min=opts.i_min,
         trace=tuple(trace),
+        cap_multiplier=cap_multiplier,
     )
 
 
@@ -755,12 +760,15 @@ def kkt_check(
     spec, outcome: OptOutcome, params: ModelParams | None = None, tol: float = 1e-6
 ) -> KKTReport:
     """Recompute first-order optimality residuals at an outcome, against
-    the same constraints (horizon gap included) that ``solve`` used."""
+    the same constraints (horizon gap and horizon cap included) that
+    ``solve`` used."""
     sigma = outcome.sigma_star
     lam = np.asarray(outcome.multipliers)
     jac = constraint_matrix(sigma.n)[:, sigma.free_mask()]
     g = fd_gradient(spec, sigma, params)
     xi = eval_constraints(sigma, outcome.i_min, horizon_gap(spec, outcome.i_min))
-    stationarity, complementarity, feasibility = _kkt_residuals(g, jac, lam, xi)
+    cap_term = np.zeros(len(g))
+    cap_term[-1] = outcome.cap_multiplier  # T is always the last free coordinate
+    stationarity, complementarity, feasibility = _kkt_residuals(g, jac, lam, xi, cap_term)
     passed = stationarity <= tol and complementarity <= tol and feasibility <= tol
     return KKTReport(stationarity, complementarity, feasibility, passed)

@@ -180,7 +180,7 @@ def plan_endurance(
 
     sim_opts = SimOptions(step=spec.sim_step)
     times, amps = [], []  # of the pulses placed so far, in global time
-    parts: tuple[list, list, list] = ([], [], [])  # grid, F and A per interval
+    calls: list[tuple] = []  # grid, F and A of each integration
 
     def fits(at: float) -> bool:  # room for one more train from ``at``
         return at + template.horizon <= spec.t_f + 1e-9
@@ -190,10 +190,8 @@ def plan_endurance(
         # time matters (u = 0), so it enters with zero weight.
         pad = [0.0] * len(next_pulse)
         state = ConcentrationState.from_pulses(times + next_pulse, amps + pad, params)
-        start = (parts[1][-1][-1], parts[2][-1][-1]) if parts[0] else (0.0, None)
-        new = _integrate(state, breaks, params, sim_opts, params.alpha_a_ms, *start)
-        for acc, part in zip(parts, new):
-            acc.extend(part)
+        start = (calls[-1][1][-1], calls[-1][2][-1]) if calls else (0.0, None)
+        calls.append(_integrate(state, breaks, params, sim_opts, params.alpha_a_ms, *start))
 
     segments: list[ProgramSegment] = []
     cur = 0.0
@@ -215,13 +213,13 @@ def plan_endurance(
         segments.append(ProgramSegment(start=cur, rest=Rest(r)))
         lo, cur = cur, cur + r
         advance([lo, cur], [cur] if fits(cur) else [])
-        a_start = parts[2][-1][-1] * 1e3
+        a_start = calls[-1][2][-1] * 1e3
     if cur < spec.t_f - 1e-9:
         tail = spec.t_f - cur
         segments.append(ProgramSegment(start=cur, rest=Rest(tail)))
         advance([cur, cur + tail], [])
 
-    grid, force, a_ms = map(_stitch, parts)
+    grid, force, a_ms = (_stitch(part) for part in zip(*calls))
     c_n = ConcentrationState.from_pulses(times, amps, params).cn(grid)
     trajectory = Trajectory(grid=grid, channels={"c_n": c_n, "force": force, "a": a_ms * 1e3})
     a_threshold = params.a_rest / spec.k_fatigue

@@ -4,12 +4,21 @@ The concentration layer is always evaluated in closed form (see
 :mod:`fespulse.model`); only the force and fatigue states are integrated.
 Every integration step is split at impulse times so the right-hand side is
 smooth within each step. Three independent force evaluations are provided:
-an integrator of the (F, A) system (one hand-written fixed-step RK4 sweep,
-or scipy's adaptive RK45 called once per pulse interval on the same
-right-hand side), a nested adaptive-quadrature evaluation of the exact
-integral form, and a time-reparameterized re-derivation used as a
-consistency check. The force-only simulation is the force-fatigue
-integrator with alpha = 0, under which A stays at a_rest exactly.
+an integrator of the (F, A) system (fixed-step RK4, or scipy's adaptive
+RK45 called once per pulse interval on the same right-hand side), a nested
+adaptive-quadrature evaluation of the exact integral form, and a
+time-reparameterized re-derivation used as a consistency check. The
+force-only simulation is the force-fatigue integrator with alpha = 0, under
+which A stays at a_rest exactly.
+
+The RK4 integrator treats the system as sampled data: once c_N is known,
+(F, A) is linear, so every step is an affine map of (F, A - a_rest). All
+steps of a call are formed at once from the RK4 stage formulas, composed
+inside each interval by a segmented prefix scan, and the interval start
+states are chained in one short loop, A carried across every boundary.
+A call's output thus depends only on each interval's steps and start
+state, which is what lets the planner integrate a session segment by
+segment, bit for bit the one-call simulation of the finished program.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from .model import (
     ConcentrationState,
     ModelParams,
     PulseTrain,
+    _linspace_nodes,
     _ScalarHill,
     concentration_state,
     eval_m1,
@@ -112,52 +122,113 @@ class Rest:
             raise ValueError(f"rest duration must be positive, got {self.duration}")
 
 
-def _interval_nodes(lo: float, hi: float, step: float) -> np.ndarray:
-    # At least four RK4 steps per interval, however short.
-    m = max(4, int(math.ceil((hi - lo) / step - 1e-12)))
-    return np.linspace(lo, hi, m + 1)
+# RK4 steps per scan block. An interval is cut into blocks of at most this
+# many steps, at fixed positions from its start, and a call runs in batches
+# of whole blocks of about _BATCH_STEPS steps, so that memory stays bounded
+# on long rests whatever the batch holds.
+_BLOCK_STEPS = 2**14
+_BATCH_STEPS = 2**16
 
 
-def _stage_times(nodes: np.ndarray) -> np.ndarray:
-    """Nodes interleaved with midpoints: t0, t0+h/2, t1, t1+h/2, ..., tm."""
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    out = np.empty(2 * len(nodes) - 1)
-    out[0::2] = nodes
-    out[1::2] = mids
-    return out
+def _rk4_step(h, m1, m2, y, drive: float, tau_fat: float, alpha: float):
+    """One fixed-step RK4 step of F' = -m2 F + m1 (d + drive),
+    d' = -d / tau_fat + alpha F, on arrays of steps at once.
 
-
-def _rk4_sweep(h: float, m1: list, m2: list, f: float, a: float, a_rest: float,
-               tau_fat: float, alpha: float) -> tuple[list, list]:
-    """Fixed-step RK4 for F' = -m2 F + m1 A, A' = -(A - a_rest)/tau_fat + alpha F.
-
-    ``m1`` / ``m2`` are sampled at the stage times of :func:`_stage_times`
-    (node 0, mid 0, node 1, ..., node m). Python floats throughout: the loop
-    is scalar, and float arithmetic is the same IEEE arithmetic as numpy's
-    scalars at a fraction of the cost. With ``alpha`` = 0 and ``a`` =
-    ``a_rest`` every A increment is exactly zero, so A stays at a_rest.
+    ``y`` is (F,) or (F, d); without d, d stays zero. ``m1``/``m2`` hold the
+    Hill functions at the start, midpoint and end of each step. With d =
+    A - a_rest and drive = a_rest this is the (F, A) system; drive = 0 gives
+    its homogeneous part.
     """
     half, sixth = 0.5 * h, h / 6.0
-    fs, as_ = [f], [a]
-    for i in range(0, len(m1) - 1, 2):
-        m1a, m1m, m1b = m1[i], m1[i + 1], m1[i + 2]
-        m2a, m2m, m2b = m2[i], m2[i + 1], m2[i + 2]
-        k1f = -m2a * f + m1a * a
-        k1a = -(a - a_rest) / tau_fat + alpha * f
-        f2, a2 = f + half * k1f, a + half * k1a
-        k2f = -m2m * f2 + m1m * a2
-        k2a = -(a2 - a_rest) / tau_fat + alpha * f2
-        f3, a3 = f + half * k2f, a + half * k2a
-        k3f = -m2m * f3 + m1m * a3
-        k3a = -(a3 - a_rest) / tau_fat + alpha * f3
-        f4, a4 = f + h * k3f, a + h * k3a
-        k4f = -m2b * f4 + m1b * a4
-        k4a = -(a4 - a_rest) / tau_fat + alpha * f4
-        f += sixth * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
-        a += sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        fs.append(f)
-        as_.append(a)
-    return fs, as_
+
+    def slope(i, state):  # m1 A - m2 F is -m2 F + m1 A, bit for bit
+        f = state[0]
+        if len(state) == 1:
+            return (m1[i] * drive - m2[i] * f,)
+        d = state[1]
+        return m1[i] * (d + drive) - m2[i] * f, alpha * f - d / tau_fat
+
+    k1 = slope(0, y)
+    k2 = slope(1, [v + half * k for v, k in zip(y, k1)])
+    k3 = slope(1, [v + half * k for v, k in zip(y, k2)])
+    k4 = slope(2, [v + h * k for v, k in zip(y, k3)])
+    return [v + sixth * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
+
+
+def _dot(row, col):
+    """sum(r * c) from the left, on scalars or arrays."""
+    acc = row[0] * col[0]
+    for r, c in zip(row[1:], col[1:]):
+        acc = acc + r * c
+    return acc
+
+
+def _apply(mat, off, y):
+    """The affine map y -> mat y + off, on scalars or arrays."""
+    return [_dot(row, y) + o for row, o in zip(mat, off)]
+
+
+def _prefix_scan(mat, off, sizes: np.ndarray):
+    """Segmented inclusive prefix composition of affine maps, in place.
+
+    ``mat`` (n x n) and ``off`` (n) are lists of arrays over the steps of
+    consecutive blocks of ``sizes`` steps. Afterwards entry k holds the
+    composition of its block's maps up to and including k. Each pass
+    composes entry k with entry k - s when k lies at least s steps into its
+    block (Hillis and Steele), so the result at k depends only on its own
+    block, whatever batch it is scanned in.
+    """
+    pos = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    shift = 1
+    while shift < sizes.max():
+        on = pos[shift:] >= shift
+        late_m = [[e[shift:] for e in row] for row in mat]
+        early_m = [[e[:-shift] for e in row] for row in mat]
+        new_m = [[_dot(row, col) for col in zip(*early_m)] for row in late_m]
+        new_b = _apply(late_m, [e[shift:] for e in off], [e[:-shift] for e in off])
+        for row, new_row in zip(mat, new_m):
+            for e, new in zip(row, new_row):
+                np.copyto(e[shift:], new, where=on)
+        for e, new in zip(off, new_b):
+            np.copyto(e[shift:], new, where=on)
+        shift *= 2
+
+
+def _rk4_scan(h, m1, m2, sizes, f: float, a: float, a_rest: float, tau_fat: float,
+              alpha: float):
+    """(F, A) after every fixed-step RK4 step of consecutive blocks.
+
+    A block of ``sizes[i]`` steps of width ``h[i]`` has its Hill samples
+    ``m1``/``m2`` (rows: step start, midpoint, end) in one run of columns.
+    Every step is an affine map of y = (F, A - a_rest); a segmented prefix
+    scan composes the maps of each block, and one loop over blocks chains
+    their start states, carrying A. With ``alpha`` = 0 and ``a`` = a_rest
+    the A row is the identity, so the scan runs on F alone and A stays at
+    a_rest exactly.
+    """
+    steps = np.repeat(h, sizes)
+    n = 1 if alpha == 0.0 and a == a_rest else 2
+    basis = [[1.0 if r == c else 0.0 for r in range(n)] for c in range(n)]
+    cols = [_rk4_step(steps, m1, m2, e, 0.0, tau_fat, alpha) for e in basis]
+    mat = [list(row) for row in zip(*cols)]
+    off = _rk4_step(steps, m1, m2, [0.0] * n, a_rest, tau_fat, alpha)
+    _prefix_scan(mat, off, sizes)
+
+    # Chain the block start states on Python floats, with the arithmetic of
+    # the array pass below, so a block's end state is its last output. Each
+    # block starts from A, as a new call would, so d is rounded through
+    # A = d + a_rest there.
+    last = np.cumsum(sizes) - 1
+    y = [float(f), float(a) - a_rest][:n]
+    starts = []
+    for v in zip(*(e[last].tolist() for e in [*(e for row in mat for e in row), *off])):
+        starts.append(y)
+        y = _apply([v[r * n:(r + 1) * n] for r in range(n)], v[n * n:], y)
+        if n == 2:
+            y[1] = (y[1] + a_rest) - a_rest
+    y0 = [np.repeat(v, sizes) for v in zip(*starts)]
+    y = _apply(mat, off, y0)
+    return y[0], (y[1] + a_rest if n == 2 else np.full(steps.shape, a_rest))
 
 
 def _adaptive_interval(rhs, lo: float, hi: float, y0, rel_tol: float, abs_tol: float):
@@ -171,40 +242,80 @@ def _adaptive_interval(rhs, lo: float, hi: float, y0, rel_tol: float, abs_tol: f
 def _integrate(state: ConcentrationState, breaks, params: ModelParams, opts: SimOptions,
                alpha: float, f: float = 0.0, a: float | None = None):
     """(F, A) from (``f``, ``a``), by default rest, over every interval
-    between ``breaks`` (RK4 or scipy's RK45 per interval); A in kN/ms.
-    Returns the per-interval grid, F and A parts (see :func:`_stitch`)."""
+    between ``breaks``; A in kN/ms. Returns the grid, F and A, each interval
+    contributing its nodes but the last, and the call its final node.
+
+    ``rk4`` takes max(4, ceil(width / step)) equal steps per interval, on the
+    nodes of ``np.linspace``, and runs them all through :func:`_rk4_scan`;
+    ``adaptive`` calls scipy's RK45 once per interval.
+    """
     a_rest = params.a_rest_ms
     tau_fat = params.tau_fat_ms
-    step = opts.step if opts.step is not None else params.tau_c / 50.0
-    hill = _ScalarHill(state, params)
-
-    def rhs(t, y):
-        m1 = hill.m1(t)
-        return [-hill.m2(t) * y[0] + m1 * y[1], -(y[1] - a_rest) / tau_fat + alpha * y[0]]
-
-    grid_parts, f_parts, a_parts = [], [], []
     a = a_rest if a is None else a
-    for lo, hi in zip(breaks, breaks[1:]):
-        if hi - lo <= 1e-12:
-            continue
-        if opts.method == "rk4":
-            ts = _interval_nodes(lo, hi, step)
-            c = state.cn(_stage_times(ts))
-            fs, as_ = _rk4_sweep(
-                float(ts[1] - ts[0]), eval_m1(c, params).tolist(),
-                eval_m2(c, params).tolist(), f, a, a_rest, tau_fat, alpha,
-            )
-        else:
-            ts, (fs, as_) = _adaptive_interval(rhs, lo, hi, [f, a], opts.rel_tol, opts.abs_tol)
-        f, a = fs[-1], as_[-1]
-        grid_parts.append(ts)
-        f_parts.append(fs)
-        a_parts.append(as_)
-    return grid_parts, f_parts, a_parts
+    b = np.asarray(breaks, dtype=float)
+    keep = b[1:] - b[:-1] > 1e-12
+    lo, hi = b[:-1][keep], b[1:][keep]
+    if opts.method == "adaptive":
+        hill = _ScalarHill(state, params)
+
+        def rhs(t, y):
+            m1 = hill.m1(t)
+            return [-hill.m2(t) * y[0] + m1 * y[1], -(y[1] - a_rest) / tau_fat + alpha * y[0]]
+
+        parts = []
+        for lo_i, hi_i in zip(lo.tolist(), hi.tolist()):
+            ts, (fs, as_) = _adaptive_interval(rhs, lo_i, hi_i, [f, a], opts.rel_tol, opts.abs_tol)
+            f, a = fs[-1], as_[-1]
+            parts.append((ts, fs, as_))
+        return tuple(_stitch(p) for p in zip(*parts))
+
+    step = opts.step if opts.step is not None else params.tau_c / 50.0
+    m = np.maximum(4, np.ceil((hi - lo) / step - 1e-12)).astype(np.int64)
+    h = _linspace_nodes(lo, hi, m, 1) - lo
+    # Blocks of at most _BLOCK_STEPS steps from each interval's start.
+    per = (m + _BLOCK_STEPS - 1) // _BLOCK_STEPS
+    block_iv = np.repeat(np.arange(len(m)), per)
+    block_j0 = (np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)) * _BLOCK_STEPS
+    block_size = np.minimum(m[block_iv] - block_j0, _BLOCK_STEPS)
+    # Batches of whole blocks, cut where the step count passes a multiple
+    # of _BATCH_STEPS.
+    cum = np.cumsum(block_size)
+    cuts = np.flatnonzero(np.diff((cum - 1) // _BATCH_STEPS)) + 1
+
+    total = int(cum[-1])
+    grid, force, a_out = np.empty(total + 1), np.empty(total + 1), np.empty(total + 1)
+    grid[-1], force[0], a_out[0] = hi[-1], f, a
+    k0 = 0
+    for blocks in np.split(np.arange(len(block_size)), cuts):
+        sizes, iv = block_size[blocks], block_iv[blocks]
+        # Nodes j0 .. j0 + size of every block; node q of block b and the
+        # midpoint after it go to 2q - b and 2q - b + 1 of the stage times,
+        # so each block reads node, mid, node, ..., node in time order.
+        block = np.repeat(np.arange(len(sizes)), sizes + 1)
+        first = np.cumsum(sizes + 1) - (sizes + 1)
+        j = np.arange(len(block)) - first[block] + block_j0[blocks][block]
+        nodes = _linspace_nodes(lo[iv[block]], hi[iv[block]], m[iv[block]], j)
+        left = np.arange(int(sizes.sum())) + np.repeat(np.arange(len(sizes)), sizes)
+        stage = np.empty(len(nodes) + len(left))
+        stage[2 * np.arange(len(nodes)) - block] = nodes
+        at = 2 * left - block[left]
+        stage[at + 1] = 0.5 * (nodes[left] + nodes[left + 1])
+        c = state.cn(stage)
+        m1, m2 = eval_m1(c, params), eval_m2(c, params)
+        samples = np.stack([at, at + 1, at + 2])
+        fs, as_ = _rk4_scan(
+            h[iv], m1[samples], m2[samples], sizes, force[k0], a_out[k0], a_rest, tau_fat, alpha
+        )
+        k1 = k0 + len(left)
+        grid[k0:k1] = nodes[left]
+        force[k0 + 1:k1 + 1] = fs
+        a_out[k0 + 1:k1 + 1] = as_
+        k0 = k1
+    return grid, force, a_out
 
 
 def _stitch(parts) -> np.ndarray:
-    """One array from per-interval parts that share their end points."""
+    """One array from parts that share their end points."""
     return np.concatenate([p[:-1] for p in parts] + [parts[-1][-1:]])
 
 
@@ -220,7 +331,7 @@ def simulate_force(
     """
     state = concentration_state(train, params)
     breaks = list(train.times) + [train.horizon]
-    grid, force, _ = map(_stitch, _integrate(state, breaks, params, opts or SimOptions(), 0.0))
+    grid, force, _ = _integrate(state, breaks, params, opts or SimOptions(), 0.0)
     return Trajectory(grid=grid, channels={"c_n": state.cn(grid), "force": force})
 
 
@@ -264,8 +375,7 @@ def simulate_force_fatigue(
         raise ValueError("program must have positive total duration")
     state = ConcentrationState.from_pulses(times, amps, params)
     breaks = sorted(set(t for t in times if t < t_f) | set(bounds))
-    parts = _integrate(state, breaks, params, opts or SimOptions(), params.alpha_a_ms)
-    grid, force, a = map(_stitch, parts)
+    grid, force, a = _integrate(state, breaks, params, opts or SimOptions(), params.alpha_a_ms)
     return Trajectory(grid=grid, channels={"c_n": state.cn(grid), "force": force, "a": a * 1e3})
 
 

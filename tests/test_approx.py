@@ -30,7 +30,8 @@ from fespulse import (
     upper_lower_envelope,
 )
 from fespulse.checks import random_train
-from fespulse.approx import ENVELOPE_SCHEMES, SCHEMES
+from fespulse.approx import _SPLIT_MARGIN, ENVELOPE_SCHEMES, SCHEMES, _refined_partition
+from fespulse.model import concentration_state
 from fespulse.exppoly import PiecewisePoly
 
 P = ModelParams()
@@ -214,6 +215,54 @@ def test_partition_refines_pulse_intervals():
     assert all(b > a for a, b in zip(ap.partition, ap.partition[1:]))
     for t in ap.pulse_breaks:
         assert any(abs(t - s) < 1e-12 for s in ap.partition)
+
+
+def _loop_partition(train, state, p):
+    """The refined partition built interval by interval with np.linspace."""
+    pulse_breaks = tuple(train.times) + (train.horizon,)
+    nodes = [pulse_breaks[0]]
+    peaks = state.peaks().tolist()
+    for k in range(train.n + 1):
+        lo, hi = pulse_breaks[k], pulse_breaks[k + 1]
+        if p == 1:
+            nodes.append(hi)
+            continue
+        t_star = peaks[k]
+        if math.isnan(t_star):
+            inner = np.linspace(lo, hi, p + 1)
+        else:
+            margin = _SPLIT_MARGIN * (hi - lo)
+            split = min(max(t_star, lo + margin), hi - margin)
+            left = (p + 1) // 2
+            inner = np.concatenate(
+                [np.linspace(lo, split, left + 1), np.linspace(split, hi, p - left + 1)[1:]]
+            )
+        nodes.extend(float(x) for x in inner[1:])
+    return nodes
+
+
+def test_refined_partition_equals_per_interval_linspace_bitwise():
+    # Leading zero amplitudes give NaN peaks (even splits); 20 ms gaps put
+    # the peak past the interval end, so the split is clamped.
+    rng = np.random.default_rng(23)
+    trains = [random_train(rng, n_max=8) for _ in range(20)] + [
+        PulseTrain((0.0, 30.0, 60.0, 80.0), (0.0, 0.0, 0.8, 1.0), 150.0, 20.0),
+        PulseTrain(tuple(20.0 * k for k in range(6)), (1.0,) * 6, 120.0, 20.0),
+        THREE_PULSE,
+    ]
+    clamped = nan = 0
+    for train in trains:
+        state = concentration_state(train, P)
+        peaks = state.peaks()
+        lo, hi = np.asarray(train.times), np.asarray(train.times[1:] + (train.horizon,))
+        margin = _SPLIT_MARGIN * (hi - lo)
+        nan += int(np.isnan(peaks).sum())
+        clamped += int(np.sum((peaks < lo + margin) | (peaks > hi - margin)))
+        for p in range(1, 9):
+            nodes, pulse_breaks = _refined_partition(train, state, p)
+            assert pulse_breaks == train.times + (train.horizon,)
+            assert nodes.tolist() == _loop_partition(train, state, p)
+    assert nan >= 2 and clamped >= 3
 
 
 def test_build_m_approx_rejects_bad_arguments():
@@ -411,6 +460,31 @@ def test_f_tilde_rejects_out_of_domain():
     ap = build_m_approx(THREE_PULSE, P, scheme="affine-constant", p=2)
     with pytest.raises(ValueError):
         eval_f_tilde(ap, P, P.a_rest, 200.0)
+    # Sorted and unsorted times take different paths, with the same error.
+    evaluator = force_approximator(ap)
+    for ts in ([0.0, 50.0, 200.0], [200.0, 0.0, 50.0], [-1.0, 0.0], [0.0, -1.0]):
+        with pytest.raises(ValueError, match=r"time outside the domain \[0.0, 160.0\]"):
+            evaluator.scaled_values(np.asarray(ts))
+
+
+@pytest.mark.parametrize("scheme", ["affine-constant", "triangular"])
+def test_f_tilde_sorted_and_shuffled_times_agree_bitwise(scheme):
+    # Sorted times count the points per piece; any other order locates
+    # each point. Both give the same bits, also exactly on breakpoints.
+    rng = np.random.default_rng(31)
+    train = random_train(rng, n_max=8)
+    evaluator = force_approximator(build_m_approx(train, P, scheme=scheme, p=3))
+    part = evaluator.m_approx.partition
+    ts = np.sort(np.concatenate([part, part, rng.uniform(0.0, train.horizon, 500), [0.0]]))
+    perm = rng.permutation(len(ts))
+    sorted_values = evaluator.scaled_values(ts)
+    shuffled = np.empty_like(ts)
+    shuffled[perm] = evaluator.scaled_values(ts[perm])
+    assert np.array_equal(sorted_values, shuffled)
+    singles = np.array([evaluator.scaled_values(float(t)) for t in ts])
+    assert np.array_equal(sorted_values, singles)
+    grid = evaluator.scaled_values(ts[1:].reshape(-1, 2))
+    assert np.array_equal(grid.ravel(), sorted_values[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,24 @@ def test_concentration_state_matches_dense_lobe_sum(gaps, amps, tail, p):
     assert np.all(cn[ts < 0.0] == 0.0) and np.all(trunc[ts < 0.0] == 0.0)
 
 
+def test_concentration_on_sorted_and_shuffled_times_agrees_bitwise():
+    # A sorted grid counts its points per pulse interval; any other order
+    # searches each point. Both read the same state, also exactly at pulse
+    # times, before the first pulse and at repeated times.
+    rng = np.random.default_rng(13)
+    train = random_train(rng, n_max=8)
+    state = concentration_state(train, P)
+    ts = np.sort(np.concatenate([
+        [-5.0, -5.0], train.times, train.times, rng.uniform(-10.0, train.horizon, 400),
+    ]))
+    perm = rng.permutation(len(ts))
+    for read in (state.cn, state.signal, lambda t: state.truncated(t, 2)):
+        shuffled = np.empty_like(ts)
+        shuffled[perm] = read(ts[perm])
+        assert np.array_equal(read(ts), shuffled)
+        assert np.array_equal(read(ts), [read(float(t)) for t in ts])
+
+
 # ---------------------------------------------------------------------------
 # Hill functions
 # ---------------------------------------------------------------------------

@@ -502,6 +502,21 @@ def test_kkt_check_uses_the_objective_horizon_gap():
     assert terminal.complementarity == pytest.approx(1e-3 * 20.0, rel=1e-12)
 
 
+def test_kkt_check_counts_the_horizon_cap():
+    # A weak target pushes T against t_max = 1500 ms, where the cap's own
+    # multiplier balances the horizon's cost gradient.
+    _, c_ref = steady_state_root(P, P.a_rest, 0.05)
+    spec = ObjectiveSpec(kind="track_cn", c_ref=c_ref, backend="exact")
+    init = DecisionVector.regular(2, 400.0, freeze_amplitudes=True)
+    out = solve(spec, init, P, SolveOptions(i_min=20.0))
+    assert out.status == "converged"
+    assert out.sigma_star.horizon > 1499.99
+    assert out.cap_multiplier > 1e-4
+    report = kkt_check(spec, out, P)
+    assert report.passed
+    assert report.stationarity < 1e-8
+
+
 def test_kkt_negative_control_non_stationary_point():
     spec = ObjectiveSpec(kind="track_cn", c_ref=0.5, backend="exact")
     sig = DecisionVector((0.7, 0.6), (70.0,), 220.0)

@@ -84,13 +84,13 @@ def test_plan_integrates_the_session_once(monkeypatch):
     # Each RK4 step of the session is taken exactly once: the trajectory's
     # grid has one interval per step, and no train or rest is re-simulated.
     steps = []
-    sweep = fespulse.simulate._rk4_sweep
+    scan = fespulse.simulate._rk4_scan
 
-    def counting_sweep(h, m1, *rest):
-        steps.append((len(m1) - 1) // 2)
-        return sweep(h, m1, *rest)
+    def counting_scan(h, m1, m2, sizes, *rest):
+        steps.append(int(sizes.sum()))
+        return scan(h, m1, m2, sizes, *rest)
 
-    monkeypatch.setattr(fespulse.simulate, "_rk4_sweep", counting_sweep)
+    monkeypatch.setattr(fespulse.simulate, "_rk4_scan", counting_scan)
     spec = ProgramSpec(
         f_ref=0.1, n=3, i_min=20.0, train_horizon=200.0,
         rest_duration=150.0, t_f=2400.0, sim_step=1.0,
@@ -105,16 +105,18 @@ def test_plan_integrates_the_session_once(monkeypatch):
 @pytest.mark.parametrize("rest", [1.0, 37.5, 62.62, 400.0, 2000.0])
 def test_plan_trajectory_equals_program_simulation_bitwise(rest, monkeypatch):
     # Integrating train by train gives, bit for bit, the trajectory of one
-    # simulation of the finished program from t = 0, and every RK4 sweep
-    # sees the Hill coefficients of that simulation.
+    # simulation of the finished program from t = 0, and every interval
+    # sees the step and Hill coefficients of that simulation.
     sweeps = []
-    sweep = fespulse.simulate._rk4_sweep
+    scan = fespulse.simulate._rk4_scan
 
-    def recording_sweep(h, m1, m2, *rest):
-        sweeps.append((h, m1, m2))
-        return sweep(h, m1, m2, *rest)
+    def recording_scan(h, m1, m2, sizes, *rest):
+        splits = np.cumsum(sizes)[:-1]
+        for h_i, m1_i, m2_i in zip(h, np.split(m1, splits, axis=1), np.split(m2, splits, axis=1)):
+            sweeps.append((float(h_i), m1_i.tolist(), m2_i.tolist()))
+        return scan(h, m1, m2, sizes, *rest)
 
-    monkeypatch.setattr(fespulse.simulate, "_rk4_sweep", recording_sweep)
+    monkeypatch.setattr(fespulse.simulate, "_rk4_scan", recording_scan)
     spec = ProgramSpec(
         f_ref=0.12, n=3, i_min=20.0, train_horizon=200.0,
         rest_duration=rest, t_f=3200.0, k_fatigue=1.1,
@@ -126,6 +128,24 @@ def test_plan_trajectory_equals_program_simulation_bitwise(rest, monkeypatch):
     assert sum(seg.is_train for seg in prog.segments) >= 2
     ref = simulate_force_fatigue(program, P, SimOptions(step=spec.sim_step))
     assert planned == sweeps
+    assert np.array_equal(prog.trajectory.grid, ref.grid)
+    for name in ("c_n", "force", "a"):
+        assert np.array_equal(prog.trajectory.channel(name), ref.channel(name)), name
+
+
+def test_plan_equals_program_simulation_across_scan_blocks(monkeypatch):
+    # Scan blocks sit at fixed step counts from each interval's start, so
+    # the planner's per-segment calls and the one program call cut every
+    # interval alike, whatever batches the blocks fall into.
+    monkeypatch.setattr(fespulse.simulate, "_BLOCK_STEPS", 16)
+    monkeypatch.setattr(fespulse.simulate, "_BATCH_STEPS", 40)
+    spec = ProgramSpec(
+        f_ref=0.12, n=3, i_min=20.0, train_horizon=200.0,
+        rest_duration=400.0, t_f=2000.0, k_fatigue=1.1, sim_step=1.0,
+    )
+    prog = plan_endurance(spec, P, options=FAST)
+    program = [seg.train if seg.is_train else Rest(seg.duration) for seg in prog.segments]
+    ref = simulate_force_fatigue(program, P, SimOptions(step=spec.sim_step))
     assert np.array_equal(prog.trajectory.grid, ref.grid)
     for name in ("c_n", "force", "a"):
         assert np.array_equal(prog.trajectory.channel(name), ref.channel(name)), name

@@ -17,7 +17,10 @@ from fespulse import (
     simulate_force,
     simulate_force_fatigue,
 )
+import fespulse.simulate
 from fespulse.checks import random_train
+from fespulse.model import ConcentrationState, _linspace_nodes, eval_m1
+from fespulse.simulate import _flatten_program, _integrate
 
 P = ModelParams()
 THREE_PULSE = PulseTrain((0.0, 25.0, 55.0), (1.0, 0.7, 0.9), 160.0, 20.0)
@@ -215,3 +218,103 @@ def test_fatigue_program_needs_valid_segments():
         simulate_force_fatigue([42.0], P)
     with pytest.raises(ValueError):
         Rest(-5.0)
+
+
+# ---------------------------------------------------------------------------
+# the RK4 scan against the per-step loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _rk4_sweep(h, m1, m2, f, a, a_rest, tau_fat, alpha):
+    """Fixed-step RK4 for F' = -m2 F + m1 A, A' = -(A - a_rest)/tau_fat + alpha F,
+    one step at a time; m1/m2 at node 0, mid 0, node 1, ..., node m."""
+    half, sixth = 0.5 * h, h / 6.0
+    fs, as_ = [f], [a]
+    for i in range(0, len(m1) - 1, 2):
+        m1a, m1m, m1b = m1[i], m1[i + 1], m1[i + 2]
+        m2a, m2m, m2b = m2[i], m2[i + 1], m2[i + 2]
+        k1f = -m2a * f + m1a * a
+        k1a = -(a - a_rest) / tau_fat + alpha * f
+        f2, a2 = f + half * k1f, a + half * k1a
+        k2f = -m2m * f2 + m1m * a2
+        k2a = -(a2 - a_rest) / tau_fat + alpha * f2
+        f3, a3 = f + half * k2f, a + half * k2a
+        k3f = -m2m * f3 + m1m * a3
+        k3a = -(a3 - a_rest) / tau_fat + alpha * f3
+        f4, a4 = f + h * k3f, a + h * k3a
+        k4f = -m2b * f4 + m1b * a4
+        k4a = -(a4 - a_rest) / tau_fat + alpha * f4
+        f += sixth * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
+        a += sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        fs.append(f)
+        as_.append(a)
+    return fs, as_
+
+
+def _loop_integrate(state, breaks, params, step, alpha, f, a):
+    """Grid, F and A of the per-step loop over every interval of breaks."""
+    grid, fs, as_ = [], [f], [a]
+    for lo, hi in zip(breaks, breaks[1:]):
+        if hi - lo <= 1e-12:
+            continue
+        ts = np.linspace(lo, hi, max(4, math.ceil((hi - lo) / step - 1e-12)) + 1)
+        stage = np.empty(2 * len(ts) - 1)
+        stage[0::2], stage[1::2] = ts, 0.5 * (ts[:-1] + ts[1:])
+        c = state.cn(stage)
+        f_i, a_i = _rk4_sweep(
+            float(ts[1] - ts[0]), eval_m1(c, params).tolist(), eval_m2(c, params).tolist(),
+            f, a, params.a_rest_ms, params.tau_fat_ms, alpha,
+        )
+        grid.extend(ts[:-1].tolist())
+        fs.extend(f_i[1:])
+        as_.extend(a_i[1:])
+        f, a = f_i[-1], a_i[-1]
+        last = hi
+    return np.array(grid + [last]), np.array(fs), np.array(as_)
+
+
+def _random_program(rng):
+    program = []
+    for _ in range(int(rng.integers(1, 4))):
+        program.append(random_train(rng))
+        if rng.random() < 0.7:
+            program.append(Rest(float(rng.uniform(5.0, 600.0))))
+    return program
+
+
+def test_linspace_nodes_equal_numpy_linspace_bitwise():
+    rng = np.random.default_rng(7)
+    lo = rng.uniform(-1e4, 1e4, size=300)
+    hi = lo + 10.0 ** rng.uniform(-9, 4, size=300)
+    m = rng.integers(1, 60, size=300)
+    iv = np.repeat(np.arange(300), m + 1)
+    j = np.arange(len(iv)) - np.repeat(np.cumsum(m + 1) - (m + 1), m + 1)
+    flat = _linspace_nodes(lo[iv], hi[iv], m[iv], j)
+    expect = np.concatenate([np.linspace(a, b, k + 1) for a, b, k in zip(lo, hi, m)])
+    assert np.array_equal(flat, expect)
+
+
+@pytest.mark.parametrize("blocks", [None, (16, 64)])
+def test_rk4_scan_matches_the_step_loop(blocks, monkeypatch):
+    # Random trains and programs, alpha zero and not, steps 0.1-1 ms, starts
+    # at rest and off it; small blocks and batches exercise the chaining.
+    if blocks is not None:
+        monkeypatch.setattr(fespulse.simulate, "_BLOCK_STEPS", blocks[0])
+        monkeypatch.setattr(fespulse.simulate, "_BATCH_STEPS", blocks[1])
+    rng = np.random.default_rng(19)
+    for trial in range(24):
+        times, amps, bounds, t_f = _flatten_program(_random_program(rng))
+        state = ConcentrationState.from_pulses(times, amps, P)
+        breaks = sorted(set(t for t in times if t < t_f) | set(bounds))
+        step = float(rng.uniform(0.1, 1.0))
+        alpha = (0.0, P.alpha_a_ms, 50.0 * P.alpha_a_ms)[trial % 3]
+        f, a = (0.0, P.a_rest_ms) if trial % 2 else (
+            float(rng.uniform(0.0, 0.2)), float(rng.uniform(0.5, 1.0)) * P.a_rest_ms
+        )
+        grid, force, a_ms = _integrate(state, breaks, P, SimOptions(step=step), alpha, f, a)
+        ref_grid, ref_f, ref_a = _loop_integrate(state, breaks, P, step, alpha, f, a)
+        assert np.array_equal(grid, ref_grid)
+        assert np.max(np.abs(force - ref_f)) <= 1e-13 * np.max(np.abs(ref_f))
+        assert np.max(np.abs(a_ms - ref_a)) <= 1e-13 * np.max(np.abs(ref_a))
+        if alpha == 0.0 and a == P.a_rest_ms:
+            assert np.all(a_ms == P.a_rest_ms)
