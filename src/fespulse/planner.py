@@ -232,14 +232,14 @@ def plan_endurance(
         if not seg.is_train:
             continue
         lo, hi = seg.start, seg.start + seg.duration
-        sel = (trajectory.grid >= lo - 1e-9) & (trajectory.grid <= hi + 1e-9)
-        f_seg = trajectory.channel("force")[sel]
+        # The grid is sorted: the points in [lo, hi] (±1e-9) are one slice.
+        sel = slice(np.searchsorted(grid, lo - 1e-9), np.searchsorted(grid, hi + 1e-9, "right"))
         summaries.append(
             {
                 "start_ms": lo,
                 "end_ms": hi,
-                "peak_force_kN": float(f_seg.max()),
-                "terminal_force_kN": float(f_seg[-1]),
+                "peak_force_kN": float(force[sel].max()),
+                "terminal_force_kN": float(force[sel][-1]),
                 "a_start": float(a_ch[sel][0]),
                 "a_end": float(a_ch[sel][-1]),
             }

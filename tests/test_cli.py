@@ -1,5 +1,7 @@
 import json
 import math
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from fespulse.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_VALIDATION,
+    _CSV_CHUNK_ROWS,
     _write_csv,
     load_config,
     main,
@@ -99,15 +102,66 @@ def test_simulate_zero_amplitude_train(tmp_path):
     assert all(float(r[2]) == 0.0 for r in rows)
 
 
+def _file_body(path: Path, columns) -> bytes:
+    raw = path.read_bytes()
+    head = (",".join(columns) + "\n").encode()
+    return raw[raw.index(head) + len(head):]
+
+
+def _g9_cases(rng: np.random.Generator) -> np.ndarray:
+    """Values that probe every branch of the CSV formatter, shuffled."""
+    special = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310,
+               2.2250738585072009e-308, 1e-300, 1e-290, 1e290, 1.7976931348623157e308,
+               1e16, 0.1, 1.0 / 3.0, -123456789.987654321, 12345678950.0, 99999.99995,
+               1e-4, 9.99999999e-5, 1e9, 999999999.5, 123456789.5]
+    bits = rng.integers(0, 2**64, size=420_000, dtype=np.uint64).view(float)
+    log_uniform = 10.0 ** rng.uniform(-320.0, 308.0, size=420_000)
+    # (k + 1/2)·10^e with k of 9 digits: the double nearest to it and both
+    # of its neighbours.
+    k = rng.integers(10**8, 10**9, size=30_000)
+    e = rng.integers(-300, 290, size=k.size)
+    ties = np.array([float(f"{kk}.5e{ee}") for kk, ee in zip(k.tolist(), e.tolist())])
+    # 10^p(1 - d·5e-10): d = 1 is the carry boundary 999999999.5·10^(p-9),
+    # and below 10^p log10 may round up to p.
+    carries = np.array([
+        float(Decimal(f"1e{p}") * (1 - Decimal(d) * Decimal("5e-10")))
+        for p in range(-300, 301) for d in ("0", "0.1", "0.5", "1", "1.5", "2", "3")
+    ])
+    # Exact ties m·10^j / 2 with m odd and of 10 digits: doubles for
+    # j = -3..6 when 5^-j divides m.
+    j = rng.integers(-3, 7, size=20_000)
+    f = 5 ** np.maximum(-j, 0)
+    m = f * (2 * rng.integers(10**8 // f, 10**9 // f) + 1)
+    dyadic = np.array([float(Fraction(int(mm)) * Fraction(10) ** int(jj) / 2)
+                       for mm, jj in zip(m, j)])
+    subnormal = rng.integers(1, 2**52, size=10_000, dtype=np.uint64).view(float)
+    short = rng.integers(-10**6, 10**6, size=60_000) / 10.0 ** rng.integers(0, 12, size=60_000)
+    values = np.concatenate([
+        special, bits, log_uniform, ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf),
+        carries, np.nextafter(carries, 0.0), np.nextafter(carries, np.inf), dyadic, subnormal,
+        short,
+    ])
+    values.view(np.uint64)[len(special):] ^= rng.integers(0, 2, size=values.size - len(special),
+                                                          dtype=np.uint64) << np.uint64(63)
+    return rng.permutation(values)
+
+
 def test_csv_writer_matches_format_9g(tmp_path):
-    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e-300,
-              1e16, 0.1, 1.0 / 3.0, -123456789.987654321, 12345678950.0]
-    other = list(reversed(values))
-    path = tmp_path / "x.csv"
-    _write_csv(path, parse_config(NOMINAL), "simulate", 0, ["a", "b"], [np.array(values), other])
-    lines = path.read_text().splitlines()
-    body = lines[lines.index("a,b") + 1 :]
-    assert body == [f"{format(float(x), '.9g')},{format(float(y), '.9g')}" for x, y in zip(values, other)]
+    values = _g9_cases(np.random.default_rng(20260))
+    assert values.size >= 1_000_000
+    # Tables of 1-5 columns whose row counts are not whole chunks.
+    shapes = [(100_003, 2), (50_007, 3), (40_009, 4), (22_223, 5)]
+    shapes.insert(0, (values.size - sum(r * c for r, c in shapes), 1))
+    cfg, start = parse_config(NOMINAL), 0
+    for n_rows, n_cols in shapes:
+        assert n_rows % _CSV_CHUNK_ROWS != 0
+        table = values[start:start + n_rows * n_cols].reshape(n_rows, n_cols)
+        start += table.size
+        columns = [f"c{i}" for i in range(n_cols)]
+        path = tmp_path / f"x{n_cols}.csv"
+        _write_csv(path, cfg, "simulate", 0, columns, list(table.T))
+        expected = "".join(",".join(format(v, ".9g") for v in row) + "\n" for row in table.tolist())
+        assert _file_body(path, columns) == expected.encode()
 
 
 def test_simulate_outputs_byte_identical(tmp_path):
@@ -117,6 +171,16 @@ def test_simulate_outputs_byte_identical(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(out2)]) == EXIT_OK
     for name in ("trajectory.csv", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_artifacts_are_written_in_binary_mode(tmp_path, monkeypatch):
+    # Text mode would turn "\n" into os.linesep and encode with the locale.
+    def text_mode(*args, **kwargs):
+        raise AssertionError("an artifact was written in text mode")
+
+    cfg = write(tmp_path, NOMINAL)
+    monkeypatch.setattr(Path, "write_text", text_mode)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +433,51 @@ def test_plan_writes_program(tmp_path):
     assert total == pytest.approx(1100.0, abs=1e-6)
     assert prog["c_n_ref"] > 0.0
     assert (out / "program_trajectory.csv").exists()
+
+
+def _percent_body(table: np.ndarray) -> str:
+    """The CSV body as one ``%`` format of the row pattern repeated per row."""
+    row = ",".join(["%.9g"] * table.shape[1]) + "\n"
+    return (row * len(table)) % tuple(table.ravel().tolist())
+
+
+def _long_train_scenario(seed: int, pulses: int) -> str:
+    rng = np.random.default_rng(seed)
+    times = np.concatenate([[0.0], np.cumsum(20.0 + rng.exponential(25.0, pulses - 1))])
+    amps = rng.uniform(0.3, 1.0, pulses)
+    return (
+        "[model]\nk_m = 0.103\n\n[train]\n"
+        f"times = {', '.join(map(repr, times.tolist()))}\n"
+        f"amplitudes = {', '.join(map(repr, amps.tolist()))}\n"
+        f"horizon = {float(times[-1]) + 100.0!r}\ni_min = 20.0\n\n[approx]\np = 8\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("approximate", _long_train_scenario(60, 60)),
+        # Rests of 2 s take c_N down to about 1e-47, printed in e-notation.
+        ("plan", PLAN_SMALL.replace("rest = 300.0", "rest = 2000.0")
+                           .replace("t_f = 1100.0", "t_f = 5000.0")
+                           .replace("sim_step = 1.0\n", "")),
+    ],
+    ids=["approximate-60-pulses", "plan-long-rests"],
+)
+def test_csv_bodies_of_runs_equal_the_percent_format(tmp_path, monkeypatch, command, text):
+    written = []
+
+    def keep(path, cfg, cmd, seed, columns, data):
+        written.append((path, columns, np.column_stack([np.asarray(c, dtype=float) for c in data])))
+        _write_csv(path, cfg, cmd, seed, columns, data)
+
+    monkeypatch.setattr("fespulse.cli._write_csv", keep)
+    assert main([command, "--config", write(tmp_path, text), "--out", str(tmp_path / "out")]) == EXIT_OK
+    (path, columns, table), = written
+    assert len(table) > 3 * _CSV_CHUNK_ROWS
+    body = _file_body(path, columns)
+    assert body == _percent_body(table).encode()
+    assert b"e-" in body
 
 
 def test_plan_unreachable_force_is_config_error(tmp_path, capsys):
