@@ -11,14 +11,12 @@ from .model import (
     ModelParams,
     PulseTrain,
     UnreachableForce,
-    argmax_cn_interval,
     compute_scaling,
     concentration_state,
     eval_cn,
     eval_lobe,
     eval_m1,
     eval_m2,
-    eval_signal,
     steady_state_root,
 )
 from .exppoly import PiecewisePoly
@@ -34,24 +32,17 @@ from .simulate import (
     simulate_force_fatigue,
 )
 from .approx import (
-    EulerNodes,
     ForceApprox,
     ForceErrorBound,
     MApprox,
     PersistenceProfile,
     TruncatedConcentration,
-    UnstableStep,
     build_m_approx,
     error_bound_persistent,
-    euler_nodes,
-    eval_f_euler,
-    eval_f_tilde,
-    force_approximator,
     force_error_bound,
     interval_averages,
     persistence_order,
     persistence_profile,
-    tail_average_cn,
     truncated_cn,
     upper_lower_envelope,
 )

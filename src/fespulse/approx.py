@@ -4,7 +4,7 @@ The concentration admits cheap surrogates in two directions:
 
 * truncation: on each inter-pulse interval only the last ``p`` lobes are
   kept (a lower approximation with a computable sup bound),
-* averaging: interval and tail means of the concentration are exact, from
+* averaging: interval means of the concentration are exact, from
   the interval integrals of the concentration state
   (:meth:`fespulse.model.ConcentrationState.integrals`).
 
@@ -46,21 +46,14 @@ __all__ = [
     "PersistenceProfile",
     "TruncatedConcentration",
     "ForceApprox",
-    "EulerNodes",
     "ForceErrorBound",
-    "UnstableStep",
     "SCHEMES",
     "persistence_order",
     "persistence_profile",
     "truncated_cn",
     "error_bound_persistent",
     "interval_averages",
-    "tail_average_cn",
     "build_m_approx",
-    "eval_f_tilde",
-    "force_approximator",
-    "euler_nodes",
-    "eval_f_euler",
     "force_error_bound",
     "upper_lower_envelope",
 ]
@@ -73,10 +66,6 @@ ENVELOPE_SCHEMES = ("staircase-upper", "staircase-lower")
 # Fraction of an interval by which the lobe-peak split point stays clear of
 # the interval ends, so no partition segment degenerates.
 _SPLIT_MARGIN = 0.02
-
-
-class UnstableStep(RuntimeError):
-    """An explicit-Euler segment violates the stability bound |1 - h m2| <= 1."""
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +168,7 @@ def error_bound_persistent(
 
 
 # ---------------------------------------------------------------------------
-# interval and tail averages
+# interval averages
 # ---------------------------------------------------------------------------
 
 
@@ -187,15 +176,6 @@ def interval_averages(train: PulseTrain, params: ModelParams) -> np.ndarray:
     """Exact means of the concentration over every interval [t_k, t_{k+1}]
     (t_{n+1} = horizon), from :meth:`ConcentrationState.means`."""
     return concentration_state(train, params).means(train.horizon)
-
-
-def tail_average_cn(train: PulseTrain, params: ModelParams, q: int) -> float:
-    """Exact mean of the concentration over [t_q, horizon]: the interval
-    integrals from q on, over the tail width."""
-    if not 0 <= q <= train.n:
-        raise IndexError(f"tail index {q} out of range 0..{train.n}")
-    integrals = concentration_state(train, params).integrals(train.horizon)
-    return float(integrals[q:].sum()) / (train.horizon - train.times[q])
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +226,6 @@ class MApprox:
     @property
     def partition(self) -> np.ndarray:
         return self.m1_tilde.breakpoints
-
-    @property
-    def n_intervals(self) -> int:
-        return len(self.pulse_breaks) - 1
-
-    def segment(self, i: int, j: int) -> tuple[float, float]:
-        """Bounds of segment j of pulse interval i."""
-        if not 0 <= i < self.n_intervals:
-            raise IndexError(f"interval index {i} out of range")
-        if not 0 <= j < self.p:
-            raise IndexError(f"segment index {j} out of range 0..{self.p - 1}")
-        g = i * self.p + j
-        return float(self.partition[g]), float(self.partition[g + 1])
 
 
 def _quad_mean(fn, lo: float, hi: float) -> float:
@@ -437,80 +404,6 @@ class ForceApprox:
         return a_value * 1e-3 * scaled
 
 
-def force_approximator(m_approx: MApprox) -> ForceApprox:
-    """The precomputed evaluator for a given approximation."""
-    return ForceApprox(m_approx)
-
-
-def eval_f_tilde(
-    m_approx: MApprox, params: ModelParams, a_value: float | None, t
-) -> float | np.ndarray:
-    """Approximate force in kN; ``a_value`` in kN/s (defaults to a_rest)."""
-    a = params.a_rest if a_value is None else float(a_value)
-    return ForceApprox(m_approx).values(t, a)
-
-
-# ---------------------------------------------------------------------------
-# explicit-Euler baseline
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EulerNodes:
-    """Exact Hill-function samples on a refined partition, for the
-    product-form explicit-Euler force expression."""
-
-    nodes: tuple[float, ...]
-    m1: tuple[float, ...]
-    m2: tuple[float, ...]
-
-
-def euler_nodes(
-    train: PulseTrain, params: ModelParams, p: int = 2, nu: float = 1.0
-) -> EulerNodes:
-    state = concentration_state(train, params)
-    partition, _ = _refined_partition(train, state, p)
-    c = state.cn(partition)
-    return EulerNodes(
-        nodes=tuple(partition.tolist()),
-        m1=tuple(float(v) for v in eval_m1(c, params, nu)),
-        m2=tuple(float(v) for v in eval_m2(c, params, nu)),
-    )
-
-
-def eval_f_euler(
-    m_values: EulerNodes, params: ModelParams, a_value: float | None, partition_point: float
-) -> float:
-    """Force at a partition node by the closed product-sum Euler expression.
-
-    F(t_G)/A = sum_{g<G} h_g m1_g prod_{g'=g+1}^{G-1} (1 - h_g' m2_g'),
-    evaluated literally (no running integration state). Raises
-    :class:`UnstableStep` if any factor magnitude exceeds 1, i.e. some
-    segment is longer than the explicit-Euler stability bound 2/m2.
-    """
-    nodes = m_values.nodes
-    target = None
-    for g, t in enumerate(nodes):
-        if abs(t - partition_point) < 1e-9:
-            target = g
-            break
-    if target is None:
-        raise ValueError(f"{partition_point} is not a partition node")
-    h = [nodes[g + 1] - nodes[g] for g in range(len(nodes) - 1)]
-    c = [1.0 - h[g] * m_values.m2[g] for g in range(target)]
-    for g, cg in enumerate(c):
-        if abs(cg) > 1.0:
-            raise UnstableStep(
-                f"segment {g} of width {h[g]} exceeds the stability bound "
-                f"2/m2 = {2.0 / m_values.m2[g]:.6g}"
-            )
-    a = params.a_rest if a_value is None else float(a_value)
-    total = 0.0
-    for g in range(target):
-        total += h[g] * m_values.m1[g] * math.prod(c[g + 1 : target])
-    return a * 1e-3 * total
-
-
 # ---------------------------------------------------------------------------
 # force error bound and nu-envelopes
 # ---------------------------------------------------------------------------
@@ -622,7 +515,5 @@ def upper_lower_envelope(
         )
     low = build_m_approx(train, params, scheme=scheme_low, p=p, nu=nu_low)
     high = build_m_approx(train, params, scheme=scheme_high, p=p, nu=nu_high)
-    return (
-        eval_f_tilde(low, params, a_value, t),
-        eval_f_tilde(high, params, a_value, t),
-    )
+    a = params.a_rest if a_value is None else float(a_value)
+    return ForceApprox(low).values(t, a), ForceApprox(high).values(t, a)

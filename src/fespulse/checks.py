@@ -16,10 +16,9 @@ import timeit
 import numpy as np
 
 from .approx import (
+    ForceApprox,
     build_m_approx,
     error_bound_persistent,
-    eval_f_tilde,
-    force_approximator,
     force_error_bound,
     persistence_order,
     truncated_cn,
@@ -155,7 +154,7 @@ def force_bound(
         for p in (2, 4):
             ap = build_m_approx(train, params, scheme="constant-average", p=p)
             nodes = np.asarray(ap.pulse_breaks)
-            f_tilde = np.asarray(eval_f_tilde(ap, params, params.a_rest, nodes))
+            f_tilde = ForceApprox(ap).values(nodes, params.a_rest)
             f_true = np.array([traj.at("force", t) for t in nodes])
             errs[p] = float(np.max(np.abs(f_tilde - f_true)))
             if p == 2:
@@ -226,9 +225,7 @@ def evaluation_speedup(
     and seconds per F~ evaluation and per default-step RK4 run interpolated
     to the same times (see :func:`_interleaved_best_of_5`)."""
     t0 = time.perf_counter()
-    evaluator = force_approximator(
-        build_m_approx(train, params, scheme="affine-constant", p=2, nu=nu)
-    )
+    evaluator = ForceApprox(build_m_approx(train, params, scheme="affine-constant", p=2, nu=nu))
     build_s = time.perf_counter() - t0
     ts = np.linspace(0.0, train.horizon, n_points)
 

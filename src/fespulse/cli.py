@@ -25,13 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, checks
-from .approx import (
-    build_m_approx,
-    eval_f_tilde,
-    force_approximator,
-    interval_averages,
-    truncated_cn,
-)
+from .approx import ForceApprox, build_m_approx, interval_averages, truncated_cn
 from .model import ModelParams, PulseTrain, UnreachableForce
 from .optimize import (
     DecisionVector,
@@ -119,8 +113,14 @@ class ScenarioConfig:
                     return _SCHEMA[section][key](raw)
         return default
 
-    def has_section(self, section: str) -> bool:
-        return any(name == section for name, _ in self.sections)
+    def set_values(self, section: str, *keys: str, **renamed: str) -> dict:
+        """The values of ``section`` that the scenario sets, as keyword
+        arguments: each of ``keys`` under its own name, each
+        ``field=key`` of ``renamed`` under ``field``. Unset keys are left
+        out, so the receiving type's own defaults fill them."""
+        fields = {key: key for key in keys} | {key: name for name, key in renamed.items()}
+        values = {name: self.get(section, key) for key, name in fields.items()}
+        return {name: value for name, value in values.items() if value is not None}
 
     def to_text(self) -> str:
         buf = io.StringIO()
@@ -137,13 +137,8 @@ class ScenarioConfig:
     def model_params(self) -> ModelParams:
         if self.get("model", "k_m") is None:
             raise ConfigError("[model] k_m is required (it has no canonical value)")
-        kwargs = {
-            key: self.get("model", key)
-            for key in _SCHEMA["model"]
-            if self.get("model", key) is not None
-        }
         try:
-            return ModelParams(**kwargs)
+            return ModelParams(**self.set_values("model", *_SCHEMA["model"]))
         except ValueError as exc:
             raise ConfigError(f"[model] invalid parameters: {exc}") from exc
 
@@ -173,12 +168,7 @@ class ScenarioConfig:
 
     def sim_options(self) -> SimOptions:
         try:
-            return SimOptions(
-                step=self.get("sim", "step"),
-                method=self.get("sim", "method", "rk4"),
-                abs_tol=self.get("sim", "abs_tol", 1e-10),
-                rel_tol=self.get("sim", "rel_tol", 1e-8),
-            )
+            return SimOptions(**self.set_values("sim", "step", "method", "abs_tol", "rel_tol"))
         except ValueError as exc:
             raise ConfigError(f"[sim] {exc}") from exc
 
@@ -432,19 +422,15 @@ def run_simulate(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
 def run_approximate(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
     params = cfg.model_params()
     train = cfg.train()
-    scheme = cfg.get("approx", "scheme", "affine-constant")
-    p = cfg.get("approx", "p", 2)
-    nu = cfg.get("approx", "nu", 1.0)
     trunc_p = cfg.get("approx", "trunc_p", 2)
     try:
-        approx = build_m_approx(train, params, scheme=scheme, p=p, nu=nu)
+        approx = build_m_approx(train, params, **cfg.set_values("approx", "scheme", "p", "nu"))
         trunc = truncated_cn(train, params, trunc_p)
     except ValueError as exc:
         raise ConfigError(f"[approx] {exc}") from exc
-    evaluator = force_approximator(approx)
     traj = simulate_force(train, params, cfg.sim_options())
     grid = traj.grid
-    f_tilde = np.atleast_1d(evaluator.values(grid, params.a_rest))
+    f_tilde = np.atleast_1d(ForceApprox(approx).values(grid, params.a_rest))
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "approximation.csv", cfg, "approximate", seed,
@@ -455,7 +441,7 @@ def run_approximate(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
     _write_json(
         out_dir / "approx_summary.json", cfg, "approximate", seed,
         {
-            "scheme": scheme, "p": p, "nu": nu, "trunc_p": trunc_p,
+            "scheme": approx.scheme, "p": approx.p, "nu": approx.nu, "trunc_p": trunc_p,
             "max_abs_force_gap_kN": float(gap.max()),
             "terminal_f_tilde_kN": float(f_tilde[-1]),
             "terminal_f_oracle_kN": traj.terminal("force"),
@@ -465,24 +451,13 @@ def run_approximate(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
 
 
 def _objective_from_config(cfg: ScenarioConfig) -> ObjectiveSpec:
-    kind = cfg.get("objective", "kind")
-    if kind is None:
+    if cfg.get("objective", "kind") is None:
         raise ConfigError("[objective] kind is required")
     try:
-        return ObjectiveSpec(
-            kind=kind,
-            f_ref=cfg.get("objective", "f_ref"),
-            c_ref=cfg.get("objective", "c_ref"),
-            w1=cfg.get("objective", "w1", 1.0),
-            a_s=cfg.get("objective", "a_s"),
-            backend=cfg.get("objective", "backend", "approx"),
-            scheme=cfg.get("objective", "scheme", "affine-constant"),
-            p=cfg.get("objective", "p", 2),
-            nu=cfg.get("objective", "nu", 1.0),
-            t_f=cfg.get("objective", "t_f"),
-            rest_duration=cfg.get("objective", "rest"),
-            sim_step=cfg.get("objective", "sim_step"),
-        )
+        return ObjectiveSpec(**cfg.set_values(
+            "objective", "kind", "f_ref", "c_ref", "w1", "a_s", "backend", "scheme", "p", "nu",
+            "t_f", "sim_step", rest_duration="rest",
+        ))
     except ValueError as exc:
         raise ConfigError(f"[objective] {exc}") from exc
 
@@ -491,16 +466,12 @@ def _solver_from_config(cfg: ScenarioConfig, seed: int) -> tuple[SolveOptions, D
     n = cfg.get("solver", "n")
     if n is None:
         raise ConfigError("[solver] n is required")
-    opts = SolveOptions(
-        i_min=cfg.get("solver", "i_min", 20.0),
-        t_max=cfg.get("solver", "t_max", 1500.0),
-        mu_min=cfg.get("solver", "mu_min", 1e-8),
-        kkt_tol=cfg.get("solver", "kkt_tol", 1e-6),
-        h_rel=cfg.get("solver", "h_rel", 1e-5),
-        inner_max_iter=cfg.get("solver", "inner_max_iter", 120),
-        n_starts=cfg.get("solver", "n_starts", 1),
-        seed=cfg.get("solver", "seed", seed),
-    )
+    # The CLI caps inner loops at 120 iterations (the library's default is
+    # 300) until the two defaults become one (ROADMAP item 1).
+    opts = SolveOptions(**{"inner_max_iter": 120, "seed": seed, **cfg.set_values(
+        "solver", "i_min", "t_max", "mu_min", "kkt_tol", "h_rel", "inner_max_iter",
+        "n_starts", "seed",
+    )})
     horizon = cfg.get("solver", "init_horizon", 1000.0)
     if horizon >= opts.t_max:
         raise ConfigError(f"[solver] init_horizon {horizon} must be below t_max {opts.t_max}")
@@ -512,10 +483,7 @@ def _solver_from_config(cfg: ScenarioConfig, seed: int) -> tuple[SolveOptions, D
             f"the horizon {horizon}"
         )
     init = DecisionVector.regular(
-        n,
-        horizon,
-        amplitude=cfg.get("solver", "amplitude", 1.0),
-        freeze_amplitudes=cfg.get("solver", "freeze_amplitudes", False),
+        n, horizon, **cfg.set_values("solver", "amplitude", "freeze_amplitudes")
     )
     return opts, init
 
@@ -571,7 +539,7 @@ def run_optimize(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
         approx_col, oracle_col = steps, exact
     else:
         approx = build_m_approx(train, params, scheme=spec.scheme, p=spec.p, nu=spec.nu)
-        approx_col = np.atleast_1d(eval_f_tilde(approx, params, params.a_rest, grid))
+        approx_col = np.atleast_1d(ForceApprox(approx).values(grid, params.a_rest))
         oracle_col = traj.channel("force")
     _write_csv(
         out_dir / "response.csv", cfg, "optimize", seed,
@@ -584,18 +552,10 @@ def run_optimize(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
 def run_plan(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
     params = cfg.model_params()
     try:
-        spec = ProgramSpec(
-            f_ref=cfg.get("program", "f_ref"),
-            k_ratio=cfg.get("program", "k_ratio"),
-            n=cfg.get("program", "n", 5),
-            i_min=cfg.get("program", "i_min", 20.0),
-            train_horizon=cfg.get("program", "train_horizon", 400.0),
-            rest_duration=cfg.get("program", "rest"),
-            rest_cap=cfg.get("program", "rest_cap"),
-            t_f=cfg.get("program", "t_f", 2000.0),
-            k_fatigue=cfg.get("program", "k_fatigue", 2.0),
-            sim_step=cfg.get("program", "sim_step"),
-        )
+        spec = ProgramSpec(**cfg.set_values(
+            "program", "f_ref", "k_ratio", "n", "i_min", "train_horizon", "rest_cap", "t_f",
+            "k_fatigue", "sim_step", rest_duration="rest",
+        ))
     except ValueError as exc:
         raise ConfigError(f"[program] {exc}") from exc
     program = plan_endurance(spec, params)

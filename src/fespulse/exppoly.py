@@ -41,11 +41,6 @@ class PiecewisePoly:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "coeffs", coeffs)
 
-    @classmethod
-    def constant(cls, breakpoints, value: float) -> "PiecewisePoly":
-        n_pieces = len(breakpoints) - 1
-        return cls(breakpoints, np.tile([float(value), 0.0], (max(n_pieces, 0), 1)))
-
     @property
     def domain(self) -> tuple[float, float]:
         return float(self.breakpoints[0]), float(self.breakpoints[-1])

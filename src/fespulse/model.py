@@ -48,12 +48,10 @@ __all__ = [
     "UnreachableForce",
     "compute_scaling",
     "concentration_state",
-    "eval_signal",
     "eval_cn",
     "eval_lobe",
     "eval_m1",
     "eval_m2",
-    "argmax_cn_interval",
     "steady_state_root",
 ]
 
@@ -386,16 +384,6 @@ class _ScalarHill:
         return nu / (self.tau_1 + self.tau_2 * self.m1(s))
 
 
-def eval_signal(train: PulseTrain, params: ModelParams, t) -> float | np.ndarray:
-    """Stimulation signal E(t) in 1/ms.
-
-    E(t) = (1/tau_c) sum_i R_i eta_i exp(-(t - t_i)/tau_c) H(t - t_i), with
-    the Heaviside convention H(0) = 1 (each pulse contributes from its own
-    instant, E is right-continuous).
-    """
-    return concentration_state(train, params).signal(t)
-
-
 def eval_cn(train: PulseTrain, params: ModelParams, t) -> float | np.ndarray:
     """Normalized Ca2+ concentration, exactly, with no integration.
 
@@ -432,23 +420,6 @@ def eval_m2(c_n, params: ModelParams, nu: float = 1.0) -> float | np.ndarray:
     m1 = np.asarray(eval_m1(c_n, params), dtype=float)
     out = nu / (params.tau_1 + params.tau_2 * m1)
     return float(out) if out.ndim == 0 else out
-
-
-def argmax_cn_interval(train: PulseTrain, params: ModelParams, k: int) -> float:
-    """Location of the concentration maximum on [t_k, t_{k+1}].
-
-    The unique stationary point of c_N restricted to the k-th interval is
-    t_k + tau_c (1 - A_k/B_k) in the state of :class:`ConcentrationState`
-    (tau_c plus the pulse-weighted mean of the impulse times); the result
-    is clamped into the interval.
-    """
-    if not 0 <= k <= train.n:
-        raise IndexError(f"interval index {k} out of range 0..{train.n}")
-    t_star = float(concentration_state(train, params).peaks()[k])
-    if math.isnan(t_star):
-        raise ValueError(f"all amplitudes up to pulse {k} are zero; argmax undefined")
-    lo, hi = train.interval(k)
-    return min(max(t_star, lo), hi)
 
 
 def steady_state_root(

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .approx import _check_m_approx_args, build_m_approx, eval_f_tilde
+from .approx import ForceApprox, _check_m_approx_args, build_m_approx
 from .model import ConcentrationState, ModelParams, PulseTrain, eval_cn
 from .simulate import Rest, SimOptions, simulate_force, simulate_force_fatigue
 
@@ -301,7 +301,7 @@ def horizon_gap(spec, i_min: float) -> float:
 def _force_at_nodes(spec: ObjectiveSpec, train: PulseTrain, params: ModelParams, nodes):
     if spec.backend == "approx":
         approx = build_m_approx(train, params, scheme=spec.scheme, p=spec.p, nu=spec.nu)
-        return np.atleast_1d(eval_f_tilde(approx, params, params.a_rest, np.asarray(nodes)))
+        return np.atleast_1d(ForceApprox(approx).values(np.asarray(nodes), params.a_rest))
     traj = simulate_force(train, params, SimOptions(step=spec.sim_step))
     return np.array([traj.at("force", t) for t in nodes])
 
@@ -339,7 +339,8 @@ def _fatigue_cost(spec: ObjectiveSpec, train: PulseTrain, params: ModelParams) -
     a_ch = traj.channel("a")
     for a, b in zip(edges, edges[1:]):
         f_b = traj.at("force", b)
-        sel = (grid >= a - 1e-9) & (grid <= b + 1e-9)
+        # The grid is sorted: the points in [a, b] (±1e-9) are one slice.
+        sel = slice(np.searchsorted(grid, a - 1e-9), np.searchsorted(grid, b + 1e-9, "right"))
         a_mean = float(np.trapezoid(a_ch[sel], grid[sel])) / (b - a)
         cost += (f_b - spec.f_ref) ** 2 * (b - a)
         cost += spec.w1 * (a_mean - spec.a_s) ** 2 * (b - a)

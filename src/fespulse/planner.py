@@ -197,22 +197,24 @@ def plan_endurance(
     cur = 0.0
     a_start = params.a_rest
     while fits(cur):
+        # Templates are picked at train starts only, so each train and the
+        # rest after it are integrated in one call.
         train_k = pick_template(a_start)
         segments.append(ProgramSegment(start=cur, train=train_k))
         pulses = [cur + t for t in train_k.times]
         times.extend(pulses)
         amps.extend(train_k.amplitudes)
-        advance(pulses + [cur + train_k.horizon], [])
         cur += train_k.horizon
+        breaks = pulses + [cur]
         remaining = spec.t_f - cur
-        if remaining <= 1e-9:
-            break
-        r = min(rest_len, remaining)
-        if remaining - r < template.horizon:
-            r = remaining  # absorb a tail too short for another train
-        segments.append(ProgramSegment(start=cur, rest=Rest(r)))
-        lo, cur = cur, cur + r
-        advance([lo, cur], [cur] if fits(cur) else [])
+        if remaining > 1e-9:
+            r = min(rest_len, remaining)
+            if remaining - r < template.horizon:
+                r = remaining  # absorb a tail too short for another train
+            segments.append(ProgramSegment(start=cur, rest=Rest(r)))
+            cur += r
+            breaks.append(cur)
+        advance(breaks, [cur] if fits(cur) else [])
         a_start = calls[-1][2][-1] * 1e3
     if cur < spec.t_f - 1e-9:
         tail = spec.t_f - cur

@@ -1,31 +1,27 @@
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from fespulse import (
+    ForceApprox,
     MApprox,
     ModelParams,
     PulseTrain,
     SimOptions,
-    UnstableStep,
     build_m_approx,
     error_bound_persistent,
-    euler_nodes,
     eval_cn,
-    eval_f_euler,
-    eval_f_tilde,
     eval_m1,
     eval_m2,
-    force_approximator,
     force_error_bound,
     interval_averages,
     persistence_order,
     persistence_profile,
     simulate_force,
-    tail_average_cn,
     truncated_cn,
     upper_lower_envelope,
 )
@@ -109,7 +105,6 @@ def test_error_bound_frozen_arithmetic():
 def test_interval_average_zero_amplitudes():
     train = PulseTrain((0.0, 30.0), (0.0, 0.0), 90.0)
     assert interval_averages(train, P)[0] == 0.0
-    assert tail_average_cn(train, P, 1) == 0.0
 
 
 def test_interval_average_single_pulse_closed_form():
@@ -125,6 +120,7 @@ def test_averages_match_quadrature_on_random_trains():
         train = random_train(rng)
         pts = [t for t in train.times]
         means = interval_averages(train, P)
+        integrals = concentration_state(train, P).integrals(train.horizon)
         for k in range(train.n + 1):
             lo, hi = train.interval(k)
             num = quad(lambda s: eval_cn(train, P, s), lo, hi, limit=300)[0] / (hi - lo)
@@ -135,24 +131,15 @@ def test_averages_match_quadrature_on_random_trains():
             num = quad(
                 lambda s: eval_cn(train, P, s), t_q, train.horizon, points=inner, limit=300
             )[0] / (train.horizon - t_q)
-            assert tail_average_cn(train, P, q) == pytest.approx(num, abs=1e-10)
+            tail = integrals[q:].sum() / (train.horizon - t_q)
+            assert tail == pytest.approx(num, abs=1e-10)
 
 
-def test_interval_averages_shape_and_tail_index_range():
+def test_interval_averages_shape():
     rng = np.random.default_rng(11)
     for _ in range(25):
         train = random_train(rng, n_max=9, amp_lo=0.0)
         assert interval_averages(train, P).shape == (train.n + 1,)
-    with pytest.raises(IndexError):
-        tail_average_cn(THREE_PULSE, P, THREE_PULSE.n + 1)
-    with pytest.raises(IndexError):
-        tail_average_cn(THREE_PULSE, P, -1)
-
-
-def test_tail_average_at_last_pulse_reduces_to_interval_average():
-    assert tail_average_cn(THREE_PULSE, P, THREE_PULSE.n) == pytest.approx(
-        interval_averages(THREE_PULSE, P)[THREE_PULSE.n], abs=1e-15
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +157,7 @@ def test_triangular_scheme_interpolates_at_nodes():
 
 def test_affine_constant_holds_peak_on_rising_segment():
     ap = build_m_approx(THREE_PULSE, P, scheme="affine-constant", p=2)
-    lo, hi = ap.segment(1, 0)  # rising half of interval 1
+    lo, hi = ap.partition[2:4]  # rising half of interval 1
     peak_val = ap.m1_tilde.value(hi)
     mid = 0.5 * (lo + hi)
     assert ap.m1_tilde.value(mid) == pytest.approx(peak_val, abs=1e-12)
@@ -291,7 +278,7 @@ def test_piecewise_poly_validation():
 
 
 def test_piecewise_poly_constant_and_affine_builders():
-    pp = PiecewisePoly.constant((0.0, 2.0, 5.0), 3.5)
+    pp = PiecewisePoly((0.0, 2.0, 5.0), [(3.5, 0.0), (3.5, 0.0)])
     assert pp.value(1.0) == 3.5 and pp.value(4.0) == 3.5
     pw = PiecewisePoly((0.0, 1.0, 2.0), [(1.0, 1.0), (0.0, 2.0)])
     assert pw.value(0.5) == pytest.approx(1.5)
@@ -323,7 +310,7 @@ def test_f_tilde_matches_per_segment_variation_of_constants():
         trains, SCHEMES + ENVELOPE_SCHEMES, (1, 2, 8), (0.95, 1.0, 1.05)
     ):
         ap = build_m_approx(train, P, scheme=scheme, p=p, nu=nu)
-        fa = force_approximator(ap)
+        fa = ForceApprox(ap)
         part = ap.partition.tolist()
         f_start = 0.0
         for g, (lo, hi) in enumerate(zip(part, part[1:])):
@@ -349,8 +336,8 @@ def test_f_tilde_matches_per_segment_variation_of_constants():
 def test_psi_constant_m2_is_linear():
     train = PulseTrain((0.0, 40.0), (0.0, 0.0), 100.0)
     ap = build_m_approx(train, P, scheme="constant-average", p=2)
-    lo, hi = ap.segment(0, 0)
-    mu = force_approximator(ap).mu[0]
+    lo, hi = ap.partition[:2]
+    mu = ForceApprox(ap).mu[0]
     assert mu * (hi - lo) == pytest.approx((hi - lo) / P.tau_1, rel=1e-12)
 
 
@@ -358,10 +345,10 @@ def test_psi_anchored_and_derivative_matches():
     # psi(x) = int_0^x m2~ = c0 x + c1 x^2 / 2 on segment (i, j); the force
     # table uses psi(w) = mu * w.
     ap = build_m_approx(THREE_PULSE, P, scheme="triangular", p=2)
-    fa = force_approximator(ap)
+    fa = ForceApprox(ap)
     for (i, j) in ((0, 0), (1, 1), (2, 1)):
-        lo, hi = ap.segment(i, j)
         g = i * ap.p + j
+        lo, hi = ap.partition[g : g + 2]
         c0, c1 = ap.m2_tilde.coeffs[g]
 
         def psi(x):
@@ -375,14 +362,6 @@ def test_psi_anchored_and_derivative_matches():
         assert psi(hi - lo) == pytest.approx(fa.mu[g] * (hi - lo), rel=1e-12)
 
 
-def test_psi_index_validation():
-    ap = build_m_approx(THREE_PULSE, P, scheme="triangular", p=2)
-    with pytest.raises(IndexError):
-        ap.segment(9, 0)
-    with pytest.raises(IndexError):
-        ap.segment(0, 2)
-
-
 # ---------------------------------------------------------------------------
 # closed-form force
 # ---------------------------------------------------------------------------
@@ -392,7 +371,7 @@ def test_f_tilde_zero_amplitudes():
     train = PulseTrain((0.0, 30.0), (0.0, 0.0), 90.0)
     ap = build_m_approx(train, P, scheme="affine-constant", p=2)
     ts = np.linspace(0.0, 90.0, 19)
-    assert np.allclose(np.asarray(eval_f_tilde(ap, P, P.a_rest, ts)), 0.0, atol=1e-15)
+    assert np.allclose(ForceApprox(ap).values(ts, P.a_rest), 0.0, atol=1e-15)
 
 
 def test_f_tilde_constant_coefficients_closed_form():
@@ -401,8 +380,8 @@ def test_f_tilde_constant_coefficients_closed_form():
     m1c, m2c = 0.4, 0.012
     part = (0.0, 80.0)
     ap = MApprox(
-        m1_tilde=PiecewisePoly.constant(part, m1c),
-        m2_tilde=PiecewisePoly.constant(part, m2c),
+        m1_tilde=PiecewisePoly(part, [(m1c, 0.0)]),
+        m2_tilde=PiecewisePoly(part, [(m2c, 0.0)]),
         pulse_breaks=part,
         scheme="constant-average",
         p=1,
@@ -411,12 +390,12 @@ def test_f_tilde_constant_coefficients_closed_form():
     a_ms = P.a_rest_ms
     for t in (0.0, 7.5, 31.0, 80.0):
         expected = a_ms * m1c / m2c * (1.0 - math.exp(-m2c * t))
-        assert eval_f_tilde(ap, P, P.a_rest, t) == pytest.approx(expected, rel=1e-12)
+        assert ForceApprox(ap).values(t, P.a_rest) == pytest.approx(expected, rel=1e-12)
 
 
 def test_f_tilde_zero_at_origin():
     ap = build_m_approx(THREE_PULSE, P, scheme="affine-constant", p=2)
-    assert eval_f_tilde(ap, P, P.a_rest, 0.0) == 0.0
+    assert ForceApprox(ap).values(0.0, P.a_rest) == 0.0
 
 
 def test_f_tilde_matches_oracle_within_bound_and_refines():
@@ -425,7 +404,7 @@ def test_f_tilde_matches_oracle_within_bound_and_refines():
     for p in (2, 4):
         ap = build_m_approx(THREE_PULSE, P, scheme="triangular", p=p)
         nodes = np.asarray(ap.pulse_breaks)
-        f_tilde = np.asarray(eval_f_tilde(ap, P, P.a_rest, nodes))
+        f_tilde = ForceApprox(ap).values(nodes, P.a_rest)
         f_true = np.array([traj.at("force", t) for t in nodes])
         errors[p] = np.abs(f_tilde - f_true)
         if p == 2:
@@ -437,7 +416,7 @@ def test_f_tilde_matches_oracle_within_bound_and_refines():
 
 def test_f_tilde_telescopes_across_segment_boundaries():
     ap = build_m_approx(THREE_PULSE, P, scheme="affine-constant", p=2)
-    fa = force_approximator(ap)
+    fa = ForceApprox(ap)
     for b in ap.partition[1:-1]:
         left = fa.scaled_values(b - 1e-11)
         right = fa.scaled_values(b + 1e-11)
@@ -447,21 +426,20 @@ def test_f_tilde_telescopes_across_segment_boundaries():
 def test_f_tilde_scalar_and_array_evaluation_agree():
     # One evaluation path: a scalar time returns a float equal to the same
     # time's entry in an array evaluation, including at partition nodes.
-    ap = build_m_approx(THREE_PULSE, P, scheme="triangular", p=2)
-    ts = np.concatenate([ap.partition, np.linspace(0.0, 160.0, 37)])
-    arr = np.asarray(eval_f_tilde(ap, P, P.a_rest, ts))
+    fa = ForceApprox(build_m_approx(THREE_PULSE, P, scheme="triangular", p=2))
+    ts = np.concatenate([fa.m_approx.partition, np.linspace(0.0, 160.0, 37)])
+    arr = fa.values(ts, P.a_rest)
     for t, v in zip(ts, arr):
-        s = eval_f_tilde(ap, P, P.a_rest, float(t))
+        s = fa.values(float(t), P.a_rest)
         assert isinstance(s, float) and s == v
-    assert np.asarray(eval_f_tilde(ap, P, P.a_rest, ts.reshape(2, -1))).shape == (2, ts.size // 2)
+    assert fa.values(ts.reshape(2, -1), P.a_rest).shape == (2, ts.size // 2)
 
 
 def test_f_tilde_rejects_out_of_domain():
-    ap = build_m_approx(THREE_PULSE, P, scheme="affine-constant", p=2)
+    evaluator = ForceApprox(build_m_approx(THREE_PULSE, P, scheme="affine-constant", p=2))
     with pytest.raises(ValueError):
-        eval_f_tilde(ap, P, P.a_rest, 200.0)
+        evaluator.values(200.0, P.a_rest)
     # Sorted and unsorted times take different paths, with the same error.
-    evaluator = force_approximator(ap)
     for ts in ([0.0, 50.0, 200.0], [200.0, 0.0, 50.0], [-1.0, 0.0], [0.0, -1.0]):
         with pytest.raises(ValueError, match=r"time outside the domain \[0.0, 160.0\]"):
             evaluator.scaled_values(np.asarray(ts))
@@ -473,7 +451,7 @@ def test_f_tilde_sorted_and_shuffled_times_agree_bitwise(scheme):
     # each point. Both give the same bits, also exactly on breakpoints.
     rng = np.random.default_rng(31)
     train = random_train(rng, n_max=8)
-    evaluator = force_approximator(build_m_approx(train, P, scheme=scheme, p=3))
+    evaluator = ForceApprox(build_m_approx(train, P, scheme=scheme, p=3))
     part = evaluator.m_approx.partition
     ts = np.sort(np.concatenate([part, part, rng.uniform(0.0, train.horizon, 500), [0.0]]))
     perm = rng.permutation(len(ts))
@@ -492,10 +470,58 @@ def test_f_tilde_sorted_and_shuffled_times_agree_bitwise(scheme):
 # ---------------------------------------------------------------------------
 
 
+class UnstableStep(RuntimeError):
+    """An explicit-Euler segment violates the stability bound |1 - h m2| <= 1."""
+
+
+@dataclass(frozen=True)
+class EulerNodes:
+    """Exact Hill-function samples on a refined partition, for the
+    product-form explicit-Euler force expression."""
+
+    nodes: tuple[float, ...]
+    m1: tuple[float, ...]
+    m2: tuple[float, ...]
+
+
+def euler_nodes(train: PulseTrain, params: ModelParams, p: int = 2) -> EulerNodes:
+    state = concentration_state(train, params)
+    partition, _ = _refined_partition(train, state, p)
+    c = state.cn(partition)
+    return EulerNodes(
+        nodes=tuple(partition.tolist()),
+        m1=tuple(eval_m1(c, params).tolist()),
+        m2=tuple(eval_m2(c, params).tolist()),
+    )
+
+
+def eval_f_euler(m_values: EulerNodes, a_value: float, node: float) -> float:
+    """Force at a partition node by the closed product-sum Euler expression.
+
+    F(t_G)/A = sum_{g<G} h_g m1_g prod_{g'=g+1}^{G-1} (1 - h_g' m2_g'),
+    evaluated literally (no running integration state). Raises
+    :class:`UnstableStep` if any factor magnitude exceeds 1, i.e. some
+    segment is longer than the explicit-Euler stability bound 2/m2.
+    """
+    nodes = m_values.nodes
+    target = next((g for g, t in enumerate(nodes) if abs(t - node) < 1e-9), None)
+    if target is None:
+        raise ValueError(f"{node} is not a partition node")
+    h = [nodes[g + 1] - nodes[g] for g in range(len(nodes) - 1)]
+    c = [1.0 - h[g] * m_values.m2[g] for g in range(target)]
+    for g, cg in enumerate(c):
+        if abs(cg) > 1.0:
+            raise UnstableStep(f"segment {g} of width {h[g]} exceeds 2/m2")
+    total = 0.0
+    for g in range(target):
+        total += h[g] * m_values.m1[g] * math.prod(c[g + 1 : target])
+    return a_value * 1e-3 * total
+
+
 def test_euler_zero_amplitudes():
     train = PulseTrain((0.0, 30.0), (0.0, 0.0), 90.0)
     nodes = euler_nodes(train, P, p=2)
-    assert eval_f_euler(nodes, P, P.a_rest, nodes.nodes[3]) == 0.0
+    assert eval_f_euler(nodes, P.a_rest, nodes.nodes[3]) == 0.0
 
 
 def test_euler_single_step_closed_form():
@@ -504,10 +530,10 @@ def test_euler_single_step_closed_form():
     # One step from rest: F = A h m1(t_0); with t_0 = 0 the concentration and
     # hence m1 vanish, so the first node value is exactly zero.
     assert nodes.m1[0] == 0.0
-    assert eval_f_euler(nodes, P, P.a_rest, nodes.nodes[1]) == 0.0
+    assert eval_f_euler(nodes, P.a_rest, nodes.nodes[1]) == 0.0
     # Two steps expose the product-sum form directly.
     expect = P.a_rest_ms * (nodes.nodes[2] - nodes.nodes[1]) * nodes.m1[1]
-    got = eval_f_euler(nodes, P, P.a_rest, nodes.nodes[2])
+    got = eval_f_euler(nodes, P.a_rest, nodes.nodes[2])
     assert got == pytest.approx(expect + 0.0 * h0, rel=1e-12)
 
 
@@ -517,7 +543,7 @@ def test_euler_first_order_convergence():
     errs = []
     for p in (8, 16, 32):
         nodes = euler_nodes(THREE_PULSE, P, p=p)
-        errs.append(abs(eval_f_euler(nodes, P, P.a_rest, t_eval) - traj.at("force", t_eval)))
+        errs.append(abs(eval_f_euler(nodes, P.a_rest, t_eval) - traj.at("force", t_eval)))
     assert errs[0] / errs[1] > 1.6 and errs[1] / errs[2] > 1.6  # observed order ~1
 
 
@@ -525,13 +551,13 @@ def test_euler_unstable_step_detected():
     train = PulseTrain((0.0,), (1.0,), 400.0)
     nodes = euler_nodes(train, P, p=1)  # one 400 ms segment: h m2 > 2
     with pytest.raises(UnstableStep):
-        eval_f_euler(nodes, P, P.a_rest, 400.0)
+        eval_f_euler(nodes, P.a_rest, 400.0)
 
 
 def test_euler_requires_partition_node():
     nodes = euler_nodes(THREE_PULSE, P, p=2)
     with pytest.raises(ValueError):
-        eval_f_euler(nodes, P, P.a_rest, 13.37)
+        eval_f_euler(nodes, P.a_rest, 13.37)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +571,7 @@ def test_error_bound_zero_for_exact_stand_ins():
     rep = force_error_bound(train, P, ap, 1)
     assert rep.bound == pytest.approx(0.0, abs=1e-10)
     assert rep.hypotheses_ok
-    assert eval_f_tilde(ap, P, P.a_rest, 40.0) == pytest.approx(0.0, abs=1e-15)
+    assert ForceApprox(ap).values(40.0, P.a_rest) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_error_bound_dominates_two_pulse_case():
@@ -556,7 +582,7 @@ def test_error_bound_dominates_two_pulse_case():
         rep = force_error_bound(train, P, ap, k)
         assert rep.hypotheses_ok, rep.violated
         node = ap.pulse_breaks[k]
-        measured = abs(eval_f_tilde(ap, P, P.a_rest, node) - traj.at("force", node))
+        measured = abs(ForceApprox(ap).values(node, P.a_rest) - traj.at("force", node))
         assert measured / P.a_rest_ms <= rep.bound + 1e-12
 
 
@@ -588,7 +614,7 @@ def test_envelope_trivial_at_nu_one_shared_scheme():
         THREE_PULSE, P, 1.0, 1.0, ts, scheme_low="affine-constant", scheme_high="affine-constant"
     )
     ap = build_m_approx(THREE_PULSE, P, scheme="affine-constant", p=2, nu=1.0)
-    plain = np.asarray(eval_f_tilde(ap, P, P.a_rest, ts))
+    plain = ForceApprox(ap).values(ts, P.a_rest)
     assert np.allclose(np.asarray(low), plain, atol=1e-15)
     assert np.allclose(np.asarray(high), plain, atol=1e-15)
 

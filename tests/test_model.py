@@ -9,14 +9,12 @@ from fespulse import (
     ModelParams,
     PulseTrain,
     UnreachableForce,
-    argmax_cn_interval,
     compute_scaling,
     concentration_state,
     eval_cn,
     eval_lobe,
     eval_m1,
     eval_m2,
-    eval_signal,
     steady_state_root,
     truncated_cn,
 )
@@ -98,12 +96,12 @@ def test_scaling_bounds_and_monotonicity(gap):
 
 def test_signal_zero_before_first_pulse():
     train = PulseTrain((0.0,), (1.0,), 100.0)
-    assert eval_signal(train, P, -1.0) == 0.0
+    assert concentration_state(train, P).signal(-1.0) == 0.0
 
 
 def test_signal_jump_value_at_first_pulse():
     train = PulseTrain((0.0,), (1.0,), 100.0)
-    assert eval_signal(train, P, 0.0) == pytest.approx(1.0 / P.tau_c, rel=1e-15)
+    assert concentration_state(train, P).signal(0.0) == pytest.approx(1.0 / P.tau_c, rel=1e-15)
 
 
 def test_signal_two_term_brute_force():
@@ -115,7 +113,7 @@ def test_signal_two_term_brute_force():
             for i in range(2)
             if t >= train.times[i]
         )
-        assert eval_signal(train, P, t) == pytest.approx(expected, rel=1e-14)
+        assert concentration_state(train, P).signal(t) == pytest.approx(expected, rel=1e-14)
 
 
 def test_cn_single_pulse_peak_is_inverse_e():
@@ -187,7 +185,7 @@ def test_concentration_state_matches_dense_lobe_sum(gaps, amps, tail, p):
     window = (i <= k_of_t[:, None]) & (i > k_of_t[:, None] - p)
     with np.errstate(all="raise"):
         cn = eval_cn(train, P, ts)
-        signal = eval_signal(train, P, ts)
+        signal = concentration_state(train, P).signal(ts)
         trunc = truncated_cn(train, P, p)(ts)
         k = len(times) // 2
         lobe = eval_lobe(train, P, k, ts)
@@ -254,41 +252,28 @@ def test_m1_increasing_m2_decreasing_and_bounded(c1, dc):
 
 
 # ---------------------------------------------------------------------------
-# interval argmax
+# interval peaks
 # ---------------------------------------------------------------------------
 
 
 def test_argmax_first_interval_is_tau_c():
     train = PulseTrain((0.0, 60.0), (1.0, 1.0), 160.0, 20.0)
-    assert argmax_cn_interval(train, P, 0) == pytest.approx(P.tau_c, rel=1e-14)
+    assert concentration_state(train, P).peaks()[0] == pytest.approx(P.tau_c, rel=1e-14)
 
 
 def test_argmax_degenerate_second_amplitude():
     # With eta_1 = 0 the second lobe contributes nothing and the stationary
     # point stays at tau_c (placed inside [t_1, horizon] here).
     train = PulseTrain((0.0, 10.0), (1.0, 0.0), 100.0)
-    assert argmax_cn_interval(train, P, 1) == pytest.approx(P.tau_c, rel=1e-14)
+    assert concentration_state(train, P).peaks()[1] == pytest.approx(P.tau_c, rel=1e-14)
 
 
 def test_argmax_matches_grid_search():
     train = PulseTrain((0.0, 30.0), (1.0, 1.0), 150.0, 20.0)
-    t_star = argmax_cn_interval(train, P, 1)
+    t_star = concentration_state(train, P).peaks()[1]
     ts = np.linspace(30.0, 150.0, 120001)
     grid_star = ts[int(np.argmax(eval_cn(train, P, ts)))]
     assert abs(t_star - grid_star) <= (150.0 - 30.0) / 120000 + 1e-9
-
-
-def test_argmax_all_zero_amplitudes_raises():
-    train = PulseTrain((0.0, 30.0), (0.0, 0.0), 100.0)
-    with pytest.raises(ValueError):
-        argmax_cn_interval(train, P, 1)
-
-
-def test_argmax_clamps_into_interval():
-    # Short interval forces the stationary point past t_{k+1}.
-    train = PulseTrain((0.0, 5.0), (1.0, 1.0), 200.0)
-    t_star = argmax_cn_interval(train, P, 0)
-    assert 0.0 <= t_star <= 5.0
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from fespulse import (
     simulate_force_fatigue,
     solve,
 )
-from fespulse.approx import build_m_approx, eval_f_tilde
+from fespulse.approx import ForceApprox, build_m_approx
 from fespulse.model import steady_state_root
 from fespulse.optimize import OptOutcome, _track_cn_residuals, constraint_matrix, horizon_gap
 
@@ -161,7 +161,7 @@ def test_track_force_backends_agree_within_bound():
         rep = force_error_bound(train, P, ap, k)
         assert rep.hypotheses_ok, rep.violated
         e_k = P.a_rest_ms * rep.bound
-        f_t = float(eval_f_tilde(ap, P, P.a_rest, node))
+        f_t = ForceApprox(ap).values(node, P.a_rest)
         width = node - (0.0, *nodes)[k - 1]
         tol += width * e_k * (e_k + 2.0 * abs(f_t - 0.08))
     assert abs(cost_a - cost_o) <= tol + 1e-9
@@ -228,6 +228,53 @@ def test_fatigue_objective_runs_and_penalizes():
         w1=0.0, a_s=P.a_rest / 2.0, t_f=900.0, rest_duration=200.0, sim_step=1.0,
     )
     assert objective_value(spec0, sig, P) < cost
+
+
+def _fatigue_cost_with_masks(spec, train, params):
+    """The fatigue cost with each interval's A mean taken over a full-grid
+    boolean mask of the points in [a, b] (±1e-9)."""
+    segments, elapsed = [], 0.0
+    while elapsed + train.horizon <= spec.t_f + 1e-9:
+        segments.append(train)
+        elapsed += train.horizon
+        r = min(spec.rest_duration, spec.t_f - elapsed)
+        if r > 1e-9:
+            segments.append(Rest(r))
+            elapsed += r
+    if elapsed < spec.t_f - 1e-9:
+        segments.append(Rest(spec.t_f - elapsed))
+    traj = simulate_force_fatigue(segments, params, SimOptions(step=spec.sim_step))
+    edges, cur = [0.0], 0.0
+    for seg in segments:
+        if isinstance(seg, PulseTrain):
+            edges.extend(cur + t for t in seg.times[1:])
+            edges.append(cur + seg.horizon)
+            cur += seg.horizon
+        else:
+            cur += seg.duration
+            edges.append(cur)
+    grid, a_ch, cost = traj.grid, traj.channel("a"), 0.0
+    for a, b in zip(edges, edges[1:]):
+        sel = (grid >= a - 1e-9) & (grid <= b + 1e-9)
+        a_mean = float(np.trapezoid(a_ch[sel], grid[sel])) / (b - a)
+        cost += (traj.at("force", b) - spec.f_ref) ** 2 * (b - a)
+        cost += spec.w1 * (a_mean - spec.a_s) ** 2 * (b - a)
+    return cost
+
+
+def test_fatigue_cost_equals_the_mask_formula_bitwise():
+    rng = np.random.default_rng(29)
+    for _ in range(3):
+        gaps = rng.uniform(25.0, 70.0, 5)
+        times = np.cumsum(gaps[:-1])
+        sig = DecisionVector(tuple(rng.uniform(0.2, 1.0, 5)), tuple(times), float(gaps.sum()))
+        spec = ObjectiveSpec(
+            kind="track_force_fatigue", f_ref=0.1, backend="oracle", w1=0.7,
+            a_s=P.a_rest / 2.0, t_f=float(rng.uniform(1200.0, 1800.0)),
+            rest_duration=float(rng.uniform(150.0, 300.0)), sim_step=1.0,
+        )
+        expected = _fatigue_cost_with_masks(spec, sig.to_train(), P)
+        assert objective_value(spec, sig, P) == spec.scale * expected
 
 
 # ---------------------------------------------------------------------------

@@ -83,20 +83,32 @@ def test_program_recovery_monotone_in_rests(nominal_program):
 def test_plan_integrates_the_session_once(monkeypatch):
     # Each RK4 step of the session is taken exactly once: the trajectory's
     # grid has one interval per step, and no train or rest is re-simulated.
+    # Each train and the rest after it take one integration call; only a
+    # tail rest after another rest takes a call of its own.
     steps = []
+    calls = []
     scan = fespulse.simulate._rk4_scan
+    integrate = fespulse.planner._integrate
 
     def counting_scan(h, m1, m2, sizes, *rest):
         steps.append(int(sizes.sum()))
         return scan(h, m1, m2, sizes, *rest)
 
+    def counting_integrate(*args):
+        calls.append(args)
+        return integrate(*args)
+
     monkeypatch.setattr(fespulse.simulate, "_rk4_scan", counting_scan)
+    monkeypatch.setattr(fespulse.planner, "_integrate", counting_integrate)
     spec = ProgramSpec(
         f_ref=0.1, n=3, i_min=20.0, train_horizon=200.0,
         rest_duration=150.0, t_f=2400.0, sim_step=1.0,
     )
     prog = plan_endurance(spec, P, options=FAST)
-    assert sum(seg.is_train for seg in prog.segments) >= 3
+    is_train = [seg.is_train for seg in prog.segments]
+    tail_rests = sum(not a and not b for a, b in zip(is_train, is_train[1:]))
+    assert sum(is_train) >= 3
+    assert len(calls) == sum(is_train) + tail_rests
     assert sum(steps) == len(prog.trajectory.grid) - 1
 
 
