@@ -35,14 +35,12 @@ from .approx import (
     ForceApprox,
     ForceErrorBound,
     MApprox,
-    PersistenceProfile,
     TruncatedConcentration,
     build_m_approx,
     error_bound_persistent,
     force_error_bound,
     interval_averages,
     persistence_order,
-    persistence_profile,
     truncated_cn,
     upper_lower_envelope,
 )
@@ -63,6 +61,7 @@ from .optimize import (
 from .planner import (
     ProgramSegment,
     ProgramSpec,
+    SessionTooShort,
     StimulationProgram,
     TemplateNotConverged,
     derive_f_max,

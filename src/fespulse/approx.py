@@ -43,13 +43,11 @@ from .model import (
 
 __all__ = [
     "MApprox",
-    "PersistenceProfile",
     "TruncatedConcentration",
     "ForceApprox",
     "ForceErrorBound",
     "SCHEMES",
     "persistence_order",
-    "persistence_profile",
     "truncated_cn",
     "error_bound_persistent",
     "interval_averages",
@@ -73,23 +71,6 @@ _SPLIT_MARGIN = 0.02
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PersistenceProfile:
-    """Truncation geometry of a train: order p, lobe cutoff window 5 tau_c,
-    and kappa, the largest number of truncated lobes that can still sit
-    inside the cutoff window."""
-
-    p: int
-    window: float
-    kappa: int
-
-    def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError(f"persistence order must be >= 1, got {self.p}")
-        if self.kappa > self.p:
-            raise ValueError("kappa cannot exceed p")
-
-
 def persistence_order(train: PulseTrain, params: ModelParams) -> int:
     """Largest number of consecutive pulses chained by gaps <= 5 tau_c."""
     window = 5.0 * params.tau_c
@@ -98,24 +79,6 @@ def persistence_order(train: PulseTrain, params: ModelParams) -> int:
         run = run + 1 if g <= window + 1e-9 else 0
         best = max(best, run)
     return best + 1
-
-
-def _effective_i_min(train: PulseTrain) -> float:
-    if train.i_min > 0.0:
-        return train.i_min
-    if train.n >= 1:
-        return min(train.gaps)
-    return math.inf
-
-
-def persistence_profile(
-    train: PulseTrain, params: ModelParams, p: int | None = None
-) -> PersistenceProfile:
-    window = 5.0 * params.tau_c
-    order = persistence_order(train, params) if p is None else int(p)
-    im = _effective_i_min(train)
-    kappa = min(order, 1 if math.isinf(im) else math.ceil(window / im))
-    return PersistenceProfile(p=order, window=window, kappa=kappa)
 
 
 @dataclass(frozen=True)
@@ -152,9 +115,11 @@ def error_bound_persistent(
 ) -> float:
     """Sup bound for the truncation gap on interval k of a p-persistent train.
 
-    At most kappa of the truncated lobes are younger than the 5 tau_c
-    cutoff (each below the peak value r_bar/e); every older lobe is below
-    5 e^-5 r_bar. For k < p nothing is truncated and the bound is zero.
+    At most kappa = min(p, ceil(5 tau_c / i_min)) of the truncated lobes
+    are younger than the 5 tau_c cutoff (each below the peak value
+    r_bar/e), with i_min the train's spacing floor or, where it has none,
+    its smallest gap; every older lobe is below 5 e^-5 r_bar. For k < p
+    nothing is truncated and the bound is zero.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
@@ -162,7 +127,8 @@ def error_bound_persistent(
         raise IndexError(f"interval index {k} out of range 0..{train.n}")
     if k < p:
         return 0.0
-    kappa = persistence_profile(train, params, p=p).kappa
+    i_min = train.i_min if train.i_min > 0.0 else min(train.gaps)  # k >= p: a gap exists
+    kappa = min(p, math.ceil(5.0 * params.tau_c / i_min))
     r = params.r_bar
     return (r / math.e) * kappa + 5.0 * math.exp(-5.0) * r * (k - p - kappa + 1)
 
@@ -496,15 +462,12 @@ def upper_lower_envelope(
     nu_low: float,
     nu_high: float,
     t,
-    scheme_low: str = "staircase-lower",
-    scheme_high: str = "staircase-upper",
-    p: int = 2,
-    a_value: float | None = None,
 ):
-    """Bracketing force approximations (F_low, F_high) at time(s) t.
+    """Bracketing force approximations (F_low, F_high) at time(s) t, in kN
+    at A = a_rest, on the p = 2 partition.
 
     ``nu_low >= 1`` depresses m1 and inflates m2 (a lower force);
-    ``nu_high <= 1`` does the reverse. The default schemes hold each
+    ``nu_high <= 1`` does the reverse. The staircase schemes hold each
     Hill-function stand-in at its per-segment supremum or infimum, so each
     side dominates pointwise by construction (for any nu); the nu margin
     then widens the bracket further.
@@ -513,7 +476,6 @@ def upper_lower_envelope(
         raise ValueError(
             f"need nu_low >= 1 >= nu_high > 0, got nu_low={nu_low}, nu_high={nu_high}"
         )
-    low = build_m_approx(train, params, scheme=scheme_low, p=p, nu=nu_low)
-    high = build_m_approx(train, params, scheme=scheme_high, p=p, nu=nu_high)
-    a = params.a_rest if a_value is None else float(a_value)
-    return ForceApprox(low).values(t, a), ForceApprox(high).values(t, a)
+    low = build_m_approx(train, params, scheme="staircase-lower", p=2, nu=nu_low)
+    high = build_m_approx(train, params, scheme="staircase-upper", p=2, nu=nu_high)
+    return ForceApprox(low).values(t, params.a_rest), ForceApprox(high).values(t, params.a_rest)

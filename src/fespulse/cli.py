@@ -36,7 +36,7 @@ from .optimize import (
     objective_value,
     solve,
 )
-from .planner import ProgramSpec, TemplateNotConverged, plan_endurance
+from .planner import ProgramSpec, SessionTooShort, TemplateNotConverged, plan_endurance
 from .simulate import (
     QuadratureNoConvergence,
     SimOptions,
@@ -64,37 +64,44 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _float(s: str) -> float:
+    """float(s), rejecting nan and ±inf."""
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_floats(s: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in s.replace(",", " ").split())
+    return tuple(_float(x) for x in s.replace(",", " ").split())
 
 
 _SCHEMA: dict[str, dict[str, object]] = {
-    "model": {k: float for k in (
+    "model": {k: _float for k in (
         "tau_c", "r_bar", "a_rest", "k_m", "tau_1", "tau_2", "alpha_a", "tau_fat")},
     "train": {
         "times": _parse_floats, "amplitudes": _parse_floats,
-        "horizon": float, "i_min": float, "n": int, "amplitude": float,
+        "horizon": _float, "i_min": _float, "n": int, "amplitude": _float,
     },
     "objective": {
-        "kind": str, "f_ref": float, "c_ref": float, "w1": float, "a_s": float,
-        "backend": str, "scheme": str, "p": int, "nu": float,
-        "t_f": float, "rest": float, "sim_step": float,
+        "kind": str, "f_ref": _float, "c_ref": _float, "w1": _float, "a_s": _float,
+        "backend": str, "scheme": str, "p": int, "nu": _float,
+        "t_f": _float, "rest": _float, "sim_step": _float,
     },
     "solver": {
-        "i_min": float, "t_max": float, "n": int, "init_horizon": float,
-        "freeze_amplitudes": _parse_bool, "amplitude": float,
-        "n_starts": int, "seed": int, "mu_min": float, "kkt_tol": float,
-        "h_rel": float, "inner_max_iter": int,
+        "i_min": _float, "t_max": _float, "n": int, "init_horizon": _float,
+        "freeze_amplitudes": _parse_bool, "amplitude": _float,
+        "n_starts": int, "kkt_tol": _float, "inner_max_iter": int,
     },
-    "sim": {"step": float, "method": str, "abs_tol": float, "rel_tol": float},
-    "approx": {"scheme": str, "p": int, "nu": float, "trunc_p": int},
+    "sim": {"step": _float, "method": str, "abs_tol": _float, "rel_tol": _float},
+    "approx": {"scheme": str, "p": int, "nu": _float, "trunc_p": int},
     "program": {
-        "f_ref": float, "k_ratio": float, "n": int, "i_min": float,
-        "train_horizon": float, "rest": float, "rest_cap": float,
-        "t_f": float, "k_fatigue": float, "sim_step": float,
+        "f_ref": _float, "k_ratio": _float, "n": int, "i_min": _float,
+        "train_horizon": _float, "rest": _float, "rest_cap": _float,
+        "t_f": _float, "k_fatigue": _float, "sim_step": _float,
     },
-    "validate": {"suite": str, "n_trains": int, "seed": int, "sim_step": float},
-    "bench": {"n_points": int, "threshold": float, "n": int, "horizon": float, "nu": float},
+    "validate": {"suite": str, "n_trains": int, "seed": int, "sim_step": _float},
+    "bench": {"n_points": int, "threshold": _float, "n": int, "horizon": _float, "nu": _float},
 }
 
 
@@ -469,8 +476,7 @@ def _solver_from_config(cfg: ScenarioConfig, seed: int) -> tuple[SolveOptions, D
     # The CLI caps inner loops at 120 iterations (the library's default is
     # 300) until the two defaults become one (ROADMAP item 1).
     opts = SolveOptions(**{"inner_max_iter": 120, "seed": seed, **cfg.set_values(
-        "solver", "i_min", "t_max", "mu_min", "kkt_tol", "h_rel", "inner_max_iter",
-        "n_starts", "seed",
+        "solver", "i_min", "t_max", "kkt_tol", "inner_max_iter", "n_starts",
     )})
     horizon = cfg.get("solver", "init_horizon", 1000.0)
     if horizon >= opts.t_max:
@@ -760,7 +766,7 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return run_bench(cfg, out_dir, args.seed)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, UnreachableForce) as exc:
+    except (ConfigError, UnreachableForce, SessionTooShort) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (InfeasibleSigma, StepCollision, TemplateNotConverged) as exc:

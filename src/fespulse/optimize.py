@@ -11,7 +11,7 @@ callables, where T is an observation time.
 The solver is a log-barrier interior-point loop with a fraction-to-boundary
 line search. Its inner model of the Hessian is the exact barrier Hessian
 plus 2 J^T J + S for the cost. ``track_cn`` is a sum of squared residuals
-r_k = sqrt(scale w_k) (mean_k - c_ref) with an exact Jacobian J (one
+r_k = sqrt(w_k) (mean_k - c_ref) with an exact Jacobian J (one
 forward sweep of the concentration state), so its gradient is 2 J^T r; S is
 a Powell-damped BFGS matrix updated with the structured secant
 dg - 2 J+^T J+ s. The other costs and plain callables have no exact
@@ -22,9 +22,10 @@ with an exact Jacobian, the model's Newton step is below
 ``_NEWTON_STEP_TOL``; at ``inner_max_iter`` iterations it stops and the
 barrier trace marks it ``capped``. The barrier weight mu starts at
 |cost(init)| (at least 1e-4) and shrinks by ``_MU_SHRINK`` per outer round
-to a floor of min(mu_min |cost(init)|, kkt_tol / 10); ``_ARMIJO_C1``,
-``_MAX_LINE_HALVINGS`` and ``_STEP_CAP`` set the line search, and
-``_AMPLITUDE_NUDGE`` pulls free start amplitudes off their bounds.
+to a floor of min(``_MU_MIN`` |cost(init)|, kkt_tol / 10); ``_ARMIJO_C1``,
+``_MAX_LINE_HALVINGS`` and ``_STEP_CAP`` set the line search,
+``_AMPLITUDE_NUDGE`` pulls free start amplitudes off their bounds, and
+``_FD_H_REL`` is the relative step of the finite differences.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .approx import ForceApprox, _check_m_approx_args, build_m_approx
 from .model import ConcentrationState, ModelParams, PulseTrain, eval_cn
-from .simulate import Rest, SimOptions, simulate_force, simulate_force_fatigue
+from .simulate import Rest, SimOptions, _flatten_program, simulate_force, simulate_force_fatigue
 
 __all__ = [
     "DecisionVector",
@@ -71,12 +72,14 @@ _INTERVAL_WEIGHTED_KINDS = ("track_cn", "track_force")
 # model is smooth there, so evaluation tolerates this much overshoot.
 _AMP_EVAL_SLACK = 0.05
 
-# Barrier schedule and line search of the solver.
+# Barrier schedule, line search and finite-difference step of the solver.
 _MU_SHRINK = 0.1            # barrier weight factor per outer round
+_MU_MIN = 1e-8              # barrier weight floor, relative to |cost(init)|
 _AMPLITUDE_NUDGE = 0.01     # pull free start amplitudes off their bounds
 _ARMIJO_C1 = 1e-4
 _MAX_LINE_HALVINGS = 45
 _STEP_CAP = 120.0           # trust cap on ||alpha * d||_inf per iterate
+_FD_H_REL = 1e-5            # relative step of the central differences (fd_gradient)
 # With an exact residual Jacobian an inner loop also waits until the model's
 # Newton step is below this fraction of every coordinate (taken as at least
 # 1). On a degenerate tracking optimum only the barrier picks the point, and
@@ -244,8 +247,6 @@ class ObjectiveSpec:
     ``backend`` is "approx" (closed-form force approximation), "exact"
     (closed-form concentration costs) or "oracle" (reference simulation;
     mandatory for the fatigue-penalized cost, otherwise for validation).
-    ``scale`` (positive) multiplies the cost; the minimizer location is
-    invariant.
     """
 
     kind: str
@@ -257,7 +258,6 @@ class ObjectiveSpec:
     scheme: str = "affine-constant"
     p: int = 2
     nu: float = 1.0
-    scale: float = 1.0
     t_f: float | None = None
     rest_duration: float | None = None
     sim_step: float | None = None
@@ -278,8 +278,6 @@ class ObjectiveSpec:
                 raise ValueError("track_force_fatigue needs t_f, rest_duration and a_s")
         if self.w1 < 0.0:
             raise ValueError("w1 must be >= 0")
-        if self.scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
         _check_m_approx_args(self.scheme, self.p, self.nu)
         if self.sim_step is not None and self.sim_step <= 0.0:
             raise ValueError(f"sim_step must be positive, got {self.sim_step}")
@@ -322,18 +320,9 @@ def _fatigue_cost(spec: ObjectiveSpec, train: PulseTrain, params: ModelParams) -
         segments.append(Rest(spec.t_f - elapsed))
     traj = simulate_force_fatigue(segments, params, SimOptions(step=spec.sim_step))
 
-    # Right-endpoint rule on pulse-interval boundaries inside each train,
-    # rests contributing as single intervals.
-    edges = [0.0]
-    cur = 0.0
-    for seg in segments:
-        if isinstance(seg, PulseTrain):
-            edges.extend(cur + t for t in seg.times[1:])
-            edges.append(cur + seg.horizon)
-            cur += seg.horizon
-        else:
-            cur += seg.duration
-            edges.append(cur)
+    # Right-endpoint rule on the pulse intervals of each train, rests
+    # contributing as single intervals.
+    _, _, edges, _ = _flatten_program(segments)
     cost = 0.0
     grid = traj.grid
     a_ch = traj.channel("a")
@@ -360,21 +349,19 @@ def _cost(spec, sigma: DecisionVector, x: np.ndarray, params: ModelParams | None
     n = sigma.n
     if spec.kind == "track_cn":
         _, means, widths = _track_cn_state(x, n, params)
-        return spec.scale * float(((means - spec.c_ref) ** 2 @ widths))
+        return float(((means - spec.c_ref) ** 2 @ widths))
 
     t = np.concatenate(([0.0], x[n + 1 :]))  # (0, t_1..t_n, T)
     widths = t[1:] - t[:-1]
     train = sigma.with_flat(x).eval_train()
     if spec.kind == "max_force_terminal":
-        value = -float(_force_at_nodes(spec, train, params, [train.horizon])[0])
-    elif spec.kind == "track_force":
+        return -float(_force_at_nodes(spec, train, params, [train.horizon])[0])
+    if spec.kind == "track_force":
         f_nodes = _force_at_nodes(spec, train, params, t[1:])
-        value = float(((f_nodes - spec.f_ref) ** 2 @ widths))
-    elif spec.kind == "max_cn_terminal":
-        value = -float(eval_cn(train, params, train.horizon))
-    else:  # track_force_fatigue
-        value = _fatigue_cost(spec, train, params)
-    return spec.scale * value
+        return float(((f_nodes - spec.f_ref) ** 2 @ widths))
+    if spec.kind == "max_cn_terminal":
+        return -float(eval_cn(train, params, train.horizon))
+    return _fatigue_cost(spec, train, params)  # track_force_fatigue
 
 
 def _track_cn_state(x: np.ndarray, n: int, params: ModelParams):
@@ -389,12 +376,12 @@ def _track_cn_state(x: np.ndarray, n: int, params: ModelParams):
 def _track_cn_residuals(
     spec: ObjectiveSpec, x: np.ndarray, n: int, params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals r_k = sqrt(scale w_k) (mean_k - c_ref) of ``track_cn`` at the
-    flat ``x`` (their squared norm is the cost) and their exact Jacobian over
-    the flat layout: dr_k = sqrt(scale / w_k) (dI_k - (mean_k + c_ref) dw_k / 2),
-    with I_k the interval integral and w_k = t_{k+1} - t_k."""
+    """Residuals r_k = sqrt(w_k) (mean_k - c_ref) of ``track_cn`` at the flat
+    ``x`` (their squared norm is the cost) and their exact Jacobian over the
+    flat layout: dr_k = sqrt(1 / w_k) (dI_k - (mean_k + c_ref) dw_k / 2), with
+    I_k the interval integral and w_k = t_{k+1} - t_k."""
     state, means, widths = _track_cn_state(x, n, params)
-    root = np.sqrt(spec.scale / widths)
+    root = np.sqrt(1.0 / widths)
     jac = state.integrals_jacobian(float(x[-1]), params)
     half = 0.5 * (means + spec.c_ref)
     k = np.arange(n + 1)
@@ -403,12 +390,10 @@ def _track_cn_residuals(
     return root * widths * (means - spec.c_ref), root[:, None] * jac
 
 
-def fd_gradient(
-    spec, sigma: DecisionVector, params: ModelParams | None = None, h_rel: float = 1e-5
-) -> np.ndarray:
+def fd_gradient(spec, sigma: DecisionVector, params: ModelParams | None = None) -> np.ndarray:
     """Central finite differences over the free coordinates.
 
-    Per-coordinate step h = h_rel * max(|sigma_i|, 1); a probe that breaks
+    Per-coordinate step h = _FD_H_REL * max(|sigma_i|, 1); a probe that breaks
     the time ordering is retried with h/10 up to three times before
     raising :class:`StepCollision`.
     """
@@ -416,7 +401,7 @@ def fd_gradient(
     base = sigma.flat()
     grad = np.empty(len(free))
     for out_i, i in enumerate(free):
-        h = h_rel * max(abs(base[i]), 1.0)
+        h = _FD_H_REL * max(abs(base[i]), 1.0)
         for attempt in range(4):
             try:
                 hi = base.copy()
@@ -440,9 +425,7 @@ def fd_gradient(
 class SolveOptions:
     i_min: float = 20.0
     t_max: float = 1500.0            # safety cap on T, inactive in practice
-    mu_min: float = 1e-8             # barrier weight floor, relative to |cost(init)|
     inner_max_iter: int = 300
-    h_rel: float = 1e-5
     kkt_tol: float = 1e-6
     n_starts: int = 1
     seed: int = 0
@@ -531,7 +514,7 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
         coordinates. Costs without an exact Jacobian take finite differences
         and have no residual rows."""
         if not exact:
-            grad = fd_gradient(spec, sigma.with_free(xv), params, opts.h_rel)
+            grad = fd_gradient(spec, sigma.with_free(xv), params)
             return grad, np.zeros(0), no_rows
         flat[free] = xv
         r, j = _track_cn_residuals(spec, flat, n, params)
@@ -559,7 +542,7 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
     theta_x = theta(x)  # the cost at the current iterate, carried along
     theta_scale = max(1e-4, abs(theta_x))
     mu = theta_scale
-    mu_floor = max(min(opts.mu_min * theta_scale, 0.1 * opts.kkt_tol), 1e-18)
+    mu_floor = max(min(_MU_MIN * theta_scale, 0.1 * opts.kkt_tol), 1e-18)
     while True:
         g_b, h_b = barrier_grad_hess(x, mu)
         g = g_t + g_b

@@ -24,6 +24,7 @@ __all__ = [
     "StimulationProgram",
     "ProgramSegment",
     "TemplateNotConverged",
+    "SessionTooShort",
     "plan_endurance",
     "derive_f_max",
 ]
@@ -35,6 +36,10 @@ _REDRIFT_TOL = 0.10
 
 class TemplateNotConverged(RuntimeError):
     """A template solve ended with a status other than ``converged``."""
+
+
+class SessionTooShort(ValueError):
+    """The optimized template train is longer than the session t_f."""
 
 
 @dataclass(frozen=True)
@@ -108,14 +113,8 @@ class StimulationProgram:
 
 
 def _solve_template(
-    c_n_ref: float,
-    spec: ProgramSpec,
-    params: ModelParams,
-    options: SolveOptions | None,
+    c_n_ref: float, spec: ProgramSpec, params: ModelParams, opts: SolveOptions
 ) -> OptOutcome:
-    opts = options or SolveOptions(i_min=spec.i_min)
-    if opts.i_min != spec.i_min:
-        opts = replace(opts, i_min=spec.i_min)
     objective = ObjectiveSpec(kind="track_cn", c_ref=c_n_ref, backend="exact")
     init = DecisionVector.regular(spec.n, spec.train_horizon)
     outcome = solve(objective, init, params, opts)
@@ -143,39 +142,40 @@ def plan_endurance(
     """Build and audit an endurance program for a target force level.
 
     Raises :class:`fespulse.model.UnreachableForce` when the requested
-    force has no steady state, and :class:`TemplateNotConverged` when a
+    force has no steady state, :class:`TemplateNotConverged` when a
     template solve does not converge (an unconverged template is never
-    tiled). Fatigue-threshold crossings do not abort the program; they are
-    reported through ``fatigue_breach_time``.
+    tiled), and :class:`SessionTooShort` when the optimized template is
+    longer than the session. Fatigue-threshold crossings do not abort the
+    program; they are reported through ``fatigue_breach_time``.
+    ``spec.i_min`` replaces the spacing floor of ``options``.
     """
+    opts = replace(options or SolveOptions(), i_min=spec.i_min)
     f_ref = spec.f_ref
     if f_ref is None:
-        f_max = derive_f_max(params, n=spec.n, i_min=spec.i_min, options=options)
+        f_max = derive_f_max(params, n=spec.n, options=opts)
         f_ref = f_max / spec.k_ratio
     _, c_n_ref = steady_state_root(params, params.a_rest, f_ref)
 
-    outcome = _solve_template(c_n_ref, spec, params, options)
+    outcome = _solve_template(c_n_ref, spec, params, opts)
     template = outcome.sigma_star.to_train(i_min=spec.i_min)
     if template.horizon > spec.t_f + 1e-9:
-        raise ValueError(
+        raise SessionTooShort(
             f"optimized train span {template.horizon:.1f} ms exceeds the session "
-            f"t_f={spec.t_f} ms; cap the solver horizon (SolveOptions.t_max)"
+            f"t_f={spec.t_f} ms"
         )
     rest_len = spec.rest_duration if spec.rest_duration is not None else _default_rest(spec, params)
 
     # Tile with the single template, and re-solve wherever the simulated
     # fatigue drift at a train start exceeds the tolerance.
-    templates_by_a: list[tuple[float, PulseTrain, OptOutcome]] = [
-        (params.a_rest, template, outcome)
-    ]
+    templates_by_a: list[tuple[float, PulseTrain]] = [(params.a_rest, template)]
 
     def pick_template(a_start: float) -> PulseTrain:
-        for a_used, train, _ in templates_by_a:
+        for a_used, train in templates_by_a:
             if abs(a_start - a_used) / a_used <= _REDRIFT_TOL:
                 return train
         _, c_ref_k = steady_state_root(params, a_start, f_ref)
-        out_k = _solve_template(c_ref_k, spec, params, options)
-        templates_by_a.append((a_start, out_k.sigma_star.to_train(i_min=spec.i_min), out_k))
+        out_k = _solve_template(c_ref_k, spec, params, opts)
+        templates_by_a.append((a_start, out_k.sigma_star.to_train(i_min=spec.i_min)))
         return templates_by_a[-1][1]
 
     sim_opts = SimOptions(step=spec.sim_step)
@@ -260,26 +260,16 @@ def plan_endurance(
 
 
 def derive_f_max(
-    params: ModelParams,
-    n: int = 7,
-    i_min: float = 20.0,
-    options: SolveOptions | None = None,
-    amplitude_level: float = 1.0,
-    init_horizon: float = 1000.0,
+    params: ModelParams, n: int = 7, options: SolveOptions | None = None
 ) -> float:
     """Peak attainable terminal force: solve the terminal-force program
-    with amplitudes frozen at ``amplitude_level`` and report the
-    simulation-evaluated force at the optimized horizon."""
-    if amplitude_level == 0.0:
-        return 0.0
-    opts = options or SolveOptions(i_min=i_min)
-    if opts.i_min != i_min:
-        opts = replace(opts, i_min=i_min)
+    of n + 1 full-amplitude pulses from a 1000 ms regular start, spaced by
+    at least ``options.i_min``, and report the simulation-evaluated force
+    at the optimized horizon."""
+    opts = options or SolveOptions()
     spec = ObjectiveSpec(kind="max_force_terminal", backend="approx")
-    init = DecisionVector.regular(
-        n, init_horizon, amplitude=amplitude_level, freeze_amplitudes=True
-    )
+    init = DecisionVector.regular(n, 1000.0, freeze_amplitudes=True)
     outcome = solve(spec, init, params, opts)
-    train = outcome.sigma_star.to_train(i_min=i_min)
+    train = outcome.sigma_star.to_train(i_min=opts.i_min)
     traj = simulate_force(train, params)
     return traj.terminal("force")

@@ -337,7 +337,9 @@ def simulate_force(
 
 
 def _flatten_program(segments) -> tuple[list[float], list[float], list[float], float]:
-    """Global pulse times/amplitudes and segment boundaries of a program."""
+    """Global pulse times and amplitudes of a program, its integration
+    breaks (the sorted union of the pulse times before the end and the
+    segment bounds) and its end time."""
     times: list[float] = []
     amps: list[float] = []
     bounds = [0.0]
@@ -357,7 +359,8 @@ def _flatten_program(segments) -> tuple[list[float], list[float], list[float], f
         times, amps = [0.0], [0.0]
     if any(b - a <= 0.0 for a, b in zip(times, times[1:])):
         raise ValueError("program pulses must be strictly increasing in global time")
-    return times, amps, bounds, cur
+    breaks = sorted(set(t for t in times if t < cur) | set(bounds))
+    return times, amps, breaks, cur
 
 
 def simulate_force_fatigue(
@@ -371,11 +374,10 @@ def simulate_force_fatigue(
     across segment boundaries (and dies off naturally over long rests).
     The ``a`` channel is reported in kN/s.
     """
-    times, amps, bounds, t_f = _flatten_program(segments)
+    times, amps, breaks, t_f = _flatten_program(segments)
     if t_f <= 0.0:
         raise ValueError("program must have positive total duration")
     state = ConcentrationState.from_pulses(times, amps, params)
-    breaks = sorted(set(t for t in times if t < t_f) | set(bounds))
     grid, force, a = _integrate(state, breaks, params, opts or SimOptions(), params.alpha_a_ms)
     return Trajectory(grid=grid, channels={"c_n": state.cn(grid), "force": force, "a": a * 1e3})
 
@@ -396,26 +398,6 @@ def _checked_quad(f, lo: float, hi: float, epsabs: float = 1e-13) -> float:
     return val
 
 
-class _M2Accumulator:
-    """Cached per-interval quadratures of m2, so Phi(s) = int_0^s m2 costs
-    one partial quadrature regardless of how many pulse intervals precede s."""
-
-    def __init__(self, train: PulseTrain, params: ModelParams, t_end: float):
-        self._hill = _ScalarHill(concentration_state(train, params), params)
-        self._m2 = self._hill.m2
-        self.breaks = [0.0] + [t for t in train.times if 0.0 < t < t_end] + [t_end]
-        self._cum = [0.0]
-        for a, b in zip(self.breaks, self.breaks[1:]):
-            self._cum.append(self._cum[-1] + _checked_quad(self._m2, a, b))
-
-    def m2(self, s: float) -> float:
-        return self._m2(s)
-
-    def phi(self, s: float) -> float:
-        j = max(0, min(np.searchsorted(self.breaks, s, side="right") - 1, len(self.breaks) - 2))
-        return self._cum[j] + _checked_quad(self._m2, self.breaks[j], s)
-
-
 def oracle_force_quadrature(train: PulseTrain, params: ModelParams, t: float) -> float:
     """Force via the exact integral form, by nested adaptive quadrature.
 
@@ -428,16 +410,26 @@ def oracle_force_quadrature(train: PulseTrain, params: ModelParams, t: float) ->
         raise ValueError(f"t={t} outside [0, {train.horizon}]")
     if t == 0.0:
         return 0.0
-    acc = _M2Accumulator(train, params, t)
-    phi_t = acc.phi(t)
-    m1 = acc._hill.m1
-    phi = acc.phi
+    hill = _ScalarHill(concentration_state(train, params), params)
+    m1, m2 = hill.m1, hill.m2
+    breaks = [0.0] + [tp for tp in train.times if 0.0 < tp < t] + [t]
+    # Phi(s) = int_0^s m2 from cached per-interval quadratures, so each
+    # value costs one partial quadrature however many intervals precede s.
+    cum = [0.0]
+    for a, b in zip(breaks, breaks[1:]):
+        cum.append(cum[-1] + _checked_quad(m2, a, b))
+
+    def phi(s: float) -> float:
+        j = max(0, min(np.searchsorted(breaks, s, side="right") - 1, len(breaks) - 2))
+        return cum[j] + _checked_quad(m2, breaks[j], s)
+
+    phi_t = phi(t)
 
     def integrand(s: float) -> float:
         return math.exp(phi(s) - phi_t) * m1(s)
 
     total = 0.0
-    for a, b in zip(acc.breaks, acc.breaks[1:]):
+    for a, b in zip(breaks, breaks[1:]):
         total += _checked_quad(integrand, a, b, epsabs=1e-12)
     return params.a_rest_ms * total
 
@@ -455,13 +447,9 @@ def _gauss_cells(edges: np.ndarray, fn) -> np.ndarray:
     return (vals @ _GAUSS_W) * half
 
 
-def reparam_force_check(
-    train: PulseTrain,
-    params: ModelParams,
-    t_max: float | None = None,
-    n_samples: int = 10,
-) -> float:
-    """Max gap between the reparameterized force and the quadrature oracle.
+def reparam_force_check(train: PulseTrain, params: ModelParams, n_samples: int = 10) -> float:
+    """Max gap between the reparameterized force and the quadrature oracle
+    over [0, T].
 
     In the clock s(t) = int_0^t m2, the force is F(s) = int_0^s e^{u-s}
     m3(u) du with m3 = A m1/m2. We build the monotone map s(t) on a dense
@@ -469,9 +457,7 @@ def reparam_force_check(
     quadrature and compare against :func:`oracle_force_quadrature` on a
     sample grid. The mapping s(t) is strictly increasing since m2 > 0.
     """
-    t_end = float(t_max) if t_max is not None else train.horizon
-    if t_end <= 0.0 or t_end > train.horizon + 1e-9:
-        raise ValueError(f"t_max={t_max} outside (0, {train.horizon}]")
+    t_end = train.horizon
 
     # Dense physical grid, cell-wise Gauss accumulation of s(t).
     breaks = [0.0] + [t for t in train.times if 0.0 < t < t_end] + [t_end]

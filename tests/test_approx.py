@@ -20,7 +20,6 @@ from fespulse import (
     force_error_bound,
     interval_averages,
     persistence_order,
-    persistence_profile,
     simulate_force,
     truncated_cn,
     upper_lower_envelope,
@@ -45,13 +44,6 @@ def test_persistence_order_counts_chained_pulses():
     assert persistence_order(train, P) == 3
     lone = PulseTrain((0.0, 150.0), (1.0, 1.0), 400.0, 20.0)
     assert persistence_order(lone, P) == 1
-
-
-def test_persistence_profile_kappa():
-    train = PulseTrain((0.0, 20.0, 40.0), (1.0,) * 3, 120.0, 20.0)
-    prof = persistence_profile(train, P, p=2)
-    assert prof.window == 5.0 * P.tau_c
-    assert prof.kappa == min(2, math.ceil(prof.window / 20.0)) == 2
 
 
 def test_truncation_full_window_is_exact():
@@ -88,13 +80,24 @@ def test_error_bound_zero_when_nothing_truncated():
     assert error_bound_persistent(THREE_PULSE, P, p=5, k=1) == 0.0
 
 
-def test_error_bound_frozen_arithmetic():
-    # r_bar=1.143, p=2, i_min=20, tau_c=20, k=6:
-    # kappa = min(2, ceil(100/20)) = 2, bound = 2*1.143/e + 5e^-5*1.143*3
-    times = tuple(20.0 * i for i in range(7))
-    train = PulseTrain(times, (1.0,) * 7, 200.0, 20.0)
-    bound = error_bound_persistent(train, P, p=2, k=6)
-    assert bound == pytest.approx(0.9564945038172374, abs=1e-12)
+@pytest.mark.parametrize(
+    "times, i_min, p, k, expected",
+    [
+        # kappa = min(2, ceil(100/20)) = 2: bound = 2*1.143/e + 5e^-5*1.143*3
+        (tuple(20.0 * i for i in range(7)), 20.0, 2, 6, 0.9564945038172374),
+        # kappa = ceil(100/40) = 3 < p: bound = 3*1.143/e + 5e^-5*1.143*3
+        (tuple(40.0 * i for i in range(11)), 40.0, 5, 10, 1.3769807050761962),
+        # no i_min: the smallest gap, 25, gives kappa = ceil(100/25) = 4:
+        # bound = 4*1.143/e + 5e^-5*1.143*2
+        ((0.0,) + tuple(25.0 + 30.0 * i for i in range(10)), 0.0, 5, 10, 1.7589595392353812),
+    ],
+    ids=["kappa-p", "kappa-below-p", "kappa-smallest-gap"],
+)
+def test_error_bound_frozen_arithmetic(times, i_min, p, k, expected):
+    # r_bar=1.143, tau_c=20, so the cutoff window 5 tau_c is 100 ms.
+    train = PulseTrain(times, (1.0,) * len(times), times[-1] + 80.0, i_min)
+    bound = error_bound_persistent(train, P, p=p, k=k)
+    assert bound == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -606,17 +609,6 @@ def test_error_bound_flags_scheme_violation():
 # ---------------------------------------------------------------------------
 # nu envelopes
 # ---------------------------------------------------------------------------
-
-
-def test_envelope_trivial_at_nu_one_shared_scheme():
-    ts = np.linspace(0.0, 160.0, 33)
-    low, high = upper_lower_envelope(
-        THREE_PULSE, P, 1.0, 1.0, ts, scheme_low="affine-constant", scheme_high="affine-constant"
-    )
-    ap = build_m_approx(THREE_PULSE, P, scheme="affine-constant", p=2, nu=1.0)
-    plain = ForceApprox(ap).values(ts, P.a_rest)
-    assert np.allclose(np.asarray(low), plain, atol=1e-15)
-    assert np.allclose(np.asarray(high), plain, atol=1e-15)
 
 
 def test_envelope_brackets_oracle_pointwise():

@@ -424,6 +424,43 @@ def test_invalid_setting_is_config_error(tmp_path, capsys, command, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("simulate", NOMINAL.replace("k_m = 0.103", "k_m = 0.103\ntau_c = nan")),
+        ("simulate", NOMINAL.replace("horizon = 200.0", "horizon = inf")),
+        ("simulate", NOMINAL.replace("horizon = 200.0", "horizon = nan")),
+        ("simulate", NOMINAL.replace("times = 0", "times = 0, nan")),
+        ("simulate", NOMINAL.replace("amplitudes = 1", "amplitudes = -inf")),
+        ("optimize", OPT_SMALL.replace("i_min = 20.0", "i_min = 20.0\nt_max = inf")),
+        ("plan", PLAN_SMALL.replace("f_ref = 0.1", "f_ref = nan")),
+    ],
+    ids=["tau_c-nan", "horizon-inf", "horizon-nan", "times-nan", "amplitudes-minus-inf",
+         "t_max-inf", "f_ref-nan"],
+)
+def test_non_finite_value_is_config_error(tmp_path, capsys, command, text):
+    out = tmp_path / "out"
+    assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad value for [") and err.count("\n") == 1
+    assert "not a finite number" in err
+    assert not out.exists()
+
+
+def test_plan_template_longer_than_session_is_config_error(tmp_path, capsys):
+    # A weak target stretches the optimized train far past the 400 ms start.
+    text = (
+        "[model]\nk_m = 0.103\n\n[program]\n"
+        "f_ref = 0.05\nt_f = 420\ntrain_horizon = 400\nn = 3\n"
+    )
+    out = tmp_path / "out"
+    assert main(["plan", "--config", write(tmp_path, text), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: optimized train span ") and err.count("\n") == 1
+    assert "exceeds the session t_f=420.0 ms" in err
+    assert not out.exists()
+
+
 def test_plan_writes_program(tmp_path):
     cfg = write(tmp_path, PLAN_SMALL)
     out = tmp_path / "out"

@@ -128,8 +128,6 @@ def test_objective_spec_validation():
         ObjectiveSpec(kind="track_force")  # missing f_ref
     with pytest.raises(ValueError):
         ObjectiveSpec(kind="track_force_fatigue", f_ref=0.1, backend="approx")
-    with pytest.raises(ValueError):
-        ObjectiveSpec(kind="track_cn", c_ref=0.1, scale=0.0)
 
 
 def test_track_cn_zero_reference_zero_amplitudes():
@@ -186,12 +184,12 @@ def _random_sigmas(seed: int, gap_lo: float, amp_slack: float, count: int = 60):
 def test_track_cn_cost_equals_train_formula_bitwise():
     # The cost reads the flat sigma; it must give the very floats of the
     # interval means of the evaluation train.
-    spec = ObjectiveSpec(kind="track_cn", c_ref=0.3, backend="exact", scale=2.5)
+    spec = ObjectiveSpec(kind="track_cn", c_ref=0.3, backend="exact")
     for sig in _random_sigmas(11, 1.0, 0.04):
         train = sig.eval_train()
         widths = np.diff(train.times + (train.horizon,))
         means = interval_averages(train, P)
-        expected = spec.scale * float(((means - spec.c_ref) ** 2 @ widths))
+        expected = float(((means - spec.c_ref) ** 2 @ widths))
         assert objective_value(spec, sig, P) == expected
 
 
@@ -274,7 +272,7 @@ def test_fatigue_cost_equals_the_mask_formula_bitwise():
             rest_duration=float(rng.uniform(150.0, 300.0)), sim_step=1.0,
         )
         expected = _fatigue_cost_with_masks(spec, sig.to_train(), P)
-        assert objective_value(spec, sig, P) == spec.scale * expected
+        assert objective_value(spec, sig, P) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +330,7 @@ def test_track_cn_jacobian_matches_central_differences():
     # The exact residual Jacobian against central differences of the
     # residuals, and the gradient 2 J^T r over the free coordinates against
     # fd_gradient, which stays the oracle.
-    spec = ObjectiveSpec(kind="track_cn", c_ref=0.3, backend="exact", scale=2.5)
+    spec = ObjectiveSpec(kind="track_cn", c_ref=0.3, backend="exact")
     for index, sig in enumerate(_random_sigmas(13, 5.0, 0.0)):
         sig = replace(sig, freeze_amplitudes=index % 2 == 1)
         n, base = sig.n, sig.flat()
@@ -480,8 +478,14 @@ def test_solve_evaluates_each_point_once():
 
 
 def test_solve_argmin_invariant_under_objective_scaling():
-    base = ObjectiveSpec(kind="track_cn", c_ref=0.4, backend="exact")
-    scaled = ObjectiveSpec(kind="track_cn", c_ref=0.4, backend="exact", scale=100.0)
+    spec = ObjectiveSpec(kind="track_cn", c_ref=0.4, backend="exact")
+
+    def base(sig: DecisionVector) -> float:
+        return objective_value(spec, sig, P)
+
+    def scaled(sig: DecisionVector) -> float:
+        return 100.0 * objective_value(spec, sig, P)
+
     init = DecisionVector.regular(1, 150.0, freeze_amplitudes=True)
     opts = SolveOptions(i_min=20.0)
     a = solve(base, init, P, opts)

@@ -292,10 +292,6 @@ def test_fatigue_threshold_breach_is_flagged():
     assert prog.a_threshold == pytest.approx(P.a_rest / 1.002)
 
 
-def test_derive_f_max_zero_amplitude_cap():
-    assert derive_f_max(P, n=3, amplitude_level=0.0) == 0.0
-
-
 @pytest.fixture(scope="module")
 def f_max_pair():
     return derive_f_max(P, n=5), derive_f_max(P, n=7)

@@ -303,9 +303,8 @@ def test_rk4_scan_matches_the_step_loop(blocks, monkeypatch):
         monkeypatch.setattr(fespulse.simulate, "_BATCH_STEPS", blocks[1])
     rng = np.random.default_rng(19)
     for trial in range(24):
-        times, amps, bounds, t_f = _flatten_program(_random_program(rng))
+        times, amps, breaks, _ = _flatten_program(_random_program(rng))
         state = ConcentrationState.from_pulses(times, amps, P)
-        breaks = sorted(set(t for t in times if t < t_f) | set(bounds))
         step = float(rng.uniform(0.1, 1.0))
         alpha = (0.0, P.alpha_a_ms, 50.0 * P.alpha_a_ms)[trial % 3]
         f, a = (0.0, P.a_rest_ms) if trial % 2 else (
