@@ -81,12 +81,12 @@ _SCHEMA: dict[str, dict[str, object]] = {
         "tau_c", "r_bar", "a_rest", "k_m", "tau_1", "tau_2", "alpha_a", "tau_fat")},
     "train": {
         "times": _parse_floats, "amplitudes": _parse_floats,
-        "horizon": _float, "i_min": _float, "n": int, "amplitude": _float,
+        "horizon": _float, "i_min": _float,
     },
     "objective": {
         "kind": str, "f_ref": _float, "c_ref": _float, "w1": _float, "a_s": _float,
         "backend": str, "scheme": str, "p": int, "nu": _float,
-        "t_f": _float, "rest": _float, "sim_step": _float,
+        "t_f": _float, "rest": _float,
     },
     "solver": {
         "i_min": _float, "t_max": _float, "n": int, "init_horizon": _float,
@@ -98,9 +98,9 @@ _SCHEMA: dict[str, dict[str, object]] = {
     "program": {
         "f_ref": _float, "k_ratio": _float, "n": int, "i_min": _float,
         "train_horizon": _float, "rest": _float, "rest_cap": _float,
-        "t_f": _float, "k_fatigue": _float, "sim_step": _float,
+        "t_f": _float, "k_fatigue": _float,
     },
-    "validate": {"suite": str, "n_trains": int, "seed": int, "sim_step": _float},
+    "validate": {"n_trains": int},
     "bench": {"n_points": int, "threshold": _float, "n": int, "horizon": _float, "nu": _float},
 }
 
@@ -152,28 +152,23 @@ class ScenarioConfig:
     def train(self) -> PulseTrain:
         times = self.get("train", "times")
         horizon = self.get("train", "horizon")
-        if horizon is None:
-            raise ConfigError("[train] horizon is required")
+        if times is None or horizon is None:
+            raise ConfigError("[train] times and horizon are required")
         i_min = self.get("train", "i_min", 0.0)
-        if times is None:
-            n = self.get("train", "n")
-            if n is None:
-                raise ConfigError("[train] give either times or n")
-            amp = self.get("train", "amplitude", 1.0)
-            times = tuple(i * horizon / (n + 1) for i in range(n + 1))
-            amps = (amp,) * (n + 1)
-        else:
-            amps = self.get("train", "amplitudes")
-            if amps is None:
-                amps = (1.0,) * len(times)
-            elif len(amps) == 1:
-                amps = amps * len(times)
+        amps = self.get("train", "amplitudes")
+        if amps is None:
+            amps = (1.0,) * len(times)
+        elif len(amps) == 1:
+            amps = amps * len(times)
         try:
             return PulseTrain(times=times, amplitudes=amps, horizon=horizon, i_min=i_min)
         except ValueError as exc:
             raise ConfigError(f"[train] invalid train: {exc}") from exc
 
     def sim_options(self) -> SimOptions:
+        """``[sim]``: the RK4 ``step`` of every command but ``bench``; the
+        method and tolerances of ``simulate``, ``approximate`` and
+        ``optimize``'s response."""
         try:
             return SimOptions(**self.set_values("sim", "step", "method", "abs_tol", "rel_tol"))
         except ValueError as exc:
@@ -457,13 +452,13 @@ def run_approximate(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
     return EXIT_OK
 
 
-def _objective_from_config(cfg: ScenarioConfig) -> ObjectiveSpec:
+def _objective_from_config(cfg: ScenarioConfig, sim_step: float | None) -> ObjectiveSpec:
     if cfg.get("objective", "kind") is None:
         raise ConfigError("[objective] kind is required")
     try:
-        return ObjectiveSpec(**cfg.set_values(
+        return ObjectiveSpec(sim_step=sim_step, **cfg.set_values(
             "objective", "kind", "f_ref", "c_ref", "w1", "a_s", "backend", "scheme", "p", "nu",
-            "t_f", "sim_step", rest_duration="rest",
+            "t_f", rest_duration="rest",
         ))
     except ValueError as exc:
         raise ConfigError(f"[objective] {exc}") from exc
@@ -496,15 +491,11 @@ def _solver_from_config(cfg: ScenarioConfig, seed: int) -> tuple[SolveOptions, D
 
 def run_optimize(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
     params = cfg.model_params()
-    spec = _objective_from_config(cfg)
+    sim_opts = cfg.sim_options()
+    spec = _objective_from_config(cfg, sim_opts.step)
     opts, init = _solver_from_config(cfg, seed)
-    init_cost = None
-    try:
-        init_cost = objective_value(spec, init, params)
-        outcome = solve(spec, init, params, opts)
-    except (InfeasibleSigma, StepCollision) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    init_cost = objective_value(spec, init, params)
+    outcome = solve(spec, init, params, opts)
     if outcome.status != "converged":
         print(f"solver did not converge: status={outcome.status}", file=sys.stderr)
         for entry in outcome.trace:
@@ -534,7 +525,7 @@ def run_optimize(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
     )
 
     train = sigma.to_train()
-    traj = simulate_force(train, params, cfg.sim_options())
+    traj = simulate_force(train, params, sim_opts)
     grid = traj.grid
     if spec.kind in ("max_cn_terminal", "track_cn"):
         exact = traj.channel("c_n")
@@ -557,10 +548,11 @@ def run_optimize(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
 
 def run_plan(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
     params = cfg.model_params()
+    sim_step = cfg.sim_options().step
     try:
-        spec = ProgramSpec(**cfg.set_values(
+        spec = ProgramSpec(sim_step=sim_step, **cfg.set_values(
             "program", "f_ref", "k_ratio", "n", "i_min", "train_horizon", "rest_cap", "t_f",
-            "k_fatigue", "sim_step", rest_duration="rest",
+            "k_fatigue", rest_duration="rest",
         ))
     except ValueError as exc:
         raise ConfigError(f"[program] {exc}") from exc
@@ -644,7 +636,7 @@ def _validation_checks(suite: str, params: ModelParams, rng, n_trains: int, sim_
         ]
     if suite == "force_bound":
         _, violations, refine_ok = checks.force_bound(params, rng, n_trains, sim_step)
-        frac = refine_ok / max(n_trains, 1)
+        frac = refine_ok / n_trains
         return [
             _check("force-error-bound-dominates", violations == 0, violations, 0.0),
             _check("force-refinement-monotone", frac >= 0.9, frac, 0.9,
@@ -669,11 +661,12 @@ def _validation_checks(suite: str, params: ModelParams, rng, n_trains: int, sim_
     ]
 
 
-def run_validate(cfg: ScenarioConfig, out_dir: Path, seed: int, suite: str | None) -> int:
-    suite = suite or cfg.get("validate", "suite", "default")
+def run_validate(cfg: ScenarioConfig, out_dir: Path, seed: int, suite: str) -> int:
     n_trains = cfg.get("validate", "n_trains", 6)
-    sim_step = cfg.get("validate", "sim_step", 0.2)
-    rng = np.random.default_rng(cfg.get("validate", "seed", seed))
+    if n_trains < 1:
+        raise ConfigError(f"[validate] n_trains must be at least 1, got {n_trains}")
+    sim_step = cfg.sim_options().step or 0.2
+    rng = np.random.default_rng(seed)
     results: list[dict] = []
     try:
         params = cfg.model_params()
@@ -744,7 +737,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out")
         p.add_argument("--seed", type=int, default=0)
         if name == "validate":
-            p.add_argument("--suite", default=None)
+            p.add_argument("--suite", default="default")
     return parser
 
 

@@ -104,7 +104,6 @@ class StimulationProgram:
     trajectory: Trajectory
     fatigue_breach_time: float | None
     train_summaries: tuple[dict, ...]
-    template_outcome: OptOutcome
 
     @property
     def t_f(self) -> float:
@@ -156,8 +155,7 @@ def plan_endurance(
         f_ref = f_max / spec.k_ratio
     _, c_n_ref = steady_state_root(params, params.a_rest, f_ref)
 
-    outcome = _solve_template(c_n_ref, spec, params, opts)
-    template = outcome.sigma_star.to_train(i_min=spec.i_min)
+    template = _solve_template(c_n_ref, spec, params, opts).sigma_star.to_train(i_min=spec.i_min)
     if template.horizon > spec.t_f + 1e-9:
         raise SessionTooShort(
             f"optimized train span {template.horizon:.1f} ms exceeds the session "
@@ -255,7 +253,6 @@ def plan_endurance(
         trajectory=trajectory,
         fatigue_breach_time=breach,
         train_summaries=tuple(summaries),
-        template_outcome=outcome,
     )
 
 

@@ -289,24 +289,18 @@ def _integrate(state: ConcentrationState, breaks, params: ModelParams, opts: Sim
     k0 = 0
     for blocks in np.split(np.arange(len(block_size)), cuts):
         sizes, iv = block_size[blocks], block_iv[blocks]
-        # Nodes j0 .. j0 + size of every block; node q of block b and the
-        # midpoint after it go to 2q - b and 2q - b + 1 of the stage times,
-        # so each block reads node, mid, node, ..., node in time order.
+        # Nodes j0 .. j0 + size of every block; step k starts at node left[k].
         block = np.repeat(np.arange(len(sizes)), sizes + 1)
         first = np.cumsum(sizes + 1) - (sizes + 1)
         j = np.arange(len(block)) - first[block] + block_j0[blocks][block]
         nodes = _linspace_nodes(lo[iv[block]], hi[iv[block]], m[iv[block]], j)
         left = np.arange(int(sizes.sum())) + np.repeat(np.arange(len(sizes)), sizes)
-        stage = np.empty(len(nodes) + len(left))
-        stage[2 * np.arange(len(nodes)) - block] = nodes
-        at = 2 * left - block[left]
-        stage[at + 1] = 0.5 * (nodes[left] + nodes[left + 1])
-        c = state.cn(stage)
-        m1, m2 = eval_m1(c, params), eval_m2(c, params)
-        samples = np.stack([at, at + 1, at + 2])
-        fs, as_ = _rk4_scan(
-            h[iv], m1[samples], m2[samples], sizes, force[k0], a_out[k0], a_rest, tau_fat, alpha
-        )
+        c_node = state.cn(nodes)
+        c_mid = state.cn(0.5 * (nodes[left] + nodes[left + 1]))
+        m1n, m2n = eval_m1(c_node, params), eval_m2(c_node, params)
+        m1 = np.stack([m1n[left], eval_m1(c_mid, params), m1n[left + 1]])
+        m2 = np.stack([m2n[left], eval_m2(c_mid, params), m2n[left + 1]])
+        fs, as_ = _rk4_scan(h[iv], m1, m2, sizes, force[k0], a_out[k0], a_rest, tau_fat, alpha)
         k1 = k0 + len(left)
         grid[k0:k1] = nodes[left]
         force[k0 + 1:k1 + 1] = fs

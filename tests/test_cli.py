@@ -7,7 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fespulse import ModelParams, OptOutcome, QuadratureNoConvergence, StepTooLarge
+from fespulse import (
+    ModelParams,
+    OptOutcome,
+    ProgramSpec,
+    QuadratureNoConvergence,
+    StepCollision,
+    StepTooLarge,
+    plan_endurance,
+)
 from fespulse.checks import fatigue_response
 from fespulse.cli import (
     ConfigError,
@@ -271,9 +279,9 @@ freeze_amplitudes = true
 
 
 def test_validate_default_suite_passes(tmp_path):
-    cfg = write(tmp_path, NOMINAL + "\n[validate]\nn_trains = 2\nseed = 9\nsim_step = 0.4\n")
+    cfg = write(tmp_path, NOMINAL + "\n[validate]\nn_trains = 2\n")
     out = tmp_path / "out"
-    assert main(["validate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert main(["validate", "--config", cfg, "--out", str(out), "--seed", "9"]) == EXIT_OK
     report = json.loads((out / "validation.json").read_text())
     assert report["all_passed"] is True
     names = {c["name"] for c in report["checks"]}
@@ -327,9 +335,10 @@ def test_numerical_failure_is_solver_exit_code(tmp_path, monkeypatch, capsys, er
 
 
 def test_validate_lobe_suite_passes(tmp_path):
-    cfg = write(tmp_path, NOMINAL + "\n[validate]\nn_trains = 3\nseed = 1\n")
+    cfg = write(tmp_path, NOMINAL + "\n[validate]\nn_trains = 3\n")
     out = tmp_path / "out"
-    assert main(["validate", "--config", cfg, "--out", str(out), "--suite", "lobe"]) == EXIT_OK
+    args = ["--out", str(out), "--suite", "lobe", "--seed", "1"]
+    assert main(["validate", "--config", cfg, *args]) == EXIT_OK
     report = json.loads((out / "validation.json").read_text())
     assert report["all_passed"] is True
     assert all(c["passed"] for c in report["checks"])
@@ -394,7 +403,9 @@ i_min = 20.0
 train_horizon = 250.0
 rest = 300.0
 t_f = 1100.0
-sim_step = 1.0
+
+[sim]
+step = 1.0
 """
 
 
@@ -406,15 +417,18 @@ OPT_APPROX = OPT_SMALL.replace("kind = max_cn_terminal\nbackend = exact", "kind 
     [
         ("plan", PLAN_SMALL.replace("rest = 300.0", "rest = 0")),
         ("plan", PLAN_SMALL.replace("rest = 300.0", "rest_cap = -1")),
-        ("plan", PLAN_SMALL.replace("sim_step = 1.0", "sim_step = -1")),
+        ("plan", PLAN_SMALL.replace("step = 1.0", "step = -1")),
         ("optimize", OPT_APPROX.replace("[solver]", "p = 0\n\n[solver]")),
         ("optimize", OPT_APPROX.replace("[solver]", "nu = -1\n\n[solver]")),
         ("optimize", OPT_APPROX.replace("[solver]", "scheme = bogus\n\n[solver]")),
-        ("optimize", OPT_APPROX.replace("[solver]", "backend = oracle\nsim_step = -1\n\n[solver]")),
+        ("optimize", OPT_APPROX.replace("[solver]", "backend = oracle\n\n[sim]\nstep = -1\n\n[solver]")),
         ("approximate", NOMINAL + "\n[approx]\ntrunc_p = 0\n"),
+        ("validate", NOMINAL.replace("step = 0.4", "step = -1")),
+        ("validate", NOMINAL + "\n[validate]\nn_trains = 0\n"),
     ],
     ids=["plan-rest", "plan-rest_cap", "plan-sim_step", "optimize-p", "optimize-nu",
-         "optimize-scheme", "optimize-oracle-sim_step", "approximate-trunc_p"],
+         "optimize-scheme", "optimize-oracle-sim_step", "approximate-trunc_p",
+         "validate-sim_step", "validate-n_trains"],
 )
 def test_invalid_setting_is_config_error(tmp_path, capsys, command, text):
     out = tmp_path / "out"
@@ -497,7 +511,7 @@ def _long_train_scenario(seed: int, pulses: int) -> str:
         # Rests of 2 s take c_N down to about 1e-47, printed in e-notation.
         ("plan", PLAN_SMALL.replace("rest = 300.0", "rest = 2000.0")
                            .replace("t_f = 1100.0", "t_f = 5000.0")
-                           .replace("sim_step = 1.0\n", "")),
+                           .replace("\n[sim]\nstep = 1.0\n", "")),
     ],
     ids=["approximate-60-pulses", "plan-long-rests"],
 )
@@ -541,4 +555,56 @@ def test_plan_unconverged_template_is_solver_failure(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert err.startswith("solver failure: template solve") and err.count("\n") == 1
     assert "status=max_iterations" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, section, key",
+    [
+        ("simulate", NOMINAL.replace("times = 0\n", "n = 3\n"), "train", "n"),
+        ("simulate", NOMINAL.replace("amplitudes = 1", "amplitude = 1"), "train", "amplitude"),
+        ("optimize", OPT_SMALL.replace("backend = exact", "backend = oracle\nsim_step = 1.0"),
+         "objective", "sim_step"),
+        ("plan", PLAN_SMALL.replace("t_f = 1100.0", "t_f = 1100.0\nsim_step = 1.0"),
+         "program", "sim_step"),
+        ("validate", NOMINAL + "\n[validate]\nseed = 9\n", "validate", "seed"),
+        ("validate", NOMINAL + "\n[validate]\nsuite = lobe\n", "validate", "suite"),
+        ("validate", NOMINAL + "\n[validate]\nsim_step = 0.4\n", "validate", "sim_step"),
+    ],
+    ids=["train-n", "train-amplitude", "objective-sim_step", "program-sim_step",
+         "validate-seed", "validate-suite", "validate-sim_step"],
+)
+def test_removed_key_is_unknown(tmp_path, capsys, command, text, section, key):
+    out = tmp_path / "out"
+    assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: unknown key {key!r} in section [{section}]\n"
+    assert not out.exists()
+
+
+def test_plan_integrates_at_the_sim_step(tmp_path):
+    columns = ["t_ms", "c_n", "force_kN", "a"]
+    out, out_default = tmp_path / "out", tmp_path / "out_default"
+    assert main(["plan", "--config", write(tmp_path, PLAN_SMALL), "--out", str(out)]) == EXIT_OK
+    default = write(tmp_path, PLAN_SMALL.replace("\n[sim]\nstep = 1.0\n", ""), "default.ini")
+    assert main(["plan", "--config", default, "--out", str(out_default)]) == EXIT_OK
+    spec = ProgramSpec(f_ref=0.1, n=3, i_min=20.0, train_horizon=250.0, rest_duration=300.0,
+                       t_f=1100.0, sim_step=1.0)
+    traj = plan_endurance(spec, ModelParams(k_m=0.103)).trajectory
+    table = np.column_stack([traj.grid, traj.channel("c_n"), traj.channel("force"),
+                             traj.channel("a")])
+    body = _file_body(out / "program_trajectory.csv", columns)
+    assert body == _percent_body(table).encode()
+    assert body != _file_body(out_default / "program_trajectory.csv", columns)
+
+
+def test_optimize_step_collision_is_solver_failure(tmp_path, monkeypatch, capsys):
+    def collide(*args, **kwargs):
+        raise StepCollision("probe broke the time ordering")
+
+    monkeypatch.setattr("fespulse.cli.solve", collide)
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", write(tmp_path, OPT_SMALL), "--out", str(out)]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err == "solver failure: probe broke the time ordering\n"
     assert not out.exists()
