@@ -245,34 +245,31 @@ def build_m_approx(
     state = concentration_state(train, params)
     part, pulse_breaks = _refined_partition(train, state, p)
     cn_nodes = state.cn(part)
-    f1 = eval_m1(cn_nodes, params, nu)
-    f2 = eval_m2(cn_nodes, params, nu)
-    # Node values at the left (a) and right (b) end of every segment.
-    v1a, v1b, v2a, v2b = f1[:-1], f1[1:], f2[:-1], f2[1:]
     w = np.diff(part)
     zero = np.zeros_like(w)
     n_int = len(pulse_breaks) - 1
 
     if scheme in ENVELOPE_SCHEMES:
-        hi1, lo1 = np.maximum(v1a, v1b), np.minimum(v1a, v1b)
-        hi2, lo2 = np.maximum(v2a, v2b), np.minimum(v2a, v2b)
-        # Per-interval concentration maxima at the unclamped peak, for
-        # exact per-segment suprema regardless of the clamped split point.
+        # m1 rises and m2 falls with c_N: the upper staircase takes both at
+        # the segment's largest c_N (an end, or the interval's unclamped peak
+        # where the segment holds it), the lower one at its least (an end).
+        ca, cb = cn_nodes[:-1], cn_nodes[1:]
         t_star = state.peaks()
         inside = (np.asarray(pulse_breaks[:-1]) < t_star) & (t_star < np.asarray(pulse_breaks[1:]))
-        c_star = state.cn(t_star[inside])
-        m1_star = np.full(n_int, np.nan)
-        m2_star = np.full(n_int, np.nan)
-        m1_star[inside] = eval_m1(c_star, params, nu)
-        m2_star[inside] = eval_m2(c_star, params, nu)
+        c_star = np.full(n_int, np.nan)
+        c_star[inside] = state.cn(t_star[inside])
         t_seg = np.repeat(np.where(inside, t_star, np.nan), p)
         holds_peak = (part[:-1] <= t_seg) & (t_seg <= part[1:])
-        hi1 = np.where(holds_peak, np.maximum(hi1, np.repeat(m1_star, p)), hi1)  # m1 peaks there
-        lo2 = np.where(holds_peak, np.minimum(lo2, np.repeat(m2_star, p)), lo2)  # m2 bottoms out
-        upper = scheme == "staircase-upper"
-        m1 = np.column_stack([hi1 if upper else lo1, zero])
-        m2 = np.column_stack([lo2 if upper else hi2, zero])
+        c_hi = np.maximum(ca, cb)
+        c_hi = np.where(holds_peak, np.maximum(c_hi, np.repeat(c_star, p)), c_hi)
+        c_seg = c_hi if scheme == "staircase-upper" else np.minimum(ca, cb)
+        m1 = np.column_stack([eval_m1(c_seg, params, nu), zero])
+        m2 = np.column_stack([eval_m2(c_seg, params, nu), zero])
     else:
+        f1 = eval_m1(cn_nodes, params, nu)
+        f2 = eval_m2(cn_nodes, params, nu)
+        # Node values at the left (a) and right (b) end of every segment.
+        v1a, v1b, v2a, v2b = f1[:-1], f1[1:], f2[:-1], f2[1:]
         m1 = np.column_stack([v1a, (v1b - v1a) / w])
         if scheme == "affine-constant":
             nodes = np.arange(n_int)[:, None] * p + np.arange(p + 1)
@@ -336,10 +333,6 @@ class ForceApprox:
         # One row (p, q, r, -mu) per segment, so evaluation gathers the
         # coefficients of all its points with a single take.
         self.rows = np.column_stack([p, q, np.asarray(sbar[:-1]) - p, -self.mu])
-
-    @property
-    def horizon(self) -> float:
-        return float(self.m_approx.partition[-1])
 
     def scaled_values(self, t) -> np.ndarray | float:
         """F~(t)/A in ms units (multiply by A in kN/ms for force in kN)."""

@@ -217,15 +217,15 @@ def _interleaved_best_of_5(*fns) -> list[float]:
     return best
 
 
-def evaluation_speedup(
-    params: ModelParams, train: PulseTrain, n_points: int, nu: float
-) -> tuple[float, float, float]:
-    """Precomputed F~ evaluation against re-simulation at ``n_points``
-    times over [0, T]: seconds for one build of the affine-constant table,
-    and seconds per F~ evaluation and per default-step RK4 run interpolated
-    to the same times (see :func:`_interleaved_best_of_5`)."""
+def evaluation_speedup(params: ModelParams, n_points: int) -> tuple[float, float, float]:
+    """Precomputed F~ evaluation against re-simulation of T6 (six
+    full-amplitude pulses 60 ms apart, horizon 360 ms) at ``n_points``
+    times over [0, T]: seconds for one build of the affine-constant table
+    at nu = 0.95, and seconds per F~ evaluation and per default-step RK4
+    run interpolated to the same times (see :func:`_interleaved_best_of_5`)."""
+    train = PulseTrain(tuple(i * 60.0 for i in range(6)), (1.0,) * 6, 360.0, 20.0)
     t0 = time.perf_counter()
-    evaluator = ForceApprox(build_m_approx(train, params, scheme="affine-constant", p=2, nu=nu))
+    evaluator = ForceApprox(build_m_approx(train, params, scheme="affine-constant", p=2, nu=0.95))
     build_s = time.perf_counter() - t0
     ts = np.linspace(0.0, train.horizon, n_points)
 

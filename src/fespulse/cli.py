@@ -97,11 +97,10 @@ _SCHEMA: dict[str, dict[str, object]] = {
     "approx": {"scheme": str, "p": int, "nu": _float, "trunc_p": int},
     "program": {
         "f_ref": _float, "k_ratio": _float, "n": int, "i_min": _float,
-        "train_horizon": _float, "rest": _float, "rest_cap": _float,
-        "t_f": _float, "k_fatigue": _float,
+        "train_horizon": _float, "rest": _float, "t_f": _float, "k_fatigue": _float,
     },
     "validate": {"n_trains": int},
-    "bench": {"n_points": int, "threshold": _float, "n": int, "horizon": _float, "nu": _float},
+    "bench": {"n_points": int, "threshold": _float},
 }
 
 
@@ -468,12 +467,18 @@ def _solver_from_config(cfg: ScenarioConfig, seed: int) -> tuple[SolveOptions, D
     n = cfg.get("solver", "n")
     if n is None:
         raise ConfigError("[solver] n is required")
-    # The CLI caps inner loops at 120 iterations (the library's default is
-    # 300) until the two defaults become one (ROADMAP item 1).
-    opts = SolveOptions(**{"inner_max_iter": 120, "seed": seed, **cfg.set_values(
-        "solver", "i_min", "t_max", "kkt_tol", "inner_max_iter", "n_starts",
-    )})
     horizon = cfg.get("solver", "init_horizon", 1000.0)
+    try:
+        # The CLI caps inner loops at 120 iterations (the library's default
+        # is 300) until the two defaults become one (ROADMAP item 1).
+        opts = SolveOptions(**{"inner_max_iter": 120, "seed": seed, **cfg.set_values(
+            "solver", "i_min", "t_max", "kkt_tol", "inner_max_iter", "n_starts",
+        )})
+        init = DecisionVector.regular(
+            n, horizon, **cfg.set_values("solver", "amplitude", "freeze_amplitudes")
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[solver] {exc}") from exc
     if horizon >= opts.t_max:
         raise ConfigError(f"[solver] init_horizon {horizon} must be below t_max {opts.t_max}")
     # The regular start splits the horizon into n+1 equal gaps, each of
@@ -483,9 +488,6 @@ def _solver_from_config(cfg: ScenarioConfig, seed: int) -> tuple[SolveOptions, D
             f"infeasible scenario: (n+1)*i_min = {(n + 1) * opts.i_min} does not fit under "
             f"the horizon {horizon}"
         )
-    init = DecisionVector.regular(
-        n, horizon, **cfg.set_values("solver", "amplitude", "freeze_amplitudes")
-    )
     return opts, init
 
 
@@ -551,8 +553,8 @@ def run_plan(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
     sim_step = cfg.sim_options().step
     try:
         spec = ProgramSpec(sim_step=sim_step, **cfg.set_values(
-            "program", "f_ref", "k_ratio", "n", "i_min", "train_horizon", "rest_cap", "t_f",
-            "k_fatigue", rest_duration="rest",
+            "program", "f_ref", "k_ratio", "n", "i_min", "train_horizon", "t_f", "k_fatigue",
+            rest_duration="rest",
         ))
     except ValueError as exc:
         raise ConfigError(f"[program] {exc}") from exc
@@ -694,12 +696,12 @@ def run_validate(cfg: ScenarioConfig, out_dir: Path, seed: int, suite: str) -> i
 def run_bench(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
     params = cfg.model_params()
     n_points = cfg.get("bench", "n_points", 10000)
+    if n_points < 1:
+        raise ConfigError(f"[bench] n_points must be at least 1, got {n_points}")
     threshold = cfg.get("bench", "threshold", 5.0)
-    n, horizon = cfg.get("bench", "n", 5), cfg.get("bench", "horizon", 360.0)
-    train = DecisionVector.regular(n, horizon).to_train(20.0)
-    build_s, eval_s, oracle_s = checks.evaluation_speedup(
-        params, train, n_points, cfg.get("bench", "nu", 0.95)
-    )
+    if threshold <= 0.0:
+        raise ConfigError(f"[bench] threshold must be positive, got {threshold}")
+    build_s, eval_s, oracle_s = checks.evaluation_speedup(params, n_points)
     speedup = oracle_s / eval_s if eval_s > 0 else math.inf
     passed = speedup >= threshold
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -129,6 +129,8 @@ class PulseTrain:
             raise ValueError("times and amplitudes must have equal length")
         if self.times[0] != 0.0:
             raise ValueError(f"first impulse must be at t=0, got {self.times[0]}")
+        if self.i_min < 0.0:
+            raise ValueError(f"i_min must be >= 0, got {self.i_min}")
         gaps = [b - a for a, b in zip(self.times, self.times[1:])]
         if any(g <= 0.0 for g in gaps):
             raise ValueError("impulse times must be strictly increasing")

@@ -199,6 +199,10 @@ class DecisionVector:
         freeze_amplitudes: bool = False,
     ) -> "DecisionVector":
         """Evenly spread initialization: t_i = i * horizon / (n + 1)."""
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        if not 0.0 <= amplitude <= 1.0:
+            raise ValueError(f"amplitude must lie in [0, 1], got {amplitude}")
         times = tuple(i * horizon / (n + 1) for i in range(1, n + 1))
         return cls(
             amplitudes=(amplitude,) * (n + 1),
@@ -244,9 +248,10 @@ def _constraint_offset(n: int, i_min: float, gap: float) -> np.ndarray:
 class ObjectiveSpec:
     """Which cost to minimize and through which force backend.
 
-    ``backend`` is "approx" (closed-form force approximation), "exact"
-    (closed-form concentration costs) or "oracle" (reference simulation;
-    mandatory for the fatigue-penalized cost, otherwise for validation).
+    ``backend`` is "approx" (closed-form force approximation) or "oracle"
+    (RK4 reference simulation; mandatory for the fatigue-penalized cost).
+    The c_N costs (``track_cn``, ``max_cn_terminal``) are closed form
+    whatever the backend.
     """
 
     kind: str
@@ -265,7 +270,7 @@ class ObjectiveSpec:
     def __post_init__(self) -> None:
         if self.kind not in OBJECTIVE_KINDS:
             raise ValueError(f"unknown objective kind {self.kind!r}")
-        if self.backend not in ("approx", "exact", "oracle"):
+        if self.backend not in ("approx", "oracle"):
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.kind in ("track_force", "track_force_fatigue") and self.f_ref is None:
             raise ValueError(f"{self.kind} needs f_ref")
@@ -430,6 +435,14 @@ class SolveOptions:
     n_starts: int = 1
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.i_min < 0.0:
+            raise ValueError(f"i_min must be >= 0, got {self.i_min}")
+        if self.kkt_tol <= 0.0:
+            raise ValueError(f"kkt_tol must be positive, got {self.kkt_tol}")
+        if self.inner_max_iter < 1:
+            raise ValueError(f"inner_max_iter must be at least 1, got {self.inner_max_iter}")
+
 
 @dataclass(frozen=True)
 class KKTReport:
@@ -474,15 +487,8 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
     cap_grad = np.zeros(int(free.sum()))
     cap_grad[-1] = 1.0  # T is always the last free coordinate
 
-    gap = horizon_gap(spec, opts.i_min)
-    b = _constraint_offset(n, opts.i_min, gap)
+    b = _constraint_offset(n, opts.i_min, horizon_gap(spec, opts.i_min))
     sigma = _nudge_start(start)
-    xi0 = eval_constraints(sigma, opts.i_min, gap)
-    if np.any(xi0[rows] >= 0.0) or sigma.horizon >= opts.t_max:
-        raise InfeasibleSigma(
-            f"initialization is not strictly feasible: max constraint {float(xi0[rows].max())}"
-        )
-
     flat = sigma.flat()  # frozen coordinates stay; free ones take the iterate
     x = flat[free]
     total_iters = 0
@@ -496,6 +502,12 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
     def barrier_terms(xv: np.ndarray):
         flat[free] = xv
         return a_full @ flat + b, float(xv[-1]) - opts.t_max
+
+    xi0, cap0 = barrier_terms(x)
+    if np.any(xi0[rows] >= 0.0) or cap0 >= 0.0:
+        raise InfeasibleSigma(
+            f"initialization is not strictly feasible: max constraint {float(xi0[rows].max())}"
+        )
 
     def phi(xv: np.ndarray, mu: float, theta_x: float | None = None) -> tuple[float, float]:
         """Barrier merit and cost at xv; a known cost ``theta_x`` is reused."""
@@ -645,7 +657,7 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
         mu = max(mu * _MU_SHRINK, mu_floor)
 
     sigma_star = sigma.with_free(x)
-    xi = eval_constraints(sigma_star, opts.i_min, gap)
+    xi, _ = barrier_terms(x)
     lam = np.zeros(len(xi))
     lam[rows] = mu_floor / (-xi[rows])
     cap_multiplier = mu_floor / (opts.t_max - sigma_star.horizon)

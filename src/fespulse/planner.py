@@ -56,8 +56,7 @@ class ProgramSpec:
     n: int = 5
     i_min: float = 20.0
     train_horizon: float = 400.0     # ms, initialization of the template solve
-    rest_duration: float | None = None
-    rest_cap: float | None = None    # ms cap on the default 3*tau_fat rest
+    rest_duration: float | None = None   # ms; 3*tau_fat when unset
     t_f: float = 2000.0              # ms, total session span
     k_fatigue: float = 2.0
     sim_step: float | None = None
@@ -69,9 +68,20 @@ class ProgramSpec:
             raise ValueError(f"k_ratio must exceed 1, got {self.k_ratio}")
         if self.k_fatigue <= 1.0:
             raise ValueError(f"k_fatigue must exceed 1, got {self.k_fatigue}")
+        if self.n < 0:
+            raise ValueError(f"n must be >= 0, got {self.n}")
+        if self.i_min < 0.0:
+            raise ValueError(f"i_min must be >= 0, got {self.i_min}")
+        # The regular start splits train_horizon into n+1 gaps, each of
+        # which must exceed i_min strictly.
+        if (self.n + 1) * self.i_min >= self.train_horizon:
+            raise ValueError(
+                f"(n+1)*i_min = {(self.n + 1) * self.i_min} does not fit under "
+                f"train_horizon {self.train_horizon}"
+            )
         if self.t_f < self.train_horizon:
             raise ValueError("session t_f must fit at least one train")
-        for name in ("rest_duration", "rest_cap", "sim_step"):
+        for name in ("f_ref", "rest_duration", "sim_step"):
             value = getattr(self, name)
             if value is not None and value <= 0.0:
                 raise ValueError(f"{name} must be positive, got {value}")
@@ -114,7 +124,7 @@ class StimulationProgram:
 def _solve_template(
     c_n_ref: float, spec: ProgramSpec, params: ModelParams, opts: SolveOptions
 ) -> OptOutcome:
-    objective = ObjectiveSpec(kind="track_cn", c_ref=c_n_ref, backend="exact")
+    objective = ObjectiveSpec(kind="track_cn", c_ref=c_n_ref)
     init = DecisionVector.regular(spec.n, spec.train_horizon)
     outcome = solve(objective, init, params, opts)
     if outcome.status != "converged":
@@ -123,14 +133,6 @@ def _solve_template(
             f"after {outcome.iterations} iterations (kkt residual {outcome.kkt_residual:.3g})"
         )
     return outcome
-
-
-def _default_rest(spec: ProgramSpec, params: ModelParams) -> float:
-    # 95% recovery of the fatigue state takes about three time constants.
-    rest = 3.0 * params.tau_fat_ms
-    if spec.rest_cap is not None:
-        rest = min(rest, spec.rest_cap)
-    return rest
 
 
 def plan_endurance(
@@ -161,7 +163,8 @@ def plan_endurance(
             f"optimized train span {template.horizon:.1f} ms exceeds the session "
             f"t_f={spec.t_f} ms"
         )
-    rest_len = spec.rest_duration if spec.rest_duration is not None else _default_rest(spec, params)
+    # 95% recovery of the fatigue state takes about three time constants.
+    rest_len = spec.rest_duration if spec.rest_duration is not None else 3.0 * params.tau_fat_ms
 
     # Tile with the single template, and re-solve wherever the simulated
     # fatigue drift at a train start exceeds the tolerance.

@@ -634,3 +634,44 @@ def test_envelope_width_monotone_in_nu_interval():
 def test_envelope_rejects_bad_nu_ordering():
     with pytest.raises(ValueError):
         upper_lower_envelope(THREE_PULSE, P, 0.95, 1.05, 10.0)
+
+
+def _staircase_by_function(train, scheme, p, nu):
+    """Staircase (m1, m2) levels from each Hill function's own max/min over
+    its segment's end values, with each function's fix at the interval's
+    unclamped peak: the per-function form of the c_N-extreme construction."""
+    state = concentration_state(train, P)
+    part, pulse_breaks = _refined_partition(train, state, p)
+    f1 = eval_m1(state.cn(part), P, nu)
+    f2 = eval_m2(state.cn(part), P, nu)
+    v1a, v1b, v2a, v2b = f1[:-1], f1[1:], f2[:-1], f2[1:]
+    hi1, lo1 = np.maximum(v1a, v1b), np.minimum(v1a, v1b)
+    hi2, lo2 = np.maximum(v2a, v2b), np.minimum(v2a, v2b)
+    t_star = state.peaks()
+    inside = (np.asarray(pulse_breaks[:-1]) < t_star) & (t_star < np.asarray(pulse_breaks[1:]))
+    c_star = state.cn(t_star[inside])
+    m1_star = np.full(train.n + 1, np.nan)
+    m2_star = np.full(train.n + 1, np.nan)
+    m1_star[inside] = eval_m1(c_star, P, nu)
+    m2_star[inside] = eval_m2(c_star, P, nu)
+    t_seg = np.repeat(np.where(inside, t_star, np.nan), p)
+    holds_peak = (part[:-1] <= t_seg) & (t_seg <= part[1:])
+    hi1 = np.where(holds_peak, np.maximum(hi1, np.repeat(m1_star, p)), hi1)
+    lo2 = np.where(holds_peak, np.minimum(lo2, np.repeat(m2_star, p)), lo2)
+    if scheme == "staircase-upper":
+        return hi1, lo2
+    return lo1, hi2
+
+
+def test_staircase_levels_equal_the_per_function_extremes_bitwise():
+    rng = np.random.default_rng(7)
+    trains = [random_train(rng, n_max=10) for _ in range(100)]
+    trains.append(PulseTrain(tuple(i * 60.0 for i in range(6)), (1.0,) * 6, 360.0, 20.0))
+    for train, scheme, p, nu in itertools.product(
+        trains, ENVELOPE_SCHEMES, (1, 2, 4), (0.9, 0.95, 1.0, 1.05)
+    ):
+        ap = build_m_approx(train, P, scheme=scheme, p=p, nu=nu)
+        m1, m2 = _staircase_by_function(train, scheme, p, nu)
+        assert ap.m1_tilde.coeffs[:, 0].tobytes() == m1.tobytes()
+        assert ap.m2_tilde.coeffs[:, 0].tobytes() == m2.tobytes()
+        assert not ap.m1_tilde.coeffs[:, 1].any() and not ap.m2_tilde.coeffs[:, 1].any()

@@ -44,6 +44,12 @@ step = 0.4
 """
 
 
+def edited(text: str, old: str, new: str) -> str:
+    """``text`` with ``old`` replaced by ``new``; ``old`` must occur in it."""
+    assert old in text, f"{old!r} not in the scenario"
+    return text.replace(old, new)
+
+
 def write(tmp_path: Path, text: str, name: str = "scenario.ini") -> str:
     path = tmp_path / name
     path.write_text(text)
@@ -228,7 +234,6 @@ k_m = 0.103
 
 [objective]
 kind = max_cn_terminal
-backend = exact
 
 [solver]
 n = 2
@@ -409,14 +414,13 @@ step = 1.0
 """
 
 
-OPT_APPROX = OPT_SMALL.replace("kind = max_cn_terminal\nbackend = exact", "kind = max_force_terminal")
+OPT_APPROX = edited(OPT_SMALL, "kind = max_cn_terminal", "kind = max_force_terminal")
 
 
 @pytest.mark.parametrize(
     "command, text",
     [
         ("plan", PLAN_SMALL.replace("rest = 300.0", "rest = 0")),
-        ("plan", PLAN_SMALL.replace("rest = 300.0", "rest_cap = -1")),
         ("plan", PLAN_SMALL.replace("step = 1.0", "step = -1")),
         ("optimize", OPT_APPROX.replace("[solver]", "p = 0\n\n[solver]")),
         ("optimize", OPT_APPROX.replace("[solver]", "nu = -1\n\n[solver]")),
@@ -425,10 +429,30 @@ OPT_APPROX = OPT_SMALL.replace("kind = max_cn_terminal\nbackend = exact", "kind 
         ("approximate", NOMINAL + "\n[approx]\ntrunc_p = 0\n"),
         ("validate", NOMINAL.replace("step = 0.4", "step = -1")),
         ("validate", NOMINAL + "\n[validate]\nn_trains = 0\n"),
+        ("bench", NOMINAL + "\n[bench]\nn_points = 0\n"),
+        ("bench", NOMINAL + "\n[bench]\nn_points = -1\n"),
+        ("bench", NOMINAL + "\n[bench]\nthreshold = 0\n"),
+        ("optimize", edited(OPT_SMALL, "kind = max_cn_terminal",
+                            "kind = track_force\nf_ref = 0.1\nbackend = exact")),
+        ("optimize", edited(OPT_SMALL, "\nn = 2\n", "\nn = -1\n")),
+        ("optimize", edited(OPT_SMALL, "[solver]\n", "[solver]\nkkt_tol = 0\n")),
+        ("optimize", edited(OPT_SMALL, "[solver]\n", "[solver]\ninner_max_iter = -1\n")),
+        ("optimize", edited(OPT_SMALL, "i_min = 20.0", "i_min = -5")),
+        ("optimize", edited(OPT_SMALL, "[solver]\n", "[solver]\namplitude = 2\n")),
+        ("plan", edited(PLAN_SMALL, "f_ref = 0.1", "f_ref = 0")),
+        ("plan", edited(PLAN_SMALL, "f_ref = 0.1", "f_ref = -1")),
+        ("plan", edited(PLAN_SMALL, "\nn = 3\n", "\nn = -1\n")),
+        ("plan", edited(PLAN_SMALL, "i_min = 20.0", "i_min = -1")),
+        ("plan", edited(PLAN_SMALL, "train_horizon = 250.0", "train_horizon = 0")),
+        ("simulate", edited(NOMINAL, "horizon = 200.0", "horizon = 200.0\ni_min = -5")),
     ],
-    ids=["plan-rest", "plan-rest_cap", "plan-sim_step", "optimize-p", "optimize-nu",
+    ids=["plan-rest", "plan-sim_step", "optimize-p", "optimize-nu",
          "optimize-scheme", "optimize-oracle-sim_step", "approximate-trunc_p",
-         "validate-sim_step", "validate-n_trains"],
+         "validate-sim_step", "validate-n_trains", "bench-n_points-0", "bench-n_points-neg",
+         "bench-threshold-0", "optimize-backend-exact", "solver-n-neg", "solver-kkt_tol-0",
+         "solver-inner_max_iter-neg", "solver-i_min-neg", "solver-amplitude-2", "program-f_ref-0",
+         "program-f_ref-neg", "program-n-neg", "program-i_min-neg", "program-train_horizon-0",
+         "train-i_min-neg"],
 )
 def test_invalid_setting_is_config_error(tmp_path, capsys, command, text):
     out = tmp_path / "out"
@@ -563,16 +587,22 @@ def test_plan_unconverged_template_is_solver_failure(tmp_path, monkeypatch, caps
     [
         ("simulate", NOMINAL.replace("times = 0\n", "n = 3\n"), "train", "n"),
         ("simulate", NOMINAL.replace("amplitudes = 1", "amplitude = 1"), "train", "amplitude"),
-        ("optimize", OPT_SMALL.replace("backend = exact", "backend = oracle\nsim_step = 1.0"),
+        ("optimize", edited(OPT_SMALL, "kind = max_cn_terminal",
+                            "kind = max_cn_terminal\nbackend = oracle\nsim_step = 1.0"),
          "objective", "sim_step"),
         ("plan", PLAN_SMALL.replace("t_f = 1100.0", "t_f = 1100.0\nsim_step = 1.0"),
          "program", "sim_step"),
         ("validate", NOMINAL + "\n[validate]\nseed = 9\n", "validate", "seed"),
         ("validate", NOMINAL + "\n[validate]\nsuite = lobe\n", "validate", "suite"),
         ("validate", NOMINAL + "\n[validate]\nsim_step = 0.4\n", "validate", "sim_step"),
+        ("plan", edited(PLAN_SMALL, "rest = 300.0", "rest_cap = 300.0"), "program", "rest_cap"),
+        ("bench", NOMINAL + "\n[bench]\nn = 5\n", "bench", "n"),
+        ("bench", NOMINAL + "\n[bench]\nhorizon = 360.0\n", "bench", "horizon"),
+        ("bench", NOMINAL + "\n[bench]\nnu = 0.95\n", "bench", "nu"),
     ],
     ids=["train-n", "train-amplitude", "objective-sim_step", "program-sim_step",
-         "validate-seed", "validate-suite", "validate-sim_step"],
+         "validate-seed", "validate-suite", "validate-sim_step", "program-rest_cap",
+         "bench-n", "bench-horizon", "bench-nu"],
 )
 def test_removed_key_is_unknown(tmp_path, capsys, command, text, section, key):
     out = tmp_path / "out"

@@ -55,6 +55,8 @@ def test_pulse_train_validation():
         PulseTrain((0.0, 20.0), (1.0, 1.5), 30.0)  # amplitude above 1
     with pytest.raises(ValueError):
         PulseTrain((0.0, 20.0), (1.0, 1.0), 15.0)  # horizon before last pulse
+    with pytest.raises(ValueError, match="i_min must be >= 0"):
+        PulseTrain((0.0, 20.0), (1.0, 1.0), 30.0, i_min=-5.0)
 
 
 # ---------------------------------------------------------------------------

@@ -128,16 +128,36 @@ def test_objective_spec_validation():
         ObjectiveSpec(kind="track_force")  # missing f_ref
     with pytest.raises(ValueError):
         ObjectiveSpec(kind="track_force_fatigue", f_ref=0.1, backend="approx")
+    with pytest.raises(ValueError, match="unknown backend 'exact'"):
+        ObjectiveSpec(kind="track_force", f_ref=0.1, backend="exact")
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SolveOptions(i_min=-5.0), "i_min must be >= 0"),
+        (lambda: SolveOptions(kkt_tol=0.0), "kkt_tol must be positive"),
+        (lambda: SolveOptions(inner_max_iter=0), "inner_max_iter must be at least 1"),
+        (lambda: DecisionVector.regular(-1, 1000.0), "n must be >= 0"),
+        (lambda: DecisionVector.regular(3, 1000.0, amplitude=2.0), "amplitude must lie in"),
+        (lambda: DecisionVector.regular(3, 1000.0, amplitude=-0.1), "amplitude must lie in"),
+    ],
+    ids=["i_min", "kkt_tol", "inner_max_iter", "regular-n", "regular-amplitude-high",
+         "regular-amplitude-low"],
+)
+def test_solver_settings_reject_out_of_range_values(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_track_cn_zero_reference_zero_amplitudes():
-    spec = ObjectiveSpec(kind="track_cn", c_ref=0.0, backend="exact")
+    spec = ObjectiveSpec(kind="track_cn", c_ref=0.0)
     sig = DecisionVector((0.0, 0.0), (40.0,), 120.0)
     assert objective_value(spec, sig, P) == 0.0
 
 
 def test_max_cn_terminal_single_pulse_peak():
-    spec = ObjectiveSpec(kind="max_cn_terminal", backend="exact")
+    spec = ObjectiveSpec(kind="max_cn_terminal")
     sig = DecisionVector((1.0,), (), P.tau_c, freeze_amplitudes=True)
     assert objective_value(spec, sig, P) == pytest.approx(-1.0 / math.e, rel=1e-14)
 
@@ -166,7 +186,7 @@ def test_track_force_backends_agree_within_bound():
 
 
 def test_objective_rejects_unordered_times():
-    spec = ObjectiveSpec(kind="max_cn_terminal", backend="exact")
+    spec = ObjectiveSpec(kind="max_cn_terminal")
     sig = DecisionVector((1.0, 1.0), (150.0,), 120.0)  # t_1 past horizon
     with pytest.raises(InfeasibleSigma):
         objective_value(spec, sig, P)
@@ -184,7 +204,7 @@ def _random_sigmas(seed: int, gap_lo: float, amp_slack: float, count: int = 60):
 def test_track_cn_cost_equals_train_formula_bitwise():
     # The cost reads the flat sigma; it must give the very floats of the
     # interval means of the evaluation train.
-    spec = ObjectiveSpec(kind="track_cn", c_ref=0.3, backend="exact")
+    spec = ObjectiveSpec(kind="track_cn", c_ref=0.3)
     for sig in _random_sigmas(11, 1.0, 0.04):
         train = sig.eval_train()
         widths = np.diff(train.times + (train.horizon,))
@@ -194,7 +214,7 @@ def test_track_cn_cost_equals_train_formula_bitwise():
 
 
 def test_track_cn_cost_rejects_the_probes_the_train_rejects():
-    spec = ObjectiveSpec(kind="track_cn", c_ref=0.3, backend="exact")
+    spec = ObjectiveSpec(kind="track_cn", c_ref=0.3)
     rejected = 0
     for sig in _random_sigmas(12, -15.0, 0.1, count=200):
         try:
@@ -294,7 +314,7 @@ def test_fd_gradient_quadratic_toy():
 
 def test_fd_gradient_track_cn_vs_analytic():
     c_ref = 0.25
-    spec = ObjectiveSpec(kind="track_cn", c_ref=c_ref, backend="exact")
+    spec = ObjectiveSpec(kind="track_cn", c_ref=c_ref)
     sig = DecisionVector((0.8, 0.6), (45.0,), 130.0)
     grad = fd_gradient(spec, sig, P)
 
@@ -330,7 +350,7 @@ def test_track_cn_jacobian_matches_central_differences():
     # The exact residual Jacobian against central differences of the
     # residuals, and the gradient 2 J^T r over the free coordinates against
     # fd_gradient, which stays the oracle.
-    spec = ObjectiveSpec(kind="track_cn", c_ref=0.3, backend="exact")
+    spec = ObjectiveSpec(kind="track_cn", c_ref=0.3)
     for index, sig in enumerate(_random_sigmas(13, 5.0, 0.0)):
         sig = replace(sig, freeze_amplitudes=index % 2 == 1)
         n, base = sig.n, sig.flat()
@@ -350,7 +370,7 @@ def test_track_cn_jacobian_matches_central_differences():
 
 
 def test_fd_gradient_step_collision():
-    spec = ObjectiveSpec(kind="max_cn_terminal", backend="exact")
+    spec = ObjectiveSpec(kind="max_cn_terminal")
     sig = DecisionVector((1.0, 1.0, 1.0), (10.0, 10.0 + 1e-9), 200.0, freeze_amplitudes=True)
     with pytest.raises(StepCollision):
         fd_gradient(spec, sig, P)
@@ -362,14 +382,14 @@ def test_fd_gradient_step_collision():
 
 
 def test_solve_requires_strictly_feasible_init():
-    spec = ObjectiveSpec(kind="max_cn_terminal", backend="exact")
+    spec = ObjectiveSpec(kind="max_cn_terminal")
     bad = DecisionVector((1.0, 1.0), (10.0,), 200.0, freeze_amplitudes=True)
     with pytest.raises(InfeasibleSigma):
         solve(spec, bad, P, SolveOptions(i_min=20.0))
 
 
 def test_solve_feasibility_preserved_and_multipliers_sign():
-    spec = ObjectiveSpec(kind="max_cn_terminal", backend="exact")
+    spec = ObjectiveSpec(kind="max_cn_terminal")
     init = DecisionVector.regular(2, 300.0, freeze_amplitudes=True)
     out = solve(spec, init, P, SolveOptions(i_min=20.0))
     assert out.status == "converged"
@@ -382,7 +402,7 @@ def test_solve_feasibility_preserved_and_multipliers_sign():
 def test_track_cn_vanishing_reference_keeps_trailing_interval():
     # The last interval [t_n, T] is the only place eta_n enters the cost; a
     # collapsed interval would leave the trailing pulse free to fire.
-    spec = ObjectiveSpec(kind="track_cn", c_ref=1e-7, backend="exact")
+    spec = ObjectiveSpec(kind="track_cn", c_ref=1e-7)
     out = solve(spec, DecisionVector.regular(3, 200.0), P,
                 SolveOptions(i_min=20.0, t_max=500.0))
     sig = out.sigma_star
@@ -394,7 +414,7 @@ def test_track_cn_vanishing_reference_keeps_trailing_interval():
 
 
 def test_solve_descends_from_init():
-    spec = ObjectiveSpec(kind="track_cn", c_ref=0.4, backend="exact")
+    spec = ObjectiveSpec(kind="track_cn", c_ref=0.4)
     init = DecisionVector.regular(2, 240.0)
     out = solve(spec, init, P, SolveOptions(i_min=20.0))
     assert out.objective <= objective_value(spec, init, P)
@@ -424,7 +444,7 @@ def test_template_solves_do_not_turn_on_the_last_bit(first, second):
     # on it; each solve must reach that point, not stop where its path ends.
     horizons = []
     for c_ref, start in (first, second):
-        spec = ObjectiveSpec(kind="track_cn", c_ref=c_ref, backend="exact")
+        spec = ObjectiveSpec(kind="track_cn", c_ref=c_ref)
         out = solve(spec, DecisionVector.regular(5, start), P, SolveOptions(i_min=20.0))
         assert out.status == "converged"
         assert out.iterations <= 150
@@ -449,7 +469,7 @@ def test_trace_flags_inner_loops_that_hit_the_cap():
 
 
 def test_solve_deterministic():
-    spec = ObjectiveSpec(kind="max_cn_terminal", backend="exact")
+    spec = ObjectiveSpec(kind="max_cn_terminal")
     init = DecisionVector.regular(2, 300.0, freeze_amplitudes=True)
     opts = SolveOptions(i_min=20.0, n_starts=2, seed=3)
     a = solve(spec, init, P, opts)
@@ -478,7 +498,7 @@ def test_solve_evaluates_each_point_once():
 
 
 def test_solve_argmin_invariant_under_objective_scaling():
-    spec = ObjectiveSpec(kind="track_cn", c_ref=0.4, backend="exact")
+    spec = ObjectiveSpec(kind="track_cn", c_ref=0.4)
 
     def base(sig: DecisionVector) -> float:
         return objective_value(spec, sig, P)
@@ -495,7 +515,7 @@ def test_solve_argmin_invariant_under_objective_scaling():
 
 
 def test_solve_multistart_reports_all_starts():
-    spec = ObjectiveSpec(kind="track_cn", c_ref=0.5, backend="exact")
+    spec = ObjectiveSpec(kind="track_cn", c_ref=0.5)
     init = DecisionVector.regular(1, 200.0, freeze_amplitudes=True)
     out = solve(spec, init, P, SolveOptions(i_min=20.0, n_starts=3, seed=5))
     assert "start_objectives" in out.trace[-1]
@@ -547,9 +567,9 @@ def test_kkt_check_uses_the_objective_horizon_gap():
         kkt_residual=0.0, stationarity=0.0, complementarity=0.0, feasibility=0.0,
         iterations=0, status="converged", i_min=20.0,
     )
-    tracking = kkt_check(ObjectiveSpec(kind="track_cn", c_ref=0.1, backend="exact"), fake, P)
+    tracking = kkt_check(ObjectiveSpec(kind="track_cn", c_ref=0.1), fake, P)
     assert tracking.complementarity == 0.0
-    terminal = kkt_check(ObjectiveSpec(kind="max_cn_terminal", backend="exact"), fake, P)
+    terminal = kkt_check(ObjectiveSpec(kind="max_cn_terminal"), fake, P)
     assert terminal.complementarity == pytest.approx(1e-3 * 20.0, rel=1e-12)
 
 
@@ -557,7 +577,7 @@ def test_kkt_check_counts_the_horizon_cap():
     # A weak target pushes T against t_max = 1500 ms, where the cap's own
     # multiplier balances the horizon's cost gradient.
     _, c_ref = steady_state_root(P, P.a_rest, 0.05)
-    spec = ObjectiveSpec(kind="track_cn", c_ref=c_ref, backend="exact")
+    spec = ObjectiveSpec(kind="track_cn", c_ref=c_ref)
     init = DecisionVector.regular(2, 400.0, freeze_amplitudes=True)
     out = solve(spec, init, P, SolveOptions(i_min=20.0))
     assert out.status == "converged"
@@ -569,7 +589,7 @@ def test_kkt_check_counts_the_horizon_cap():
 
 
 def test_kkt_negative_control_non_stationary_point():
-    spec = ObjectiveSpec(kind="track_cn", c_ref=0.5, backend="exact")
+    spec = ObjectiveSpec(kind="track_cn", c_ref=0.5)
     sig = DecisionVector((0.7, 0.6), (70.0,), 220.0)
     xi = eval_constraints(sig, 20.0)
     lam = tuple(1e-8 / (-x) if x < 0 else 0.0 for x in xi)

@@ -36,6 +36,17 @@ def test_program_spec_validation():
         ProgramSpec(f_ref=0.1, k_fatigue=0.5)
     with pytest.raises(ValueError):
         ProgramSpec(k_ratio=0.8)
+    for fields, message in [
+        ({"f_ref": 0.0}, "f_ref must be positive"),
+        ({"f_ref": -1.0}, "f_ref must be positive"),
+        ({"f_ref": 0.1, "n": -1}, "n must be >= 0"),
+        ({"f_ref": 0.1, "i_min": -1.0}, "i_min must be >= 0"),
+        ({"f_ref": 0.1, "train_horizon": 0.0}, "does not fit under train_horizon"),
+        ({"f_ref": 0.1, "n": 4, "i_min": 60.0, "train_horizon": 300.0},
+         "does not fit under train_horizon"),  # the regular start's gaps equal i_min
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ProgramSpec(**fields)
 
 
 @pytest.fixture(scope="module")
