@@ -35,6 +35,7 @@ from .simulate import (
 )
 
 __all__ = [
+    "T6",
     "random_train",
     "lobe_law",
     "oracle_concordance",
@@ -44,6 +45,9 @@ __all__ = [
     "fatigue_response",
     "evaluation_speedup",
 ]
+
+# Six full-amplitude pulses 60 ms apart over a 360 ms horizon (i_min 20 ms).
+T6 = PulseTrain(tuple(i * 60.0 for i in range(6)), (1.0,) * 6, 360.0, 20.0)
 
 
 def random_train(rng: np.random.Generator, n_max: int = 6, amp_lo: float = 0.25) -> PulseTrain:
@@ -218,19 +222,18 @@ def _interleaved_best_of_5(*fns) -> list[float]:
 
 
 def evaluation_speedup(params: ModelParams, n_points: int) -> tuple[float, float, float]:
-    """Precomputed F~ evaluation against re-simulation of T6 (six
-    full-amplitude pulses 60 ms apart, horizon 360 ms) at ``n_points``
-    times over [0, T]: seconds for one build of the affine-constant table
-    at nu = 0.95, and seconds per F~ evaluation and per default-step RK4
-    run interpolated to the same times (see :func:`_interleaved_best_of_5`)."""
-    train = PulseTrain(tuple(i * 60.0 for i in range(6)), (1.0,) * 6, 360.0, 20.0)
+    """Precomputed F~ evaluation against re-simulation of :data:`T6` at
+    ``n_points`` times over [0, T]: seconds for one build of the
+    affine-constant table at nu = 0.95, and seconds per F~ evaluation and
+    per default-step RK4 run interpolated to the same times (see
+    :func:`_interleaved_best_of_5`)."""
     t0 = time.perf_counter()
-    evaluator = ForceApprox(build_m_approx(train, params, scheme="affine-constant", p=2, nu=0.95))
+    evaluator = ForceApprox(build_m_approx(T6, params, scheme="affine-constant", p=2, nu=0.95))
     build_s = time.perf_counter() - t0
-    ts = np.linspace(0.0, train.horizon, n_points)
+    ts = np.linspace(0.0, T6.horizon, n_points)
 
     def oracle():
-        traj = simulate_force(train, params)
+        traj = simulate_force(T6, params)
         np.interp(ts, traj.grid, traj.channel("force"))
 
     eval_s, oracle_s = _interleaved_best_of_5(lambda: evaluator.values(ts, params.a_rest), oracle)

@@ -469,11 +469,9 @@ def _solver_from_config(cfg: ScenarioConfig, seed: int) -> tuple[SolveOptions, D
         raise ConfigError("[solver] n is required")
     horizon = cfg.get("solver", "init_horizon", 1000.0)
     try:
-        # The CLI caps inner loops at 120 iterations (the library's default
-        # is 300) until the two defaults become one (ROADMAP item 1).
-        opts = SolveOptions(**{"inner_max_iter": 120, "seed": seed, **cfg.set_values(
+        opts = SolveOptions(seed=seed, **cfg.set_values(
             "solver", "i_min", "t_max", "kkt_tol", "inner_max_iter", "n_starts",
-        )})
+        ))
         init = DecisionVector.regular(
             n, horizon, **cfg.set_values("solver", "amplitude", "freeze_amplitudes")
         )
@@ -645,8 +643,7 @@ def _validation_checks(suite: str, params: ModelParams, rng, n_trains: int, sim_
                    "fraction of cases with err(p=4) <= err(p=2)"),
         ]
     if suite == "envelope":
-        train = DecisionVector.regular(5, 360.0).to_train(20.0)
-        upper, lower, _ = checks.envelope_margins(params, train, sim_step)
+        upper, lower, _ = checks.envelope_margins(params, checks.T6, sim_step)
         return [
             _check("nu-upper-envelope", upper >= -1e-9, upper, -1e-9,
                    "min(F_high(nu=0.95) - F_oracle) on the scenario grid"),

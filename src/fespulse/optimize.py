@@ -430,7 +430,7 @@ def fd_gradient(spec, sigma: DecisionVector, params: ModelParams | None = None) 
 class SolveOptions:
     i_min: float = 20.0
     t_max: float = 1500.0            # safety cap on T, inactive in practice
-    inner_max_iter: int = 300
+    inner_max_iter: int = 120
     kkt_tol: float = 1e-6
     n_starts: int = 1
     seed: int = 0

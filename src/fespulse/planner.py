@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import ConcentrationState, ModelParams, PulseTrain, steady_state_root
-from .optimize import DecisionVector, ObjectiveSpec, OptOutcome, SolveOptions, solve
+from .optimize import DecisionVector, ObjectiveSpec, SolveOptions, solve
 from .simulate import Rest, SimOptions, Trajectory, _integrate, _stitch, simulate_force
 
 __all__ = [
@@ -35,7 +35,7 @@ _REDRIFT_TOL = 0.10
 
 
 class TemplateNotConverged(RuntimeError):
-    """A template solve ended with a status other than ``converged``."""
+    """A template or f_max solve ended with a status other than ``converged``."""
 
 
 class SessionTooShort(ValueError):
@@ -55,7 +55,7 @@ class ProgramSpec:
     k_ratio: float | None = None
     n: int = 5
     i_min: float = 20.0
-    train_horizon: float = 400.0     # ms, initialization of the template solve
+    train_horizon: float = 400.0     # ms, start horizon of every template solve
     rest_duration: float | None = None   # ms; 3*tau_fat when unset
     t_f: float = 2000.0              # ms, total session span
     k_fatigue: float = 2.0
@@ -122,17 +122,23 @@ class StimulationProgram:
 
 
 def _solve_template(
-    c_n_ref: float, spec: ProgramSpec, params: ModelParams, opts: SolveOptions
-) -> OptOutcome:
-    objective = ObjectiveSpec(kind="track_cn", c_ref=c_n_ref)
-    init = DecisionVector.regular(spec.n, spec.train_horizon)
+    objective: ObjectiveSpec,
+    spec: ProgramSpec,
+    params: ModelParams,
+    options: SolveOptions | None,
+    freeze_amplitudes: bool = False,
+) -> PulseTrain:
+    """The train solving ``objective`` from the regular start of n + 1 pulses
+    over ``spec.train_horizon``, spaced by at least ``spec.i_min``."""
+    opts = replace(options or SolveOptions(), i_min=spec.i_min)
+    init = DecisionVector.regular(spec.n, spec.train_horizon, freeze_amplitudes=freeze_amplitudes)
     outcome = solve(objective, init, params, opts)
     if outcome.status != "converged":
         raise TemplateNotConverged(
-            f"template solve for c_n_ref={c_n_ref:.6g} ended with status={outcome.status} "
-            f"after {outcome.iterations} iterations (kkt residual {outcome.kkt_residual:.3g})"
+            f"template solve of {objective.kind} ended with status={outcome.status} after "
+            f"{outcome.iterations} iterations (kkt residual {outcome.kkt_residual:.3g})"
         )
-    return outcome
+    return outcome.sigma_star.to_train(i_min=spec.i_min)
 
 
 def plan_endurance(
@@ -144,20 +150,19 @@ def plan_endurance(
 
     Raises :class:`fespulse.model.UnreachableForce` when the requested
     force has no steady state, :class:`TemplateNotConverged` when a
-    template solve does not converge (an unconverged template is never
-    tiled), and :class:`SessionTooShort` when the optimized template is
-    longer than the session. Fatigue-threshold crossings do not abort the
-    program; they are reported through ``fatigue_breach_time``.
+    template solve or the f_max solve does not converge (an unconverged
+    template is never tiled), and :class:`SessionTooShort` when the
+    optimized template is longer than the session. Fatigue-threshold
+    crossings do not abort the program; they are reported through
+    ``fatigue_breach_time``.
     ``spec.i_min`` replaces the spacing floor of ``options``.
     """
-    opts = replace(options or SolveOptions(), i_min=spec.i_min)
     f_ref = spec.f_ref
     if f_ref is None:
-        f_max = derive_f_max(params, n=spec.n, options=opts)
-        f_ref = f_max / spec.k_ratio
+        f_ref = derive_f_max(spec, params, options) / spec.k_ratio
     _, c_n_ref = steady_state_root(params, params.a_rest, f_ref)
 
-    template = _solve_template(c_n_ref, spec, params, opts).sigma_star.to_train(i_min=spec.i_min)
+    template = _solve_template(ObjectiveSpec(kind="track_cn", c_ref=c_n_ref), spec, params, options)
     if template.horizon > spec.t_f + 1e-9:
         raise SessionTooShort(
             f"optimized train span {template.horizon:.1f} ms exceeds the session "
@@ -175,8 +180,8 @@ def plan_endurance(
             if abs(a_start - a_used) / a_used <= _REDRIFT_TOL:
                 return train
         _, c_ref_k = steady_state_root(params, a_start, f_ref)
-        out_k = _solve_template(c_ref_k, spec, params, opts)
-        templates_by_a.append((a_start, out_k.sigma_star.to_train(i_min=spec.i_min)))
+        objective = ObjectiveSpec(kind="track_cn", c_ref=c_ref_k)
+        templates_by_a.append((a_start, _solve_template(objective, spec, params, options)))
         return templates_by_a[-1][1]
 
     sim_opts = SimOptions(step=spec.sim_step)
@@ -209,6 +214,7 @@ def plan_endurance(
         breaks = pulses + [cur]
         remaining = spec.t_f - cur
         if remaining > 1e-9:
+            # The rest runs to t_f or leaves room for another train.
             r = min(rest_len, remaining)
             if remaining - r < template.horizon:
                 r = remaining  # absorb a tail too short for another train
@@ -217,10 +223,6 @@ def plan_endurance(
             breaks.append(cur)
         advance(breaks, [cur] if fits(cur) else [])
         a_start = calls[-1][2][-1] * 1e3
-    if cur < spec.t_f - 1e-9:
-        tail = spec.t_f - cur
-        segments.append(ProgramSegment(start=cur, rest=Rest(tail)))
-        advance([cur, cur + tail], [])
 
     grid, force, a_ms = (_stitch(part) for part in zip(*calls))
     c_n = ConcentrationState.from_pulses(times, amps, params).cn(grid)
@@ -260,16 +262,12 @@ def plan_endurance(
 
 
 def derive_f_max(
-    params: ModelParams, n: int = 7, options: SolveOptions | None = None
+    spec: ProgramSpec, params: ModelParams, options: SolveOptions | None = None
 ) -> float:
-    """Peak attainable terminal force: solve the terminal-force program
-    of n + 1 full-amplitude pulses from a 1000 ms regular start, spaced by
-    at least ``options.i_min``, and report the simulation-evaluated force
-    at the optimized horizon."""
-    opts = options or SolveOptions()
-    spec = ObjectiveSpec(kind="max_force_terminal", backend="approx")
-    init = DecisionVector.regular(n, 1000.0, freeze_amplitudes=True)
-    outcome = solve(spec, init, params, opts)
-    train = outcome.sigma_star.to_train(i_min=opts.i_min)
-    traj = simulate_force(train, params)
-    return traj.terminal("force")
+    """Peak attainable terminal force: the terminal force of ``spec.n`` + 1
+    full-amplitude pulses, maximized by a template solve and simulated at
+    ``spec.sim_step``. Raises :class:`TemplateNotConverged` when the solve
+    does not converge."""
+    objective = ObjectiveSpec(kind="max_force_terminal")
+    train = _solve_template(objective, spec, params, options, freeze_amplitudes=True)
+    return simulate_force(train, params, SimOptions(step=spec.sim_step)).terminal("force")

@@ -24,7 +24,7 @@ from fespulse import (
     truncated_cn,
     upper_lower_envelope,
 )
-from fespulse.checks import random_train
+from fespulse.checks import T6, random_train
 from fespulse.approx import _SPLIT_MARGIN, ENVELOPE_SCHEMES, SCHEMES, _refined_partition
 from fespulse.model import concentration_state
 from fespulse.exppoly import PiecewisePoly
@@ -666,7 +666,7 @@ def _staircase_by_function(train, scheme, p, nu):
 def test_staircase_levels_equal_the_per_function_extremes_bitwise():
     rng = np.random.default_rng(7)
     trains = [random_train(rng, n_max=10) for _ in range(100)]
-    trains.append(PulseTrain(tuple(i * 60.0 for i in range(6)), (1.0,) * 6, 360.0, 20.0))
+    trains.append(T6)
     for train, scheme, p, nu in itertools.product(
         trains, ENVELOPE_SCHEMES, (1, 2, 4), (0.9, 0.95, 1.0, 1.05)
     ):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -7,11 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fespulse.planner
 from fespulse import (
     ModelParams,
     OptOutcome,
     ProgramSpec,
     QuadratureNoConvergence,
+    SimOptions,
+    SolveOptions,
     StepCollision,
     StepTooLarge,
     plan_endurance,
@@ -24,6 +28,7 @@ from fespulse.cli import (
     EXIT_SOLVER,
     EXIT_VALIDATION,
     _CSV_CHUNK_ROWS,
+    _solver_from_config,
     _write_csv,
     load_config,
     main,
@@ -254,6 +259,19 @@ def test_optimize_small_scenario(tmp_path):
     assert len(sol["multipliers"]) == 3 * 2 + 3
     lines = (out / "response.csv").read_text().splitlines()
     assert lines[4] == "t_ms,approx,oracle"
+
+
+def test_optimize_caps_inner_loops_at_the_library_default():
+    opts, _ = _solver_from_config(parse_config(OPT_SMALL), 0)
+    assert opts.inner_max_iter == SolveOptions().inner_max_iter
+
+
+def test_optimize_unconverged_solve_is_solver_failure(tmp_path, capsys):
+    text = edited(OPT_SMALL, "[solver]\n", "[solver]\ninner_max_iter = 1\n")
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", write(tmp_path, text), "--out", str(out)]) == EXIT_SOLVER
+    assert capsys.readouterr().err.startswith("solver did not converge: status=max_iterations\n")
+    assert not (out / "solution.json").exists()
 
 
 def test_optimize_terminal_force_figure_scenario(tmp_path):
@@ -579,6 +597,51 @@ def test_plan_unconverged_template_is_solver_failure(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert err.startswith("solver failure: template solve") and err.count("\n") == 1
     assert "status=max_iterations" in err
+    assert not out.exists()
+
+
+PLAN_K_RATIO = edited(PLAN_SMALL, "f_ref = 0.1", "k_ratio = 2.0")
+
+
+def test_plan_f_max_solve_starts_from_the_train_horizon(tmp_path):
+    # Four gaps of at least 260 ms do not fit under a 1000 ms start.
+    text = edited(PLAN_K_RATIO, "i_min = 20.0\ntrain_horizon = 250.0\nrest = 300.0\nt_f = 1100.0",
+                  "i_min = 260.0\ntrain_horizon = 1100.0\nt_f = 2000.0")
+    out = tmp_path / "out"
+    assert main(["plan", "--config", write(tmp_path, text), "--out", str(out)]) == EXIT_OK
+    prog = json.loads((out / "program.json").read_text())
+    assert sum(s["duration_ms"] for s in prog["segments"]) == pytest.approx(2000.0, abs=1e-6)
+
+
+def test_plan_f_max_is_simulated_at_the_sim_step(tmp_path, monkeypatch):
+    seen = []
+    simulate = fespulse.planner.simulate_force
+
+    def recording(train, params, options=None):
+        seen.append(options)
+        return simulate(train, params, options)
+
+    monkeypatch.setattr(fespulse.planner, "simulate_force", recording)
+    out = tmp_path / "out"
+    assert main(["plan", "--config", write(tmp_path, PLAN_K_RATIO), "--out", str(out)]) == EXIT_OK
+    assert seen == [SimOptions(step=1.0)]
+
+
+def test_plan_unconverged_f_max_solve_is_solver_failure(tmp_path, monkeypatch, capsys):
+    solve = fespulse.planner.solve
+
+    def unconverged_f_max(objective, init, params, opts):
+        outcome = solve(objective, init, params, opts)
+        if objective.kind == "max_force_terminal":
+            return replace(outcome, status="max_iterations")
+        return outcome
+
+    monkeypatch.setattr(fespulse.planner, "solve", unconverged_f_max)
+    out = tmp_path / "out"
+    assert main(["plan", "--config", write(tmp_path, PLAN_K_RATIO), "--out", str(out)]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: template solve of max_force_terminal ended with "
+                          "status=max_iterations") and err.count("\n") == 1
     assert not out.exists()
 
 
