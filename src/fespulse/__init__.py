@@ -50,6 +50,7 @@ from .optimize import (
     KKTReport,
     ObjectiveSpec,
     OptOutcome,
+    SessionTooShort,
     SolveOptions,
     StepCollision,
     eval_constraints,
@@ -61,7 +62,6 @@ from .optimize import (
 from .planner import (
     ProgramSegment,
     ProgramSpec,
-    SessionTooShort,
     StimulationProgram,
     TemplateNotConverged,
     derive_f_max,

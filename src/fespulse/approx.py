@@ -27,7 +27,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
+# scipy is imported inside the two functions that call it (the
+# constant-average scheme and the force error bound): no default run
+# reaches them, and importing it would take most of a CLI call's start-up.
 
 from .exppoly import PiecewisePoly
 from .model import (
@@ -195,6 +197,8 @@ class MApprox:
 
 
 def _quad_mean(fn, lo: float, hi: float) -> float:
+    from scipy.integrate import quad
+
     val, _ = quad(fn, lo, hi, epsabs=1e-12, epsrel=1e-11, limit=200)
     return val / (hi - lo)
 
@@ -393,6 +397,8 @@ def force_error_bound(
     reported; a failed check flags the bound as advisory rather than
     raising.
     """
+    from scipy.integrate import quad
+
     n_breaks = len(m_approx.pulse_breaks)
     if not 0 <= k <= n_breaks - 1:
         raise IndexError(f"node index {k} out of range 0..{n_breaks - 1}")

@@ -31,12 +31,13 @@ from .optimize import (
     DecisionVector,
     InfeasibleSigma,
     ObjectiveSpec,
+    SessionTooShort,
     SolveOptions,
     StepCollision,
     objective_value,
     solve,
 )
-from .planner import ProgramSpec, SessionTooShort, TemplateNotConverged, plan_endurance
+from .planner import ProgramSpec, TemplateNotConverged, plan_endurance
 from .simulate import (
     QuadratureNoConvergence,
     SimOptions,
@@ -338,17 +339,16 @@ def _format_g9(x: np.ndarray, seps: np.ndarray) -> bytes:
     return rows.astype("<i8", copy=False).tobytes().translate(None, b"\0")
 
 
-def _csv_body(table: np.ndarray) -> bytes:
-    """Rows of ``table`` as comma-separated ``format(v, ".9g")`` lines."""
+def _csv_blocks(table: np.ndarray):
+    """Rows of ``table`` as comma-separated ``format(v, ".9g")`` lines, one
+    bytes object per `_CSV_CHUNK_ROWS` rows."""
     n_rows, n_cols = table.shape
     seps = np.full(n_cols, ord(","), np.int64)
     seps[-1] = ord("\n")
     seps = np.tile(seps << 40, _CSV_CHUNK_ROWS)
-    parts = []
     for start in range(0, n_rows, _CSV_CHUNK_ROWS):
         block = table[start:start + _CSV_CHUNK_ROWS].ravel()
-        parts.append(_format_g9(block, seps[:block.size]))
-    return b"".join(parts)
+        yield _format_g9(block, seps[:block.size])
 
 
 def _write_csv(path: Path, cfg, command, seed, columns, data) -> None:
@@ -362,11 +362,17 @@ def _write_csv(path: Path, cfg, command, seed, columns, data) -> None:
     over 40 times that bound, so rint(y) is the correctly rounded 9-digit
     significand that ``format`` prints. nan, ±inf, |x| outside
     [1e-290, 1e290] and values nearer a boundary go through ``format``
-    itself; ±0 is written directly."""
+    itself; ±0 is written directly.
+
+    The file takes the header, then each block as it is formatted, so the
+    body is never held whole: beyond the table, memory stays at one block's
+    temporaries whatever the row count."""
     lines = _header_lines(cfg, command, seed)
     lines.append(",".join(columns))
     table = np.column_stack([np.asarray(col, dtype=float) for col in data])
-    path.write_bytes(("\n".join(lines) + "\n").encode() + _csv_body(table))
+    with path.open("wb") as out:
+        out.write(("\n".join(lines) + "\n").encode())
+        out.writelines(_csv_blocks(table))
 
 
 def _write_json(path: Path, cfg, command, seed, payload: dict) -> None:

@@ -46,6 +46,7 @@ __all__ = [
     "SolveOptions",
     "KKTReport",
     "InfeasibleSigma",
+    "SessionTooShort",
     "StepCollision",
     "OBJECTIVE_KINDS",
     "eval_constraints",
@@ -94,6 +95,10 @@ _MERIT_ROUNDING = 1e-14
 
 class InfeasibleSigma(ValueError):
     """Times out of order (or past the horizon): the objective is undefined."""
+
+
+class SessionTooShort(InfeasibleSigma):
+    """A train is longer than the session t_f it should tile."""
 
 
 class StepCollision(RuntimeError):
@@ -309,20 +314,36 @@ def _force_at_nodes(spec: ObjectiveSpec, train: PulseTrain, params: ModelParams,
     return np.array([traj.at("force", t) for t in nodes])
 
 
+def _check_fits(horizon: float, t_f: float, what: str = "train") -> None:
+    """Raise :class:`SessionTooShort` unless one train of ``horizon`` ms fits
+    in a session of ``t_f`` ms."""
+    if horizon > t_f + 1e-9:
+        raise SessionTooShort(f"{what} span {horizon:.1f} ms exceeds the session t_f={t_f} ms")
+
+
+def _next_rest(remaining: float, rest: float, horizon: float) -> float:
+    """The rest after a train that leaves ``remaining`` ms of the session: 0
+    at its end, else ``rest`` capped at ``remaining``, or all of
+    ``remaining`` where what the rest would leave is too short for another
+    train of ``horizon`` ms. Every session (the planner's and the fatigue
+    cost's) is laid out by this rule."""
+    if remaining <= 1e-9:
+        return 0.0
+    r = min(rest, remaining)
+    return remaining if remaining - r < horizon else r
+
+
 def _fatigue_cost(spec: ObjectiveSpec, train: PulseTrain, params: ModelParams) -> float:
+    _check_fits(train.horizon, spec.t_f)
     segments: list = []
     elapsed = 0.0
     while elapsed + train.horizon <= spec.t_f + 1e-9:
         segments.append(train)
         elapsed += train.horizon
-        r = min(spec.rest_duration, spec.t_f - elapsed)
-        if r > 1e-9:
+        r = _next_rest(spec.t_f - elapsed, spec.rest_duration, train.horizon)
+        if r:
             segments.append(Rest(r))
             elapsed += r
-    if not segments:
-        raise InfeasibleSigma(f"t_f={spec.t_f} shorter than one train ({train.horizon})")
-    if elapsed < spec.t_f - 1e-9:
-        segments.append(Rest(spec.t_f - elapsed))
     traj = simulate_force_fatigue(segments, params, SimOptions(step=spec.sim_step))
 
     # Right-endpoint rule on the pulse intervals of each train, rests

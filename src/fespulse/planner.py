@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import ConcentrationState, ModelParams, PulseTrain, steady_state_root
-from .optimize import DecisionVector, ObjectiveSpec, SolveOptions, solve
+from .optimize import DecisionVector, ObjectiveSpec, SolveOptions, _check_fits, _next_rest, solve
 from .simulate import Rest, SimOptions, Trajectory, _integrate, _stitch, simulate_force
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "StimulationProgram",
     "ProgramSegment",
     "TemplateNotConverged",
-    "SessionTooShort",
     "plan_endurance",
     "derive_f_max",
 ]
@@ -36,10 +35,6 @@ _REDRIFT_TOL = 0.10
 
 class TemplateNotConverged(RuntimeError):
     """A template or f_max solve ended with a status other than ``converged``."""
-
-
-class SessionTooShort(ValueError):
-    """The optimized template train is longer than the session t_f."""
 
 
 @dataclass(frozen=True)
@@ -163,11 +158,7 @@ def plan_endurance(
     _, c_n_ref = steady_state_root(params, params.a_rest, f_ref)
 
     template = _solve_template(ObjectiveSpec(kind="track_cn", c_ref=c_n_ref), spec, params, options)
-    if template.horizon > spec.t_f + 1e-9:
-        raise SessionTooShort(
-            f"optimized train span {template.horizon:.1f} ms exceeds the session "
-            f"t_f={spec.t_f} ms"
-        )
+    _check_fits(template.horizon, spec.t_f, "optimized train")
     # 95% recovery of the fatigue state takes about three time constants.
     rest_len = spec.rest_duration if spec.rest_duration is not None else 3.0 * params.tau_fat_ms
 
@@ -212,12 +203,8 @@ def plan_endurance(
         amps.extend(train_k.amplitudes)
         cur += train_k.horizon
         breaks = pulses + [cur]
-        remaining = spec.t_f - cur
-        if remaining > 1e-9:
-            # The rest runs to t_f or leaves room for another train.
-            r = min(rest_len, remaining)
-            if remaining - r < template.horizon:
-                r = remaining  # absorb a tail too short for another train
+        r = _next_rest(spec.t_f - cur, rest_len, template.horizon)
+        if r:
             segments.append(ProgramSegment(start=cur, rest=Rest(r)))
             cur += r
             breaks.append(cur)

@@ -29,8 +29,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad, solve_ivp
-from scipy.interpolate import PchipInterpolator
+# scipy is imported inside the three functions that call it: no RK4 run
+# reaches them, and importing it would take most of a CLI call's start-up.
 
 from .model import (
     ConcentrationState,
@@ -234,6 +234,8 @@ def _rk4_scan(h, m1, m2, sizes, f: float, a: float, a_rest: float, tau_fat: floa
 
 def _adaptive_interval(rhs, lo: float, hi: float, y0, rel_tol: float, abs_tol: float):
     """scipy's RK45 over [lo, hi]; returns the accepted nodes and states."""
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(rhs, (lo, hi), y0, method="RK45", rtol=rel_tol, atol=abs_tol)
     if not sol.success:
         raise StepTooLarge(f"adaptive step failed on [{lo}, {hi}]: {sol.message}")
@@ -377,6 +379,8 @@ def simulate_force_fatigue(
 
 
 def _checked_quad(f, lo: float, hi: float, epsabs: float = 1e-13) -> float:
+    from scipy.integrate import IntegrationWarning, quad
+
     if hi - lo <= 0.0:
         return 0.0
     with warnings.catch_warnings():
@@ -451,6 +455,8 @@ def reparam_force_check(train: PulseTrain, params: ModelParams, n_samples: int =
     quadrature and compare against :func:`oracle_force_quadrature` on a
     sample grid. The mapping s(t) is strictly increasing since m2 > 0.
     """
+    from scipy.interpolate import PchipInterpolator
+
     t_end = train.horizon
 
     # Dense physical grid, cell-wise Gauss accumulation of s(t).

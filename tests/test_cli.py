@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -183,6 +187,25 @@ def test_csv_writer_matches_format_9g(tmp_path):
         assert _file_body(path, columns) == expected.encode()
 
 
+@pytest.mark.parametrize("n_rows", [50_000, 400_000])
+def test_csv_writer_memory_stays_at_one_block(tmp_path, n_rows):
+    # Beyond the table, the writer holds one block's temporaries (about
+    # 1.5 MB for 4 columns), not the body: writing it whole took 5 MB at
+    # 50 000 rows and 40 MB at 400 000.
+    rng = np.random.default_rng(n_rows)
+    data = [np.linspace(0.0, 1e4, n_rows), rng.uniform(0.0, 1.0, n_rows),
+            rng.lognormal(-3.0, 2.0, n_rows), rng.uniform(2e-3, 4e-3, n_rows)]
+    cfg = parse_config(NOMINAL)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _write_csv(tmp_path / "x.csv", cfg, "simulate", 0, ["t", "c", "f", "a"], data)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak - n_rows * len(data) * 8 < 3_000_000
+
+
 def test_simulate_outputs_byte_identical(tmp_path):
     cfg = write(tmp_path, NOMINAL)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -197,8 +220,16 @@ def test_artifacts_are_written_in_binary_mode(tmp_path, monkeypatch):
     def text_mode(*args, **kwargs):
         raise AssertionError("an artifact was written in text mode")
 
+    real_open = Path.open
+
+    def binary_open(self, mode="r", *args, **kwargs):
+        if "b" not in mode and set(mode) & set("wax+"):
+            raise AssertionError("an artifact was opened in text mode")
+        return real_open(self, mode, *args, **kwargs)
+
     cfg = write(tmp_path, NOMINAL)
     monkeypatch.setattr(Path, "write_text", text_mode)
+    monkeypatch.setattr(Path, "open", binary_open)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
@@ -701,3 +732,56 @@ def test_optimize_step_collision_is_solver_failure(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert err == "solver failure: probe broke the time ordering\n"
     assert not out.exists()
+
+
+def test_optimize_fatigue_start_longer_than_session_is_config_error(tmp_path, capsys):
+    text = (
+        "[model]\nk_m = 0.103\n\n[objective]\nkind = track_force_fatigue\nf_ref = 0.1\n"
+        "backend = oracle\na_s = 1.5\nt_f = 900\nrest = 200\n\n"
+        "[solver]\nn = 2\ni_min = 20.0\ninit_horizon = 1000.0\n"
+    )
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", write(tmp_path, text), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: train span 1000.0 ms exceeds the session t_f=900.0 ms\n"
+    assert not out.exists()
+
+
+_NO_SCIPY_RUN = """\
+import json, sys
+import fespulse.cli
+codes = [fespulse.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_default_runs_do_not_import_scipy(tmp_path):
+    # scipy loads only in the five functions that call it. Tests that run
+    # those paths, and so load it, include:
+    # - the adaptive method: test_simulate.py::test_adaptive_matches_fixed_step
+    #   and ::test_fatigue_adaptive_matches_fixed_step;
+    # - the quadrature oracle and the reparameterized check:
+    #   test_simulate.py::test_quadrature_oracle_vs_sim_random_trains and
+    #   ::test_reparam_single_pulse_and_random;
+    # - the constant-average scheme and the force error bound:
+    #   test_approx.py::test_constant_average_with_constant_m2_is_exact and
+    #   ::test_error_bound_dominates_two_pulse_case;
+    # - validate: test_validate_default_suite_passes above.
+    approximate = NOMINAL.replace("times = 0\namplitudes = 1\n",
+                                  "times = 0, 25, 55\namplitudes = 1, 0.7, 0.9\n")
+    runs = [
+        ["simulate", "--config", write(tmp_path, NOMINAL, "s.ini"), "--out", str(tmp_path / "s")],
+        ["approximate", "--config", write(tmp_path, approximate, "a.ini"),
+         "--out", str(tmp_path / "a")],
+        ["plan", "--config", write(tmp_path, PLAN_SMALL, "p.ini"), "--out", str(tmp_path / "p")],
+        ["optimize", "--config", write(tmp_path, OPT_APPROX, "o.ini"),
+         "--out", str(tmp_path / "o")],
+    ]
+    path = [str(Path(fespulse.planner.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, timeout=300, check=True)
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [EXIT_OK] * 4
+    assert scipy_modules == []
+    assert (tmp_path / "o" / "solution.json").exists()

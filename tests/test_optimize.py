@@ -26,7 +26,13 @@ from fespulse import (
 )
 from fespulse.approx import ForceApprox, build_m_approx
 from fespulse.model import steady_state_root
-from fespulse.optimize import OptOutcome, _track_cn_residuals, constraint_matrix, horizon_gap
+from fespulse.optimize import (
+    OptOutcome,
+    _next_rest,
+    _track_cn_residuals,
+    constraint_matrix,
+    horizon_gap,
+)
 
 P = ModelParams()
 
@@ -250,17 +256,16 @@ def test_fatigue_objective_runs_and_penalizes():
 
 def _fatigue_cost_with_masks(spec, train, params):
     """The fatigue cost with each interval's A mean taken over a full-grid
-    boolean mask of the points in [a, b] (±1e-9)."""
+    boolean mask of the points in [a, b] (±1e-9), on the planner's session
+    layout (`_next_rest`)."""
     segments, elapsed = [], 0.0
     while elapsed + train.horizon <= spec.t_f + 1e-9:
         segments.append(train)
         elapsed += train.horizon
-        r = min(spec.rest_duration, spec.t_f - elapsed)
-        if r > 1e-9:
+        r = _next_rest(spec.t_f - elapsed, spec.rest_duration, train.horizon)
+        if r:
             segments.append(Rest(r))
             elapsed += r
-    if elapsed < spec.t_f - 1e-9:
-        segments.append(Rest(spec.t_f - elapsed))
     traj = simulate_force_fatigue(segments, params, SimOptions(step=spec.sim_step))
     edges, cur = [0.0], 0.0
     for seg in segments:

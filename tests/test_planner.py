@@ -5,18 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fespulse.optimize
 import fespulse.planner
 import fespulse.simulate
 from fespulse import (
+    DecisionVector,
+    InfeasibleSigma,
     ModelParams,
+    ObjectiveSpec,
     ProgramSpec,
     Rest,
+    SessionTooShort,
     SimOptions,
     SolveOptions,
     UnreachableForce,
     derive_f_max,
     eval_m1,
     eval_m2,
+    objective_value,
     plan_endurance,
     simulate_force,
     simulate_force_fatigue,
@@ -66,6 +72,76 @@ def test_program_tiles_session_exactly(nominal_program):
         cursor += seg.duration
     assert cursor == pytest.approx(1500.0, abs=1e-9)
     assert prog.t_f == pytest.approx(1500.0, abs=1e-9)
+
+
+def _fatigue_spec(t_f: float, rest: float) -> ObjectiveSpec:
+    return ObjectiveSpec(kind="track_force_fatigue", f_ref=0.1, backend="oracle", w1=1.0,
+                         a_s=P.a_rest / 2.0, t_f=t_f, rest_duration=rest, sim_step=1.0)
+
+
+def _template(horizon: float) -> PulseTrain:
+    return PulseTrain((0.0, horizon / 3.0, 2.0 * horizon / 3.0), (1.0, 0.8, 0.6), horizon)
+
+
+def _cost_layout(monkeypatch, t_f: float, rest: float, train: PulseTrain) -> list:
+    """The session the fatigue cost simulates, as (kind, duration) pairs."""
+    seen = []
+
+    def record(segments, params, opts):
+        seen.append(segments)
+        return simulate_force_fatigue(segments, params, opts)
+
+    monkeypatch.setattr(fespulse.optimize, "simulate_force_fatigue", record)
+    sig = DecisionVector(train.amplitudes, train.times[1:], train.horizon)
+    objective_value(_fatigue_spec(t_f, rest), sig, P)
+    (segments,) = seen
+    return [("T", s.horizon) if isinstance(s, PulseTrain) else ("R", s.duration)
+            for s in segments]
+
+
+def _plan_layout(monkeypatch, t_f: float, rest: float, train: PulseTrain) -> list:
+    """The session the planner lays out with ``train`` as its only template."""
+    monkeypatch.setattr(fespulse.planner, "_solve_template", lambda *args, **kwargs: train)
+    spec = ProgramSpec(f_ref=0.1, n=2, train_horizon=train.horizon, rest_duration=rest,
+                       t_f=t_f, sim_step=1.0)
+    return [("T", s.duration) if s.is_train else ("R", s.duration)
+            for s in plan_endurance(spec, P).segments]
+
+
+def test_fatigue_cost_absorbs_a_short_tail_into_the_last_rest(monkeypatch):
+    # A 200 ms tail after the second rest leaves no room for a third train,
+    # so it joins that rest, as in the planner; it is not a rest of its own.
+    expected = [("T", 250.0), ("R", 200.0), ("T", 250.0), ("R", 300.0)]
+    assert _cost_layout(monkeypatch, 1000.0, 200.0, _template(250.0)) == expected
+    assert _plan_layout(monkeypatch, 1000.0, 200.0, _template(250.0)) == expected
+
+
+def test_fatigue_cost_lays_out_the_planner_session(monkeypatch):
+    rng = np.random.default_rng(7)
+    cases = [(1000.0, 200.0, 250.0), (700.0, 200.0, 250.0), (250.0, 200.0, 250.0),
+             (900.0, 1000.0, 300.0)]
+    for _ in range(10):
+        horizon = float(rng.uniform(100.0, 400.0))
+        cases.append((float(rng.uniform(horizon, 8.0 * horizon)),
+                      float(rng.uniform(20.0, 600.0)), horizon))
+    for t_f, rest, horizon in cases:
+        train = _template(horizon)
+        cost = _cost_layout(monkeypatch, t_f, rest, train)
+        assert cost == _plan_layout(monkeypatch, t_f, rest, train), (t_f, rest, horizon)
+        assert math.fsum(d for _, d in cost) == pytest.approx(t_f, abs=1e-9)
+
+
+def test_fatigue_cost_and_planner_reject_a_session_shorter_than_one_train(monkeypatch):
+    train = _template(300.0)
+    sig = DecisionVector(train.amplitudes, train.times[1:], train.horizon)
+    with pytest.raises(SessionTooShort, match="span 300.0 ms exceeds the session t_f=290.0 ms"):
+        objective_value(_fatigue_spec(290.0, 200.0), sig, P)
+    monkeypatch.setattr(fespulse.planner, "_solve_template", lambda *args, **kwargs: train)
+    with pytest.raises(SessionTooShort, match="span 300.0 ms exceeds the session t_f=290.0 ms"):
+        plan_endurance(ProgramSpec(f_ref=0.1, n=2, train_horizon=250.0, t_f=290.0), P)
+    # The cost's error is an infeasible point to the solver, whose probes
+    # shrink their step on it.
+    assert issubclass(SessionTooShort, InfeasibleSigma)
 
 
 def test_program_reference_concentration_consistent(nominal_program):
