@@ -180,7 +180,9 @@ def parse_config(text: str) -> ScenarioConfig:
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse scenario: {exc}") from exc
+        # configparser's messages span lines; the CLI reports one.
+        reason = "; ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"cannot parse scenario: {reason}") from exc
     sections = []
     for name in parser.sections():
         if name not in _SCHEMA:

@@ -26,6 +26,9 @@ to a floor of min(``_MU_MIN`` |cost(init)|, kkt_tol / 10); ``_ARMIJO_C1``,
 ``_MAX_LINE_HALVINGS`` and ``_STEP_CAP`` set the line search,
 ``_AMPLITUDE_NUDGE`` pulls free start amplitudes off their bounds, and
 ``_FD_H_REL`` is the relative step of the finite differences.
+
+One function, :func:`_session`, lays out and integrates every session of
+trains and rests: the ``track_force_fatigue`` cost's and the planner's.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 
 from .approx import ForceApprox, _check_m_approx_args, build_m_approx
 from .model import ConcentrationState, ModelParams, PulseTrain, eval_cn
-from .simulate import Rest, SimOptions, _flatten_program, simulate_force, simulate_force_fatigue
+from .simulate import Rest, SimOptions, _integrate, _stitch, simulate_force
 
 __all__ = [
     "DecisionVector",
@@ -289,8 +292,10 @@ class ObjectiveSpec:
         if self.w1 < 0.0:
             raise ValueError("w1 must be >= 0")
         _check_m_approx_args(self.scheme, self.p, self.nu)
-        if self.sim_step is not None and self.sim_step <= 0.0:
-            raise ValueError(f"sim_step must be positive, got {self.sim_step}")
+        for name in ("rest_duration", "sim_step"):
+            value = getattr(self, name)
+            if value is not None and value <= 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 def horizon_gap(spec, i_min: float) -> float:
@@ -314,50 +319,91 @@ def _force_at_nodes(spec: ObjectiveSpec, train: PulseTrain, params: ModelParams,
     return np.array([traj.at("force", t) for t in nodes])
 
 
-def _check_fits(horizon: float, t_f: float, what: str = "train") -> None:
-    """Raise :class:`SessionTooShort` unless one train of ``horizon`` ms fits
-    in a session of ``t_f`` ms."""
-    if horizon > t_f + 1e-9:
-        raise SessionTooShort(f"{what} span {horizon:.1f} ms exceeds the session t_f={t_f} ms")
+@dataclass(frozen=True)
+class ProgramSegment:
+    start: float
+    train: PulseTrain | None = None
+    rest: Rest | None = None
+
+    @property
+    def duration(self) -> float:
+        return self.train.horizon if self.train is not None else self.rest.duration
+
+    @property
+    def is_train(self) -> bool:
+        return self.train is not None
 
 
 def _next_rest(remaining: float, rest: float, horizon: float) -> float:
     """The rest after a train that leaves ``remaining`` ms of the session: 0
     at its end, else ``rest`` capped at ``remaining``, or all of
     ``remaining`` where what the rest would leave is too short for another
-    train of ``horizon`` ms. Every session (the planner's and the fatigue
-    cost's) is laid out by this rule."""
+    train of ``horizon`` ms."""
     if remaining <= 1e-9:
         return 0.0
     r = min(rest, remaining)
     return remaining if remaining - r < horizon else r
 
 
-def _fatigue_cost(spec: ObjectiveSpec, train: PulseTrain, params: ModelParams) -> float:
-    _check_fits(train.horizon, spec.t_f)
-    segments: list = []
-    elapsed = 0.0
-    while elapsed + train.horizon <= spec.t_f + 1e-9:
-        segments.append(train)
-        elapsed += train.horizon
-        r = _next_rest(spec.t_f - elapsed, spec.rest_duration, train.horizon)
-        if r:
-            segments.append(Rest(r))
-            elapsed += r
-    traj = simulate_force_fatigue(segments, params, SimOptions(step=spec.sim_step))
+def _session(pick, t_f: float, rest: float, horizon: float, params: ModelParams, step,
+             what: str = "train"):
+    """Lay out and integrate a session of ``t_f`` ms from rest. Each train is
+    ``pick(a_start)`` at the fatigue state (kN/s) at its start, and its rest
+    is :func:`_next_rest`'s for trains of ``horizon`` ms; the two take one
+    RK4 call at ``step``, bit for bit ``simulate_force_fatigue`` of the
+    finished program. Returns the segments, the breaks (0, the pulse times
+    and the segment ends), grid, F, A (kN/ms) and the state of all pulses.
+    Raises :class:`SessionTooShort`, naming the train ``what``, where no
+    train of ``horizon`` ms fits."""
 
+    def fits(at: float) -> bool:  # room for one more train from ``at``
+        return at + horizon <= t_f + 1e-9
+
+    if not fits(0.0):
+        raise SessionTooShort(f"{what} span {horizon:.1f} ms exceeds the session t_f={t_f} ms")
+    opts = SimOptions(step=step)
+    segments, breaks = [], [0.0]
+    times, amps = [], []  # of the pulses placed so far, in global time
+    calls = []  # grid, F and A of each integration
+    cur, a_start = 0.0, params.a_rest
+    while fits(cur):
+        train = pick(a_start)
+        segments.append(ProgramSegment(start=cur, train=train))
+        pulses = [cur + t for t in train.times]
+        times.extend(pulses)
+        amps.extend(train.amplitudes)
+        cur += train.horizon
+        span = pulses + [cur]
+        r = _next_rest(t_f - cur, rest, horizon)
+        if r:
+            segments.append(ProgramSegment(start=cur, rest=Rest(r)))
+            cur += r
+            span.append(cur)
+        # A next pulse sets c_N at the segment's last node, where only its
+        # time matters (u = 0), so it enters with zero weight.
+        pad = [cur] if fits(cur) else []
+        state = ConcentrationState.from_pulses(times + pad, amps + [0.0] * len(pad), params)
+        start = (calls[-1][1][-1], calls[-1][2][-1]) if calls else (0.0, None)
+        calls.append(_integrate(state, span, params, opts, params.alpha_a_ms, *start))
+        breaks.extend(span[1:])
+        a_start = calls[-1][2][-1] * 1e3
+    grid, force, a_ms = (_stitch(part) for part in zip(*calls))
+    return segments, breaks, grid, force, a_ms, state
+
+
+def _fatigue_cost(spec: ObjectiveSpec, train: PulseTrain, params: ModelParams) -> float:
+    _, edges, grid, force, a_ms, _ = _session(
+        lambda a_start: train, spec.t_f, spec.rest_duration, train.horizon, params, spec.sim_step
+    )
     # Right-endpoint rule on the pulse intervals of each train, rests
-    # contributing as single intervals.
-    _, _, edges, _ = _flatten_program(segments)
+    # contributing as single intervals. The grid is sorted: the points in
+    # [a, b] (±1e-9) are one slice, whose last point is b.
+    lo = np.searchsorted(grid, np.array(edges[:-1]) - 1e-9).tolist()
+    hi = np.searchsorted(grid, np.array(edges[1:]) + 1e-9, "right").tolist()
     cost = 0.0
-    grid = traj.grid
-    a_ch = traj.channel("a")
-    for a, b in zip(edges, edges[1:]):
-        f_b = traj.at("force", b)
-        # The grid is sorted: the points in [a, b] (±1e-9) are one slice.
-        sel = slice(np.searchsorted(grid, a - 1e-9), np.searchsorted(grid, b + 1e-9, "right"))
-        a_mean = float(np.trapezoid(a_ch[sel], grid[sel])) / (b - a)
-        cost += (f_b - spec.f_ref) ** 2 * (b - a)
+    for a, b, i, j in zip(edges, edges[1:], lo, hi):
+        a_mean = float(np.trapezoid(a_ms[i:j] * 1e3, grid[i:j])) / (b - a)
+        cost += (float(force[j - 1]) - spec.f_ref) ** 2 * (b - a)
         cost += spec.w1 * (a_mean - spec.a_s) ** 2 * (b - a)
     return cost
 

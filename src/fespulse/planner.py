@@ -2,11 +2,11 @@
 
 A user-level force target is converted, through the steady-state root of
 the Hill dynamics, into a reference concentration; an L2 concentration
-tracking problem produces a template train; trains and recovery rests are
-tiled over the session. The force-fatigue trajectory is integrated once,
-train by train: (F, A) carries across segments, the fatigue state at each
-train start picks (or re-solves) its template, and the finished trajectory
-flags any crossing of the fatigue threshold.
+tracking problem produces a template train; ``optimize._session``, which
+lays out the ``track_force_fatigue`` cost's session too, tiles trains and
+recovery rests over the session and integrates it once, train by train,
+the fatigue state at each train start picking (or re-solving) its template.
+The finished trajectory flags any crossing of the fatigue threshold.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ConcentrationState, ModelParams, PulseTrain, steady_state_root
-from .optimize import DecisionVector, ObjectiveSpec, SolveOptions, _check_fits, _next_rest, solve
-from .simulate import Rest, SimOptions, Trajectory, _integrate, _stitch, simulate_force
+from .model import ModelParams, PulseTrain, steady_state_root
+from .optimize import DecisionVector, ObjectiveSpec, ProgramSegment, SolveOptions, _session, solve
+from .simulate import SimOptions, Trajectory, simulate_force
 
 __all__ = [
     "ProgramSpec",
@@ -82,21 +82,6 @@ class ProgramSpec:
                 raise ValueError(f"{name} must be positive, got {value}")
 
 
-@dataclass(frozen=True)
-class ProgramSegment:
-    start: float
-    train: PulseTrain | None = None
-    rest: Rest | None = None
-
-    @property
-    def duration(self) -> float:
-        return self.train.horizon if self.train is not None else self.rest.duration
-
-    @property
-    def is_train(self) -> bool:
-        return self.train is not None
-
-
 @dataclass(frozen=True, eq=False)
 class StimulationProgram:
     """An assembled session: segments tiling [0, t_f], the concentration
@@ -158,7 +143,6 @@ def plan_endurance(
     _, c_n_ref = steady_state_root(params, params.a_rest, f_ref)
 
     template = _solve_template(ObjectiveSpec(kind="track_cn", c_ref=c_n_ref), spec, params, options)
-    _check_fits(template.horizon, spec.t_f, "optimized train")
     # 95% recovery of the fatigue state takes about three time constants.
     rest_len = spec.rest_duration if spec.rest_duration is not None else 3.0 * params.tau_fat_ms
 
@@ -175,45 +159,11 @@ def plan_endurance(
         templates_by_a.append((a_start, _solve_template(objective, spec, params, options)))
         return templates_by_a[-1][1]
 
-    sim_opts = SimOptions(step=spec.sim_step)
-    times, amps = [], []  # of the pulses placed so far, in global time
-    calls: list[tuple] = []  # grid, F and A of each integration
-
-    def fits(at: float) -> bool:  # room for one more train from ``at``
-        return at + template.horizon <= spec.t_f + 1e-9
-
-    def advance(breaks: list[float], next_pulse: list[float]) -> None:
-        # A next pulse sets c_N at the segment's last node, where only its
-        # time matters (u = 0), so it enters with zero weight.
-        pad = [0.0] * len(next_pulse)
-        state = ConcentrationState.from_pulses(times + next_pulse, amps + pad, params)
-        start = (calls[-1][1][-1], calls[-1][2][-1]) if calls else (0.0, None)
-        calls.append(_integrate(state, breaks, params, sim_opts, params.alpha_a_ms, *start))
-
-    segments: list[ProgramSegment] = []
-    cur = 0.0
-    a_start = params.a_rest
-    while fits(cur):
-        # Templates are picked at train starts only, so each train and the
-        # rest after it are integrated in one call.
-        train_k = pick_template(a_start)
-        segments.append(ProgramSegment(start=cur, train=train_k))
-        pulses = [cur + t for t in train_k.times]
-        times.extend(pulses)
-        amps.extend(train_k.amplitudes)
-        cur += train_k.horizon
-        breaks = pulses + [cur]
-        r = _next_rest(spec.t_f - cur, rest_len, template.horizon)
-        if r:
-            segments.append(ProgramSegment(start=cur, rest=Rest(r)))
-            cur += r
-            breaks.append(cur)
-        advance(breaks, [cur] if fits(cur) else [])
-        a_start = calls[-1][2][-1] * 1e3
-
-    grid, force, a_ms = (_stitch(part) for part in zip(*calls))
-    c_n = ConcentrationState.from_pulses(times, amps, params).cn(grid)
-    trajectory = Trajectory(grid=grid, channels={"c_n": c_n, "force": force, "a": a_ms * 1e3})
+    segments, _, grid, force, a_ms, state = _session(
+        pick_template, spec.t_f, rest_len, template.horizon, params, spec.sim_step,
+        "optimized train",
+    )
+    trajectory = Trajectory(grid, {"c_n": state.cn(grid), "force": force, "a": a_ms * 1e3})
     a_threshold = params.a_rest / spec.k_fatigue
     a_ch = trajectory.channel("a")
     below = np.flatnonzero(a_ch < a_threshold)

@@ -17,9 +17,9 @@ steps of a call are formed at once from the RK4 stage formulas, composed
 inside each interval by a segmented prefix scan, and the interval start
 states are chained in one short loop, A carried across every boundary.
 A call's output thus depends only on each interval's steps and start
-state, which is what lets the planner integrate a session train by train
-(each with the rest after it), bit for bit the one-call simulation of the
-finished program.
+state, which is what lets a session be integrated train by train (each
+with the rest after it, in ``optimize._session``), bit for bit the one-call
+simulation of the finished program.
 """
 
 from __future__ import annotations

@@ -464,6 +464,7 @@ step = 1.0
 
 
 OPT_APPROX = edited(OPT_SMALL, "kind = max_cn_terminal", "kind = max_force_terminal")
+OPT_FATIGUE = "kind = track_force_fatigue\nf_ref = 0.1\nbackend = oracle\na_s = 1.5\nt_f = 1200\n"
 
 
 @pytest.mark.parametrize(
@@ -494,6 +495,14 @@ OPT_APPROX = edited(OPT_SMALL, "kind = max_cn_terminal", "kind = max_force_termi
         ("plan", edited(PLAN_SMALL, "i_min = 20.0", "i_min = -1")),
         ("plan", edited(PLAN_SMALL, "train_horizon = 250.0", "train_horizon = 0")),
         ("simulate", edited(NOMINAL, "horizon = 200.0", "horizon = 200.0\ni_min = -5")),
+        ("optimize", edited(OPT_SMALL, "kind = max_cn_terminal", OPT_FATIGUE + "rest = -5.0")),
+        ("optimize", edited(OPT_SMALL, "kind = max_cn_terminal", OPT_FATIGUE + "rest = 0")),
+        ("simulate", edited(NOMINAL, "times = 0\n", "")),
+        ("simulate", edited(NOMINAL, "horizon = 200.0\n", "")),
+        ("optimize", edited(OPT_SMALL, "kind = max_cn_terminal\n", "")),
+        ("optimize", edited(OPT_SMALL, "\nn = 2\n", "\n")),
+        ("simulate", "k_m = 0.103\n" + NOMINAL),
+        ("optimize", edited(OPT_SMALL, "freeze_amplitudes = true", "freeze_amplitudes = maybe")),
     ],
     ids=["plan-rest", "plan-sim_step", "optimize-p", "optimize-nu",
          "optimize-scheme", "optimize-oracle-sim_step", "approximate-trunc_p",
@@ -501,7 +510,9 @@ OPT_APPROX = edited(OPT_SMALL, "kind = max_cn_terminal", "kind = max_force_termi
          "bench-threshold-0", "optimize-backend-exact", "solver-n-neg", "solver-kkt_tol-0",
          "solver-inner_max_iter-neg", "solver-i_min-neg", "solver-amplitude-2", "program-f_ref-0",
          "program-f_ref-neg", "program-n-neg", "program-i_min-neg", "program-train_horizon-0",
-         "train-i_min-neg"],
+         "train-i_min-neg", "optimize-rest-neg", "optimize-rest-0", "train-no-times",
+         "train-no-horizon", "objective-no-kind", "solver-no-n", "ini-unparsable",
+         "solver-freeze_amplitudes-not-bool"],
 )
 def test_invalid_setting_is_config_error(tmp_path, capsys, command, text):
     out = tmp_path / "out"

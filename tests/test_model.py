@@ -57,6 +57,12 @@ def test_pulse_train_validation():
         PulseTrain((0.0, 20.0), (1.0, 1.0), 15.0)  # horizon before last pulse
     with pytest.raises(ValueError, match="i_min must be >= 0"):
         PulseTrain((0.0, 20.0), (1.0, 1.0), 30.0, i_min=-5.0)
+    with pytest.raises(ValueError, match="at least one impulse time"):
+        PulseTrain((), (), 30.0)
+    with pytest.raises(ValueError, match="equal length"):
+        PulseTrain((0.0, 20.0), (1.0,), 30.0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PulseTrain((0.0, 20.0, 20.0), (1.0, 1.0, 1.0), 30.0)
 
 
 # ---------------------------------------------------------------------------

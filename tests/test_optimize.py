@@ -136,6 +136,21 @@ def test_objective_spec_validation():
         ObjectiveSpec(kind="track_force_fatigue", f_ref=0.1, backend="approx")
     with pytest.raises(ValueError, match="unknown backend 'exact'"):
         ObjectiveSpec(kind="track_force", f_ref=0.1, backend="exact")
+    fatigue = {"kind": "track_force_fatigue", "f_ref": 0.1, "backend": "oracle", "a_s": 1.5,
+               "t_f": 1200.0, "rest_duration": 250.0}
+    for fields, message in [
+        ({"kind": "track_cn"}, "track_cn needs c_ref"),
+        ({**fatigue, "t_f": None}, "needs t_f, rest_duration and a_s"),
+        ({**fatigue, "rest_duration": None}, "needs t_f, rest_duration and a_s"),
+        ({**fatigue, "a_s": None}, "needs t_f, rest_duration and a_s"),
+        ({**fatigue, "rest_duration": -5.0}, "rest_duration must be positive"),
+        ({**fatigue, "rest_duration": 0.0}, "rest_duration must be positive"),
+        ({**fatigue, "w1": -1.0}, "w1 must be >= 0"),
+        ({**fatigue, "sim_step": 0.0}, "sim_step must be positive"),
+        ({"kind": "track_force", "f_ref": 0.1, "sim_step": -1.0}, "sim_step must be positive"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ObjectiveSpec(**fields)
 
 
 @pytest.mark.parametrize(

@@ -50,6 +50,7 @@ def test_program_spec_validation():
         ({"f_ref": 0.1, "train_horizon": 0.0}, "does not fit under train_horizon"),
         ({"f_ref": 0.1, "n": 4, "i_min": 60.0, "train_horizon": 300.0},
          "does not fit under train_horizon"),  # the regular start's gaps equal i_min
+        ({"f_ref": 0.1, "train_horizon": 400.0, "t_f": 399.0}, "session t_f must fit at least one"),
     ]:
         with pytest.raises(ValueError, match=message):
             ProgramSpec(**fields)
@@ -86,17 +87,17 @@ def _template(horizon: float) -> PulseTrain:
 def _cost_layout(monkeypatch, t_f: float, rest: float, train: PulseTrain) -> list:
     """The session the fatigue cost simulates, as (kind, duration) pairs."""
     seen = []
+    session = fespulse.optimize._session
 
-    def record(segments, params, opts):
-        seen.append(segments)
-        return simulate_force_fatigue(segments, params, opts)
+    def record(*args):
+        seen.append(session(*args))
+        return seen[-1]
 
-    monkeypatch.setattr(fespulse.optimize, "simulate_force_fatigue", record)
+    monkeypatch.setattr(fespulse.optimize, "_session", record)
     sig = DecisionVector(train.amplitudes, train.times[1:], train.horizon)
     objective_value(_fatigue_spec(t_f, rest), sig, P)
-    (segments,) = seen
-    return [("T", s.horizon) if isinstance(s, PulseTrain) else ("R", s.duration)
-            for s in segments]
+    ((segments, *_),) = seen
+    return [("T", s.duration) if s.is_train else ("R", s.duration) for s in segments]
 
 
 def _plan_layout(monkeypatch, t_f: float, rest: float, train: PulseTrain) -> list:
@@ -174,7 +175,7 @@ def test_plan_integrates_the_session_once(monkeypatch):
     steps = []
     calls = []
     scan = fespulse.simulate._rk4_scan
-    integrate = fespulse.planner._integrate
+    integrate = fespulse.optimize._integrate
 
     def counting_scan(h, m1, m2, sizes, *rest):
         steps.append(int(sizes.sum()))
@@ -185,7 +186,7 @@ def test_plan_integrates_the_session_once(monkeypatch):
         return integrate(*args)
 
     monkeypatch.setattr(fespulse.simulate, "_rk4_scan", counting_scan)
-    monkeypatch.setattr(fespulse.planner, "_integrate", counting_integrate)
+    monkeypatch.setattr(fespulse.optimize, "_integrate", counting_integrate)
     spec = ProgramSpec(
         f_ref=0.1, n=3, i_min=20.0, train_horizon=200.0,
         rest_duration=150.0, t_f=2400.0, sim_step=1.0,

@@ -38,6 +38,9 @@ def test_sim_options_validation():
         SimOptions(step=-1.0)
     with pytest.raises(ValueError):
         SimOptions(method="euler")
+    for tolerances in ({"abs_tol": 0.0}, {"rel_tol": -1e-8}):
+        with pytest.raises(ValueError, match="tolerances must be positive"):
+            SimOptions(method="adaptive", **tolerances)
 
 
 def test_zero_amplitude_train_gives_zero_force():
@@ -177,6 +180,21 @@ def test_fatigue_zero_stimulation_equilibrium():
     traj = simulate_force_fatigue([train, Rest(500.0)], P, SimOptions(step=1.0))
     assert np.all(traj.channel("force") == 0.0)
     assert np.allclose(traj.channel("a"), P.a_rest, atol=1e-12)
+
+
+def test_fatigue_programs_may_start_and_end_with_rests():
+    # A program of rests only starts from rest and stays there.
+    traj = simulate_force_fatigue([Rest(500.0)], P, SimOptions(step=1.0))
+    assert traj.grid[0] == 0.0 and traj.grid[-1] == 500.0
+    assert np.all(traj.channel("force") == 0.0)
+    assert np.all(traj.channel("a") == P.a_rest)
+    # Leading and trailing rests: the program ends at the sum of its spans.
+    train = PulseTrain((0.0, 30.0, 60.0), (1.0, 1.0, 1.0), 100.0, 20.0)
+    traj = simulate_force_fatigue([Rest(100.0), train, Rest(200.0), Rest(300.0)], P)
+    grid, force = traj.grid, traj.channel("force")
+    assert grid[0] == 0.0 and grid[-1] == 700.0
+    assert np.all(force[grid <= 100.0] == 0.0)
+    assert np.all(force[grid > 100.0] > 0.0)
 
 
 def test_fatigue_scaling_drops_under_load():
