@@ -23,8 +23,6 @@ from .exppoly import PiecewisePoly
 from .simulate import (
     QuadratureNoConvergence,
     Rest,
-    SimOptions,
-    StepTooLarge,
     Trajectory,
     oracle_force_quadrature,
     reparam_force_check,

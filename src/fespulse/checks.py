@@ -27,7 +27,6 @@ from .approx import (
 from .model import ModelParams, PulseTrain, compute_scaling, eval_cn, eval_lobe
 from .simulate import (
     Rest,
-    SimOptions,
     oracle_force_quadrature,
     reparam_force_check,
     simulate_force,
@@ -102,7 +101,7 @@ def oracle_concordance(
     worst_rq = 0.0
     for _ in range(n_trains):
         train = random_train(rng, n_max=5)
-        traj = simulate_force(train, params, SimOptions(step=sim_step))
+        traj = simulate_force(train, params, sim_step)
         for frac in (0.5, 1.0):
             t = float(traj.grid[int(np.argmin(np.abs(traj.grid - frac * train.horizon)))])
             f_quad = oracle_force_quadrature(train, params, t)
@@ -153,7 +152,7 @@ def force_bound(
             float(times[-1] + rng.uniform(24.0, 2.0 * params.tau_c)),
             20.0,
         )
-        traj = simulate_force(train, params, SimOptions(step=sim_step))
+        traj = simulate_force(train, params, sim_step)
         errs = {}
         for p in (2, 4):
             ap = build_m_approx(train, params, scheme="constant-average", p=p)
@@ -180,7 +179,7 @@ def envelope_margins(
     """The staircase nu-envelopes against the RK4 force on its grid:
     min(F_high - F) at nu = 0.95 and max(F_low - F) at nu = 1.05 in kN (each
     envelope holds where its figure has the right sign), and the grid size."""
-    traj = simulate_force(train, params, SimOptions(step=sim_step))
+    traj = simulate_force(train, params, sim_step)
     force = traj.channel("force")
     f_low, f_high = upper_lower_envelope(train, params, 1.05, 0.95, traj.grid)
     upper = float(np.min(np.asarray(f_high) - force))
@@ -195,9 +194,7 @@ def fatigue_response(params: ModelParams, sim_step: float) -> tuple[bool, float,
     1/tau_fat of the recovery rate fitted to log(a_rest - A) over 3-9.9 s
     (infinite unless A stays below a_rest there)."""
     train = PulseTrain(tuple(i * 60.0 for i in range(5)), (1.0,) * 5, 300.0, 20.0)
-    traj = simulate_force_fatigue(
-        [train, train, train, Rest(9000.0)], params, SimOptions(step=sim_step)
-    )
+    traj = simulate_force_fatigue([train, train, train, Rest(9000.0)], params, sim_step)
     grid, a = traj.grid, traj.channel("a")
     load = a[(grid > train.times[1]) & (grid <= 900.0)]
     sel = (grid >= 3000.0) & (grid <= 9900.0)

@@ -3,9 +3,9 @@
 Subcommands: simulate, approximate, optimize, plan, validate, bench. Each
 reads an INI scenario file, writes deterministic CSV/JSON artifacts into
 --out, and returns exit code 0 (ok), 2 (config error), 3 (solver or
-numerical failure: a solve that does not converge or cannot start,
-``StepTooLarge``, ``QuadratureNoConvergence``) or 4 (validation failure:
-a failed ``validate`` suite, or a ``bench`` speed-up below its threshold).
+numerical failure: a solve that does not converge or cannot start, or
+``QuadratureNoConvergence``) or 4 (validation failure: a failed
+``validate`` suite, or a ``bench`` speed-up below its threshold).
 Every output carries a provenance header with the config hash and artifact
 version so plots and regressions can be pinned to an exact scenario.
 """
@@ -38,12 +38,7 @@ from .optimize import (
     solve,
 )
 from .planner import ProgramSpec, TemplateNotConverged, plan_endurance
-from .simulate import (
-    QuadratureNoConvergence,
-    SimOptions,
-    StepTooLarge,
-    simulate_force,
-)
+from .simulate import QuadratureNoConvergence, simulate_force
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "main"]
 
@@ -94,7 +89,7 @@ _SCHEMA: dict[str, dict[str, object]] = {
         "freeze_amplitudes": _parse_bool, "amplitude": _float,
         "n_starts": int, "kkt_tol": _float, "inner_max_iter": int,
     },
-    "sim": {"step": _float, "method": str, "abs_tol": _float, "rel_tol": _float},
+    "sim": {"step": _float},
     "approx": {"scheme": str, "p": int, "nu": _float, "trunc_p": int},
     "program": {
         "f_ref": _float, "k_ratio": _float, "n": int, "i_min": _float,
@@ -165,14 +160,13 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"[train] invalid train: {exc}") from exc
 
-    def sim_options(self) -> SimOptions:
-        """``[sim]``: the RK4 ``step`` of every command but ``bench``; the
-        method and tolerances of ``simulate``, ``approximate`` and
-        ``optimize``'s response."""
-        try:
-            return SimOptions(**self.set_values("sim", "step", "method", "abs_tol", "rel_tol"))
-        except ValueError as exc:
-            raise ConfigError(f"[sim] {exc}") from exc
+    def sim_step(self) -> float | None:
+        """``[sim] step``: the RK4 step of every command but ``bench``,
+        None where unset."""
+        step = self.get("sim", "step")
+        if step is not None and step <= 0.0:
+            raise ConfigError(f"[sim] step must be positive, got {step}")
+        return step
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -398,7 +392,7 @@ def _write_json(path: Path, cfg, command, seed, payload: dict) -> None:
 def run_simulate(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
     params = cfg.model_params()
     train = cfg.train()
-    traj = simulate_force(train, params, cfg.sim_options())
+    traj = simulate_force(train, params, cfg.sim_step())
     grid = traj.grid
     c_n = traj.channel("c_n")
     force = traj.channel("force")
@@ -437,7 +431,7 @@ def run_approximate(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
         trunc = truncated_cn(train, params, trunc_p)
     except ValueError as exc:
         raise ConfigError(f"[approx] {exc}") from exc
-    traj = simulate_force(train, params, cfg.sim_options())
+    traj = simulate_force(train, params, cfg.sim_step())
     grid = traj.grid
     f_tilde = np.atleast_1d(ForceApprox(approx).values(grid, params.a_rest))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -499,8 +493,8 @@ def _solver_from_config(cfg: ScenarioConfig, seed: int) -> tuple[SolveOptions, D
 
 def run_optimize(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
     params = cfg.model_params()
-    sim_opts = cfg.sim_options()
-    spec = _objective_from_config(cfg, sim_opts.step)
+    sim_step = cfg.sim_step()
+    spec = _objective_from_config(cfg, sim_step)
     opts, init = _solver_from_config(cfg, seed)
     init_cost = objective_value(spec, init, params)
     outcome = solve(spec, init, params, opts)
@@ -533,7 +527,7 @@ def run_optimize(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
     )
 
     train = sigma.to_train()
-    traj = simulate_force(train, params, sim_opts)
+    traj = simulate_force(train, params, sim_step)
     grid = traj.grid
     if spec.kind in ("max_cn_terminal", "track_cn"):
         exact = traj.channel("c_n")
@@ -556,7 +550,7 @@ def run_optimize(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
 
 def run_plan(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
     params = cfg.model_params()
-    sim_step = cfg.sim_options().step
+    sim_step = cfg.sim_step()
     try:
         spec = ProgramSpec(sim_step=sim_step, **cfg.set_values(
             "program", "f_ref", "k_ratio", "n", "i_min", "train_horizon", "t_f", "k_fatigue",
@@ -672,7 +666,7 @@ def run_validate(cfg: ScenarioConfig, out_dir: Path, seed: int, suite: str) -> i
     n_trains = cfg.get("validate", "n_trains", 6)
     if n_trains < 1:
         raise ConfigError(f"[validate] n_trains must be at least 1, got {n_trains}")
-    sim_step = cfg.sim_options().step or 0.2
+    sim_step = cfg.sim_step() or 0.2
     rng = np.random.default_rng(seed)
     results: list[dict] = []
     try:
@@ -772,7 +766,7 @@ def main(argv=None) -> int:
     except (InfeasibleSigma, StepCollision, TemplateNotConverged) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (StepTooLarge, QuadratureNoConvergence) as exc:
+    except QuadratureNoConvergence as exc:
         message = " ".join(str(exc).split())
         print(f"numerical failure: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_SOLVER

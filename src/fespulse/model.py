@@ -360,9 +360,9 @@ def _linspace_nodes(lo, hi, m, j) -> np.ndarray:
 
 class _ScalarHill:
     """Pointwise c_N, m1 and m2 on Python floats, for the many scalar calls
-    that adaptive quadrature and RK45 make: a :class:`ConcentrationState`
-    read with ``bisect`` and ``math.exp``. Same formulas as
-    :func:`eval_m1` (undeformed) and :func:`eval_m2`."""
+    that adaptive quadrature makes: a :class:`ConcentrationState` read with
+    ``bisect`` and ``math.exp``. Same formulas as :func:`eval_m1`
+    (undeformed) and :func:`eval_m2`."""
 
     def __init__(self, state: ConcentrationState, params: ModelParams):
         self.times = state.times.tolist()

@@ -40,7 +40,7 @@ import numpy as np
 
 from .approx import ForceApprox, _check_m_approx_args, build_m_approx
 from .model import ConcentrationState, ModelParams, PulseTrain, eval_cn
-from .simulate import Rest, SimOptions, _integrate, _stitch, simulate_force
+from .simulate import Rest, _integrate, _stitch, simulate_force
 
 __all__ = [
     "DecisionVector",
@@ -315,7 +315,7 @@ def _force_at_nodes(spec: ObjectiveSpec, train: PulseTrain, params: ModelParams,
     if spec.backend == "approx":
         approx = build_m_approx(train, params, scheme=spec.scheme, p=spec.p, nu=spec.nu)
         return np.atleast_1d(ForceApprox(approx).values(np.asarray(nodes), params.a_rest))
-    traj = simulate_force(train, params, SimOptions(step=spec.sim_step))
+    traj = simulate_force(train, params, spec.sim_step)
     return np.array([traj.at("force", t) for t in nodes])
 
 
@@ -361,7 +361,6 @@ def _session(pick, t_f: float, rest: float, horizon: float, params: ModelParams,
 
     if not fits(0.0):
         raise SessionTooShort(f"{what} span {horizon:.1f} ms exceeds the session t_f={t_f} ms")
-    opts = SimOptions(step=step)
     segments, breaks = [], [0.0]
     times, amps = [], []  # of the pulses placed so far, in global time
     calls = []  # grid, F and A of each integration
@@ -384,7 +383,7 @@ def _session(pick, t_f: float, rest: float, horizon: float, params: ModelParams,
         pad = [cur] if fits(cur) else []
         state = ConcentrationState.from_pulses(times + pad, amps + [0.0] * len(pad), params)
         start = (calls[-1][1][-1], calls[-1][2][-1]) if calls else (0.0, None)
-        calls.append(_integrate(state, span, params, opts, params.alpha_a_ms, *start))
+        calls.append(_integrate(state, span, params, step, params.alpha_a_ms, *start))
         breaks.extend(span[1:])
         a_start = calls[-1][2][-1] * 1e3
     grid, force, a_ms = (_stitch(part) for part in zip(*calls))
@@ -509,6 +508,8 @@ class SolveOptions:
             raise ValueError(f"kkt_tol must be positive, got {self.kkt_tol}")
         if self.inner_max_iter < 1:
             raise ValueError(f"inner_max_iter must be at least 1, got {self.inner_max_iter}")
+        if self.n_starts < 1:
+            raise ValueError(f"n_starts must be at least 1, got {self.n_starts}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import ModelParams, PulseTrain, steady_state_root
 from .optimize import DecisionVector, ObjectiveSpec, ProgramSegment, SolveOptions, _session, solve
-from .simulate import SimOptions, Trajectory, simulate_force
+from .simulate import Trajectory, simulate_force
 
 __all__ = [
     "ProgramSpec",
@@ -207,4 +207,4 @@ def derive_f_max(
     does not converge."""
     objective = ObjectiveSpec(kind="max_force_terminal")
     train = _solve_template(objective, spec, params, options, freeze_amplitudes=True)
-    return simulate_force(train, params, SimOptions(step=spec.sim_step)).terminal("force")
+    return simulate_force(train, params, spec.sim_step).terminal("force")

@@ -4,12 +4,11 @@ The concentration layer is always evaluated in closed form (see
 :mod:`fespulse.model`); only the force and fatigue states are integrated.
 Every integration step is split at impulse times so the right-hand side is
 smooth within each step. Three independent force evaluations are provided:
-an integrator of the (F, A) system (fixed-step RK4, or scipy's adaptive
-RK45 called once per pulse interval on the same right-hand side), a nested
-adaptive-quadrature evaluation of the exact integral form, and a
-time-reparameterized re-derivation used as a consistency check. The
-force-only simulation is the force-fatigue integrator with alpha = 0, under
-which A stays at a_rest exactly.
+a fixed-step RK4 integrator of the (F, A) system, a nested adaptive-quadrature
+evaluation of the exact integral form, and a time-reparameterized
+re-derivation used as a consistency check. The force-only simulation is the
+force-fatigue integrator with alpha = 0, under which A stays at a_rest
+exactly.
 
 The RK4 integrator treats the system as sampled data: once c_N is known,
 (F, A) is linear, so every step is an affine map of (F, A - a_rest). All
@@ -29,7 +28,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-# scipy is imported inside the three functions that call it: no RK4 run
+# scipy is imported inside the two functions that call it: no RK4 run
 # reaches them, and importing it would take most of a CLI call's start-up.
 
 from .model import (
@@ -44,10 +43,8 @@ from .model import (
 )
 
 __all__ = [
-    "SimOptions",
     "Trajectory",
     "Rest",
-    "StepTooLarge",
     "QuadratureNoConvergence",
     "simulate_force",
     "simulate_force_fatigue",
@@ -56,31 +53,8 @@ __all__ = [
 ]
 
 
-class StepTooLarge(RuntimeError):
-    """The adaptive integrator could not reach the end of an interval."""
-
-
 class QuadratureNoConvergence(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class SimOptions:
-    """Integrator options: ``step`` for RK4 (``None`` resolves to
-    tau_c / 50), the tolerances for the adaptive method."""
-
-    step: float | None = None
-    method: str = "rk4"          # "rk4" (fixed step) or "adaptive"
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.step is not None and self.step <= 0.0:
-            raise ValueError(f"step must be positive, got {self.step}")
-        if self.method not in ("rk4", "adaptive"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,47 +206,26 @@ def _rk4_scan(h, m1, m2, sizes, f: float, a: float, a_rest: float, tau_fat: floa
     return y[0], (y[1] + a_rest if n == 2 else np.full(steps.shape, a_rest))
 
 
-def _adaptive_interval(rhs, lo: float, hi: float, y0, rel_tol: float, abs_tol: float):
-    """scipy's RK45 over [lo, hi]; returns the accepted nodes and states."""
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(rhs, (lo, hi), y0, method="RK45", rtol=rel_tol, atol=abs_tol)
-    if not sol.success:
-        raise StepTooLarge(f"adaptive step failed on [{lo}, {hi}]: {sol.message}")
-    return sol.t, sol.y
-
-
-def _integrate(state: ConcentrationState, breaks, params: ModelParams, opts: SimOptions,
+def _integrate(state: ConcentrationState, breaks, params: ModelParams, step: float | None,
                alpha: float, f: float = 0.0, a: float | None = None):
     """(F, A) from (``f``, ``a``), by default rest, over every interval
     between ``breaks``; A in kN/ms. Returns the grid, F and A, each interval
     contributing its nodes but the last, and the call its final node.
 
-    ``rk4`` takes max(4, ceil(width / step)) equal steps per interval, on the
-    nodes of ``np.linspace``, and runs them all through :func:`_rk4_scan`;
-    ``adaptive`` calls scipy's RK45 once per interval.
+    Each interval takes max(4, ceil(width / step)) equal RK4 steps, on the
+    nodes of ``np.linspace``, all run through :func:`_rk4_scan`. ``step``
+    None is tau_c / 50.
     """
+    if step is None:
+        step = params.tau_c / 50.0
+    elif step <= 0.0:
+        raise ValueError(f"step must be positive, got {step}")
     a_rest = params.a_rest_ms
     tau_fat = params.tau_fat_ms
     a = a_rest if a is None else a
     b = np.asarray(breaks, dtype=float)
     keep = b[1:] - b[:-1] > 1e-12
     lo, hi = b[:-1][keep], b[1:][keep]
-    if opts.method == "adaptive":
-        hill = _ScalarHill(state, params)
-
-        def rhs(t, y):
-            m1 = hill.m1(t)
-            return [-hill.m2(t) * y[0] + m1 * y[1], -(y[1] - a_rest) / tau_fat + alpha * y[0]]
-
-        parts = []
-        for lo_i, hi_i in zip(lo.tolist(), hi.tolist()):
-            ts, (fs, as_) = _adaptive_interval(rhs, lo_i, hi_i, [f, a], opts.rel_tol, opts.abs_tol)
-            f, a = fs[-1], as_[-1]
-            parts.append((ts, fs, as_))
-        return tuple(_stitch(p) for p in zip(*parts))
-
-    step = opts.step if opts.step is not None else params.tau_c / 50.0
     m = np.maximum(4, np.ceil((hi - lo) / step - 1e-12)).astype(np.int64)
     h = _linspace_nodes(lo, hi, m, 1) - lo
     # Blocks of at most _BLOCK_STEPS steps from each interval's start.
@@ -316,19 +269,18 @@ def _stitch(parts) -> np.ndarray:
     return np.concatenate([p[:-1] for p in parts] + [parts[-1][-1:]])
 
 
-def simulate_force(
-    train: PulseTrain, params: ModelParams, opts: SimOptions | None = None
-) -> Trajectory:
+def simulate_force(train: PulseTrain, params: ModelParams, step: float | None = None) -> Trajectory:
     """Integrate F' = -m2 F + m1 A from rest with A fixed at a_rest.
 
     This is the force-fatigue integrator with alpha = 0, under which A
     never leaves a_rest. The concentration entering m1 and m2 comes from
     the closed form, never from integrating the stimulation signal. The
-    output grid contains every impulse time exactly once.
+    output grid contains every impulse time exactly once. ``step`` is the
+    RK4 step in ms, tau_c / 50 when None.
     """
     state = concentration_state(train, params)
     breaks = list(train.times) + [train.horizon]
-    grid, force, _ = _integrate(state, breaks, params, opts or SimOptions(), 0.0)
+    grid, force, _ = _integrate(state, breaks, params, step, 0.0)
     return Trajectory(grid=grid, channels={"c_n": state.cn(grid), "force": force})
 
 
@@ -359,22 +311,21 @@ def _flatten_program(segments) -> tuple[list[float], list[float], list[float], f
     return times, amps, breaks, cur
 
 
-def simulate_force_fatigue(
-    segments, params: ModelParams, opts: SimOptions | None = None
-) -> Trajectory:
+def simulate_force_fatigue(segments, params: ModelParams, step: float | None = None) -> Trajectory:
     """Co-integrate force and fatigue over a sequence of trains and rests.
 
     ``segments`` is an iterable of :class:`PulseTrain` and :class:`Rest`
     covering [0, t_f] back to back. During rests the concentration keeps
     its closed-form decay from all earlier pulses; the scaling memory runs
     across segment boundaries (and dies off naturally over long rests).
-    The ``a`` channel is reported in kN/s.
+    The ``a`` channel is reported in kN/s; ``step`` is as for
+    :func:`simulate_force`.
     """
     times, amps, breaks, t_f = _flatten_program(segments)
     if t_f <= 0.0:
         raise ValueError("program must have positive total duration")
     state = ConcentrationState.from_pulses(times, amps, params)
-    grid, force, a = _integrate(state, breaks, params, opts or SimOptions(), params.alpha_a_ms)
+    grid, force, a = _integrate(state, breaks, params, step, params.alpha_a_ms)
     return Trajectory(grid=grid, channels={"c_n": state.cn(grid), "force": force, "a": a * 1e3})
 
 

@@ -11,7 +11,6 @@ from fespulse import (
     MApprox,
     ModelParams,
     PulseTrain,
-    SimOptions,
     build_m_approx,
     error_bound_persistent,
     eval_cn,
@@ -402,7 +401,7 @@ def test_f_tilde_zero_at_origin():
 
 
 def test_f_tilde_matches_oracle_within_bound_and_refines():
-    traj = simulate_force(THREE_PULSE, P, SimOptions(step=0.2))
+    traj = simulate_force(THREE_PULSE, P, 0.2)
     errors = {}
     for p in (2, 4):
         ap = build_m_approx(THREE_PULSE, P, scheme="triangular", p=p)
@@ -541,7 +540,7 @@ def test_euler_single_step_closed_form():
 
 
 def test_euler_first_order_convergence():
-    traj = simulate_force(THREE_PULSE, P, SimOptions(step=0.05))
+    traj = simulate_force(THREE_PULSE, P, 0.05)
     t_eval = THREE_PULSE.times[2]
     errs = []
     for p in (8, 16, 32):
@@ -580,7 +579,7 @@ def test_error_bound_zero_for_exact_stand_ins():
 def test_error_bound_dominates_two_pulse_case():
     train = PulseTrain((0.0, 30.0), (1.0, 0.8), 65.0, 20.0)
     ap = build_m_approx(train, P, scheme="constant-average", p=2)
-    traj = simulate_force(train, P, SimOptions(step=0.2))
+    traj = simulate_force(train, P, 0.2)
     for k in range(3):
         rep = force_error_bound(train, P, ap, k)
         assert rep.hypotheses_ok, rep.violated
@@ -615,7 +614,7 @@ def test_envelope_brackets_oracle_pointwise():
     rng = np.random.default_rng(14)
     for _ in range(3):
         train = random_train(rng, n_max=4)
-        traj = simulate_force(train, P, SimOptions(step=0.2))
+        traj = simulate_force(train, P, 0.2)
         low, high = upper_lower_envelope(train, P, 1.05, 0.95, traj.grid)
         f = traj.channel("force")
         assert np.all(np.asarray(high) >= f - 1e-9)

@@ -18,10 +18,8 @@ from fespulse import (
     OptOutcome,
     ProgramSpec,
     QuadratureNoConvergence,
-    SimOptions,
     SolveOptions,
     StepCollision,
-    StepTooLarge,
     plan_endurance,
 )
 from fespulse.checks import fatigue_response
@@ -371,7 +369,7 @@ def test_optimize_init_horizon_must_stay_below_t_max(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("error", [StepTooLarge, QuadratureNoConvergence])
+@pytest.mark.parametrize("error", [QuadratureNoConvergence])
 def test_numerical_failure_is_solver_exit_code(tmp_path, monkeypatch, capsys, error):
     def fail(*args, **kwargs):
         raise error("first line\nsecond line")
@@ -503,6 +501,9 @@ OPT_FATIGUE = "kind = track_force_fatigue\nf_ref = 0.1\nbackend = oracle\na_s = 
         ("optimize", edited(OPT_SMALL, "\nn = 2\n", "\n")),
         ("simulate", "k_m = 0.103\n" + NOMINAL),
         ("optimize", edited(OPT_SMALL, "freeze_amplitudes = true", "freeze_amplitudes = maybe")),
+        ("optimize", edited(OPT_SMALL, "[solver]\n", "[solver]\nn_starts = 0\n")),
+        ("simulate", NOMINAL.replace("step = 0.4", "step = 0")),
+        ("approximate", NOMINAL.replace("step = 0.4", "step = 0")),
     ],
     ids=["plan-rest", "plan-sim_step", "optimize-p", "optimize-nu",
          "optimize-scheme", "optimize-oracle-sim_step", "approximate-trunc_p",
@@ -512,7 +513,8 @@ OPT_FATIGUE = "kind = track_force_fatigue\nf_ref = 0.1\nbackend = oracle\na_s = 
          "program-f_ref-neg", "program-n-neg", "program-i_min-neg", "program-train_horizon-0",
          "train-i_min-neg", "optimize-rest-neg", "optimize-rest-0", "train-no-times",
          "train-no-horizon", "objective-no-kind", "solver-no-n", "ini-unparsable",
-         "solver-freeze_amplitudes-not-bool"],
+         "solver-freeze_amplitudes-not-bool", "solver-n_starts-0", "simulate-sim_step-0",
+         "approximate-sim_step-0"],
 )
 def test_invalid_setting_is_config_error(tmp_path, capsys, command, text):
     out = tmp_path / "out"
@@ -659,14 +661,14 @@ def test_plan_f_max_is_simulated_at_the_sim_step(tmp_path, monkeypatch):
     seen = []
     simulate = fespulse.planner.simulate_force
 
-    def recording(train, params, options=None):
-        seen.append(options)
-        return simulate(train, params, options)
+    def recording(train, params, step=None):
+        seen.append(step)
+        return simulate(train, params, step)
 
     monkeypatch.setattr(fespulse.planner, "simulate_force", recording)
     out = tmp_path / "out"
     assert main(["plan", "--config", write(tmp_path, PLAN_K_RATIO), "--out", str(out)]) == EXIT_OK
-    assert seen == [SimOptions(step=1.0)]
+    assert seen == [1.0]
 
 
 def test_plan_unconverged_f_max_solve_is_solver_failure(tmp_path, monkeypatch, capsys):
@@ -704,10 +706,13 @@ def test_plan_unconverged_f_max_solve_is_solver_failure(tmp_path, monkeypatch, c
         ("bench", NOMINAL + "\n[bench]\nn = 5\n", "bench", "n"),
         ("bench", NOMINAL + "\n[bench]\nhorizon = 360.0\n", "bench", "horizon"),
         ("bench", NOMINAL + "\n[bench]\nnu = 0.95\n", "bench", "nu"),
+        ("simulate", NOMINAL + "method = adaptive\n", "sim", "method"),
+        ("simulate", NOMINAL + "abs_tol = 1e-10\n", "sim", "abs_tol"),
+        ("approximate", NOMINAL + "rel_tol = 1e-8\n", "sim", "rel_tol"),
     ],
     ids=["train-n", "train-amplitude", "objective-sim_step", "program-sim_step",
          "validate-seed", "validate-suite", "validate-sim_step", "program-rest_cap",
-         "bench-n", "bench-horizon", "bench-nu"],
+         "bench-n", "bench-horizon", "bench-nu", "sim-method", "sim-abs_tol", "sim-rel_tol"],
 )
 def test_removed_key_is_unknown(tmp_path, capsys, command, text, section, key):
     out = tmp_path / "out"
@@ -767,10 +772,8 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "sc
 
 
 def test_default_runs_do_not_import_scipy(tmp_path):
-    # scipy loads only in the five functions that call it. Tests that run
+    # scipy loads only in the four functions that call it. Tests that run
     # those paths, and so load it, include:
-    # - the adaptive method: test_simulate.py::test_adaptive_matches_fixed_step
-    #   and ::test_fatigue_adaptive_matches_fixed_step;
     # - the quadrature oracle and the reparameterized check:
     #   test_simulate.py::test_quadrature_oracle_vs_sim_random_trains and
     #   ::test_reparam_single_pulse_and_random;

@@ -11,7 +11,6 @@ from fespulse import (
     ObjectiveSpec,
     PulseTrain,
     Rest,
-    SimOptions,
     SolveOptions,
     StepCollision,
     compute_scaling,
@@ -159,12 +158,13 @@ def test_objective_spec_validation():
         (lambda: SolveOptions(i_min=-5.0), "i_min must be >= 0"),
         (lambda: SolveOptions(kkt_tol=0.0), "kkt_tol must be positive"),
         (lambda: SolveOptions(inner_max_iter=0), "inner_max_iter must be at least 1"),
+        (lambda: SolveOptions(n_starts=-4), "n_starts must be at least 1"),
         (lambda: DecisionVector.regular(-1, 1000.0), "n must be >= 0"),
         (lambda: DecisionVector.regular(3, 1000.0, amplitude=2.0), "amplitude must lie in"),
         (lambda: DecisionVector.regular(3, 1000.0, amplitude=-0.1), "amplitude must lie in"),
     ],
-    ids=["i_min", "kkt_tol", "inner_max_iter", "regular-n", "regular-amplitude-high",
-         "regular-amplitude-low"],
+    ids=["i_min", "kkt_tol", "inner_max_iter", "n_starts", "regular-n",
+         "regular-amplitude-high", "regular-amplitude-low"],
 )
 def test_solver_settings_reject_out_of_range_values(make, message):
     with pytest.raises(ValueError, match=message):
@@ -281,7 +281,7 @@ def _fatigue_cost_with_masks(spec, train, params):
         if r:
             segments.append(Rest(r))
             elapsed += r
-    traj = simulate_force_fatigue(segments, params, SimOptions(step=spec.sim_step))
+    traj = simulate_force_fatigue(segments, params, spec.sim_step)
     edges, cur = [0.0], 0.0
     for seg in segments:
         if isinstance(seg, PulseTrain):

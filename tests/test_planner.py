@@ -16,7 +16,6 @@ from fespulse import (
     ProgramSpec,
     Rest,
     SessionTooShort,
-    SimOptions,
     SolveOptions,
     UnreachableForce,
     derive_f_max,
@@ -224,7 +223,7 @@ def test_plan_trajectory_equals_program_simulation_bitwise(rest, monkeypatch):
     sweeps.clear()
     program = [seg.train if seg.is_train else Rest(seg.duration) for seg in prog.segments]
     assert sum(seg.is_train for seg in prog.segments) >= 2
-    ref = simulate_force_fatigue(program, P, SimOptions(step=spec.sim_step))
+    ref = simulate_force_fatigue(program, P, spec.sim_step)
     assert planned == sweeps
     assert np.array_equal(prog.trajectory.grid, ref.grid)
     for name in ("c_n", "force", "a"):
@@ -243,7 +242,7 @@ def test_plan_equals_program_simulation_across_scan_blocks(monkeypatch):
     )
     prog = plan_endurance(spec, P, options=FAST)
     program = [seg.train if seg.is_train else Rest(seg.duration) for seg in prog.segments]
-    ref = simulate_force_fatigue(program, P, SimOptions(step=spec.sim_step))
+    ref = simulate_force_fatigue(program, P, spec.sim_step)
     assert np.array_equal(prog.trajectory.grid, ref.grid)
     for name in ("c_n", "force", "a"):
         assert np.array_equal(prog.trajectory.channel(name), ref.channel(name)), name
@@ -304,7 +303,7 @@ def test_benchmark_sessions_solve_their_templates_cleanly(f_ref, t_f, rest, solv
 
 def test_program_force_within_envelope(nominal_program):
     template = next(seg.train for seg in nominal_program.segments if seg.is_train)
-    traj = simulate_force(template, P, SimOptions(step=0.25))
+    traj = simulate_force(template, P, 0.25)
     f = traj.channel("force")
     low, high = upper_lower_envelope(template, P, 1.05, 0.95, traj.grid)
     assert np.all(np.asarray(high) >= f - 1e-9)

@@ -8,8 +8,6 @@ from fespulse import (
     ModelParams,
     PulseTrain,
     Rest,
-    SimOptions,
-    StepTooLarge,
     Trajectory,
     eval_m2,
     oracle_force_quadrature,
@@ -34,13 +32,10 @@ def test_trajectory_validation():
 
 
 def test_sim_options_validation():
-    with pytest.raises(ValueError):
-        SimOptions(step=-1.0)
-    with pytest.raises(ValueError):
-        SimOptions(method="euler")
-    for tolerances in ({"abs_tol": 0.0}, {"rel_tol": -1e-8}):
-        with pytest.raises(ValueError, match="tolerances must be positive"):
-            SimOptions(method="adaptive", **tolerances)
+    with pytest.raises(ValueError, match="step must be positive"):
+        simulate_force(THREE_PULSE, P, step=0.0)
+    with pytest.raises(ValueError, match="step must be positive"):
+        simulate_force_fatigue([THREE_PULSE, Rest(100.0)], P, step=-1.0)
 
 
 def test_zero_amplitude_train_gives_zero_force():
@@ -62,9 +57,9 @@ def test_grid_contains_each_pulse_time_once():
 
 
 def test_rk4_convergence_order():
-    ref = simulate_force(THREE_PULSE, P, SimOptions(step=0.05)).terminal("force")
-    e1 = abs(simulate_force(THREE_PULSE, P, SimOptions(step=1.6)).terminal("force") - ref)
-    e2 = abs(simulate_force(THREE_PULSE, P, SimOptions(step=0.8)).terminal("force") - ref)
+    ref = simulate_force(THREE_PULSE, P, 0.05).terminal("force")
+    e1 = abs(simulate_force(THREE_PULSE, P, 1.6).terminal("force") - ref)
+    e2 = abs(simulate_force(THREE_PULSE, P, 0.8).terminal("force") - ref)
     order = math.log2(e1 / e2)
     assert order >= 3.5
 
@@ -81,7 +76,7 @@ def test_quadrature_oracle_at_zero():
 
 def test_quadrature_oracle_vs_sim_single_pulse():
     train = PulseTrain((0.0,), (1.0,), 200.0)
-    traj = simulate_force(train, P, SimOptions(step=0.2))
+    traj = simulate_force(train, P, 0.2)
     for target in np.linspace(10.0, 200.0, 20):
         t = float(traj.grid[int(np.argmin(np.abs(traj.grid - target)))])
         assert abs(traj.at("force", t) - oracle_force_quadrature(train, P, t)) < 1e-7
@@ -91,7 +86,7 @@ def test_quadrature_oracle_vs_sim_random_trains():
     rng = np.random.default_rng(4)
     for _ in range(3):
         train = random_train(rng, n_max=5)
-        traj = simulate_force(train, P, SimOptions(step=0.2))
+        traj = simulate_force(train, P, 0.2)
         for frac in (0.35, 0.75, 1.0):
             t = float(traj.grid[int(np.argmin(np.abs(traj.grid - frac * train.horizon)))])
             assert abs(traj.at("force", t) - oracle_force_quadrature(train, P, t)) < 1e-7
@@ -127,47 +122,42 @@ def test_reparam_clock_strictly_increasing():
     assert np.all(m2 >= 1.0 / (P.tau_1 + P.tau_2) - 1e-15)
 
 
-def test_adaptive_matches_fixed_step():
-    fixed = simulate_force(THREE_PULSE, P, SimOptions(step=0.1)).terminal("force")
-    adaptive = simulate_force(
-        THREE_PULSE, P, SimOptions(step=1.0, method="adaptive", rel_tol=1e-9, abs_tol=1e-12)
-    ).terminal("force")
-    assert adaptive == pytest.approx(fixed, abs=1e-7)
+def test_fatigue_rk4_matches_dop853():
+    # Test-side reference: scipy's DOP853 on the (F, A) system over each
+    # interval between pulse times and segment ends, c_N in closed form.
+    from scipy.integrate import solve_ivp
 
-
-def test_fatigue_adaptive_matches_fixed_step():
     train = PulseTrain(tuple(i * 60.0 for i in range(5)), (1.0,) * 5, 300.0, 20.0)
-    program = [train, Rest(500.0), train]
-    fixed = simulate_force_fatigue(program, P, SimOptions(step=0.1))
-    adaptive = simulate_force_fatigue(
-        program, P, SimOptions(method="adaptive", rel_tol=1e-9, abs_tol=1e-12)
-    )
-    assert adaptive.grid[-1] == fixed.grid[-1]
-    assert adaptive.terminal("force") == pytest.approx(fixed.terminal("force"), abs=1e-7)
-    assert adaptive.terminal("a") == pytest.approx(fixed.terminal("a"), abs=1e-7)
+    times = list(train.times) + [800.0 + t for t in train.times]
+    breaks = sorted(set(times) | {300.0, 800.0, 1100.0})
+    state = ConcentrationState.from_pulses(times, [1.0] * len(times), P)
+
+    def rhs(t, y):
+        c = state.cn(np.array([t]))[0]
+        return [eval_m1(c, P) * y[1] - eval_m2(c, P) * y[0],
+                -(y[1] - P.a_rest_ms) / P.tau_fat_ms + P.alpha_a_ms * y[0]]
+
+    y = [0.0, P.a_rest_ms]
+    for lo, hi in zip(breaks, breaks[1:]):
+        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=1e-10, atol=1e-13)
+        assert sol.success
+        y = sol.y[:, -1].tolist()
+    traj = simulate_force_fatigue([train, Rest(500.0), train], P, step=0.1)
+    assert traj.grid[-1] == 1100.0
+    assert abs(traj.terminal("force") - y[0]) <= 1e-9
+    assert abs(traj.terminal("a") - y[1] * 1e3) <= 1e-9
 
 
-@pytest.mark.parametrize("method", ["rk4", "adaptive"])
-def test_force_is_force_fatigue_without_fatigue(method):
+def test_force_is_force_fatigue_without_fatigue():
     # With alpha_a = 0 the force-fatigue integrator leaves A at a_rest bit
     # for bit, so it reproduces the force-only simulation exactly.
     params = replace(P, alpha_a=0.0)
-    opts = SimOptions(method=method)
     for train in (THREE_PULSE, random_train(np.random.default_rng(11))):
-        force = simulate_force(train, params, opts)
-        both = simulate_force_fatigue([train], params, opts)
+        force = simulate_force(train, params)
+        both = simulate_force_fatigue([train], params)
         assert np.array_equal(both.grid, force.grid)
         assert np.array_equal(both.channel("force"), force.channel("force"))
         assert np.all(both.channel("a") == params.a_rest)
-
-
-def test_adaptive_step_underflow_raises():
-    # y' = y^2 from y(0) = 1 blows up at t = 1, so the step size collapses
-    # before the end of [0, 2].
-    from fespulse.simulate import _adaptive_interval
-
-    with pytest.raises(StepTooLarge):
-        _adaptive_interval(lambda t, y: y**2, 0.0, 2.0, [1.0], rel_tol=1e-9, abs_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +167,14 @@ def test_adaptive_step_underflow_raises():
 
 def test_fatigue_zero_stimulation_equilibrium():
     train = PulseTrain((0.0,), (0.0,), 50.0)
-    traj = simulate_force_fatigue([train, Rest(500.0)], P, SimOptions(step=1.0))
+    traj = simulate_force_fatigue([train, Rest(500.0)], P, 1.0)
     assert np.all(traj.channel("force") == 0.0)
     assert np.allclose(traj.channel("a"), P.a_rest, atol=1e-12)
 
 
 def test_fatigue_programs_may_start_and_end_with_rests():
     # A program of rests only starts from rest and stays there.
-    traj = simulate_force_fatigue([Rest(500.0)], P, SimOptions(step=1.0))
+    traj = simulate_force_fatigue([Rest(500.0)], P, 1.0)
     assert traj.grid[0] == 0.0 and traj.grid[-1] == 500.0
     assert np.all(traj.channel("force") == 0.0)
     assert np.all(traj.channel("a") == P.a_rest)
@@ -209,7 +199,7 @@ def test_fatigue_scaling_drops_under_load():
 
 def test_fatigue_recovery_rate_fit():
     train = PulseTrain(tuple(i * 60.0 for i in range(5)), (1.0,) * 5, 300.0, 20.0)
-    traj = simulate_force_fatigue([train, Rest(8000.0)], P, SimOptions(step=1.0))
+    traj = simulate_force_fatigue([train, Rest(8000.0)], P, 1.0)
     grid, a = traj.grid, traj.channel("a")
     sel = (grid >= 2000.0) & (grid <= 8000.0)
     slope = np.polyfit(grid[sel], np.log(P.a_rest - a[sel]), 1)[0]
@@ -218,7 +208,7 @@ def test_fatigue_recovery_rate_fit():
 
 def test_fatigue_recovery_monotone_in_rest():
     train = PulseTrain((0.0, 30.0, 60.0), (1.0, 1.0, 1.0), 100.0, 20.0)
-    traj = simulate_force_fatigue([train, Rest(3000.0)], P, SimOptions(step=1.0))
+    traj = simulate_force_fatigue([train, Rest(3000.0)], P, 1.0)
     rest = traj.grid >= 600.0  # force has decayed by then
     assert np.all(np.diff(traj.channel("a")[rest]) >= -1e-15)
 
@@ -328,7 +318,7 @@ def test_rk4_scan_matches_the_step_loop(blocks, monkeypatch):
         f, a = (0.0, P.a_rest_ms) if trial % 2 else (
             float(rng.uniform(0.0, 0.2)), float(rng.uniform(0.5, 1.0)) * P.a_rest_ms
         )
-        grid, force, a_ms = _integrate(state, breaks, P, SimOptions(step=step), alpha, f, a)
+        grid, force, a_ms = _integrate(state, breaks, P, step, alpha, f, a)
         ref_grid, ref_f, ref_a = _loop_integrate(state, breaks, P, step, alpha, f, a)
         assert np.array_equal(grid, ref_grid)
         assert np.max(np.abs(force - ref_f)) <= 1e-13 * np.max(np.abs(ref_f))
