@@ -87,7 +87,7 @@ _SCHEMA: dict[str, dict[str, object]] = {
     "solver": {
         "i_min": _float, "t_max": _float, "n": int, "init_horizon": _float,
         "freeze_amplitudes": _parse_bool, "amplitude": _float,
-        "n_starts": int, "kkt_tol": _float, "inner_max_iter": int,
+        "n_starts": int, "kkt_tol": _float,
     },
     "sim": {"step": _float},
     "approx": {"scheme": str, "p": int, "nu": _float, "trunc_p": int},
@@ -472,7 +472,7 @@ def _solver_from_config(cfg: ScenarioConfig, seed: int) -> tuple[SolveOptions, D
     horizon = cfg.get("solver", "init_horizon", 1000.0)
     try:
         opts = SolveOptions(seed=seed, **cfg.set_values(
-            "solver", "i_min", "t_max", "kkt_tol", "inner_max_iter", "n_starts",
+            "solver", "i_min", "t_max", "kkt_tol", "n_starts",
         ))
         init = DecisionVector.regular(
             n, horizon, **cfg.set_values("solver", "amplitude", "freeze_amplitudes")

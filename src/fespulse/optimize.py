@@ -2,7 +2,8 @@
 
 The decision vector is sigma = (eta_0..eta_n, t_1..t_n, T). Constraints are
 linear, xi = A sigma + b <= 0 (:func:`constraint_matrix`): minimal
-interpulse spacing, the horizon row t_n + g <= T, and amplitude bounds.
+interpulse spacing, the horizon row t_n + g <= T, amplitude bounds and the
+horizon cap T < t_max, each a row of one map and one log barrier term.
 The horizon gap g is i_min for the interval-weighted tracking costs
 (``track_cn``, ``track_force``), whose last interval [t_n, T] is the only
 place pulse n enters the cost, and 0 for terminal costs and plain
@@ -19,7 +20,7 @@ Jacobian: they take central finite-difference gradients (:func:`fd_gradient`)
 and a J with no rows, which leaves S a damped BFGS model of the whole cost.
 An inner loop ends when the gradient is below max(0.3 kkt_tol, 0.02 mu) and,
 with an exact Jacobian, the model's Newton step is below
-``_NEWTON_STEP_TOL``; at ``inner_max_iter`` iterations it stops and the
+``_NEWTON_STEP_TOL``; at ``_INNER_MAX_ITER`` iterations it stops and the
 barrier trace marks it ``capped``. The barrier weight mu starts at
 |cost(init)| (at least 1e-4) and shrinks by ``_MU_SHRINK`` per outer round
 to a floor of min(``_MU_MIN`` |cost(init)|, kkt_tol / 10); ``_ARMIJO_C1``,
@@ -94,6 +95,7 @@ _NEWTON_STEP_TOL = 1e-5
 # the Newton step is taken whole (finite-difference gradients are not
 # accurate enough to be trusted there).
 _MERIT_ROUNDING = 1e-14
+_INNER_MAX_ITER = 120       # iterations of one inner loop before it is capped
 
 
 class InfeasibleSigma(ValueError):
@@ -221,35 +223,38 @@ class DecisionVector:
 
 
 def eval_constraints(
-    sigma: DecisionVector, i_min: float, horizon_gap: float = 0.0
+    sigma: DecisionVector, options: SolveOptions, horizon_gap: float = 0.0
 ) -> np.ndarray:
-    """Constraint vector of length 3n+3, all entries <= 0 when feasible.
+    """Constraint vector of length 3n+4, all entries <= 0 when feasible.
 
     Order: spacing (n entries, t_{i-1} - t_i + i_min), horizon
     (t_n - T + horizon_gap), lower amplitude bounds (n+1 entries, -eta_i),
-    upper amplitude bounds (n+1, eta_i - 1).
+    upper amplitude bounds (n+1, eta_i - 1), horizon cap (T - t_max), with
+    i_min and t_max from ``options``.
     ``solve`` sets ``horizon_gap`` per objective (see :func:`horizon_gap`).
     """
     n = sigma.n
-    return constraint_matrix(n) @ sigma.flat() + _constraint_offset(n, i_min, horizon_gap)
+    return constraint_matrix(n) @ sigma.flat() + _constraint_offset(n, options, horizon_gap)
 
 
 def constraint_matrix(n: int) -> np.ndarray:
     """A in xi = A sigma + b, over the flat sigma layout; the Jacobian of
     the constraint vector."""
-    a = np.zeros((3 * n + 3, 2 * n + 2))
+    a = np.zeros((3 * n + 4, 2 * n + 2))
     r = np.arange(n + 1)
     # Spacing and horizon rows: consecutive differences of (0, t_1..t_n, T).
     a[r[1:], n + r[1:]] = 1.0
     a[r, n + 1 + r] = -1.0
     a[n + 1 + r, r] = -1.0  # -eta_i
     a[2 * n + 2 + r, r] = 1.0  # eta_i - 1
+    a[-1, -1] = 1.0  # T - t_max
     return a
 
 
-def _constraint_offset(n: int, i_min: float, gap: float) -> np.ndarray:
+def _constraint_offset(n: int, options: SolveOptions, gap: float) -> np.ndarray:
     """b in xi = A sigma + b."""
-    return np.concatenate([np.full(n, i_min), [gap], np.zeros(n + 1), np.full(n + 1, -1.0)])
+    return np.concatenate([np.full(n, options.i_min), [gap], np.zeros(n + 1),
+                           np.full(n + 1, -1.0), [-options.t_max]])
 
 
 @dataclass(frozen=True)
@@ -354,10 +359,10 @@ def _session(pick, t_f: float, rest: float, horizon: float, params: ModelParams,
     finished program. Returns the segments, the breaks (0, the pulse times
     and the segment ends), grid, F, A (kN/ms) and the state of all pulses.
     Raises :class:`SessionTooShort`, naming the train ``what``, where no
-    train of ``horizon`` ms fits."""
+    train of ``horizon`` ms fits or a picked train overruns t_f."""
 
-    def fits(at: float) -> bool:  # room for one more train from ``at``
-        return at + horizon <= t_f + 1e-9
+    def fits(at: float, span: float = horizon) -> bool:  # room for a train from ``at``
+        return at + span <= t_f + 1e-9
 
     if not fits(0.0):
         raise SessionTooShort(f"{what} span {horizon:.1f} ms exceeds the session t_f={t_f} ms")
@@ -367,6 +372,9 @@ def _session(pick, t_f: float, rest: float, horizon: float, params: ModelParams,
     cur, a_start = 0.0, params.a_rest
     while fits(cur):
         train = pick(a_start)
+        if not fits(cur, train.horizon):
+            raise SessionTooShort(f"{what} span {train.horizon:.1f} ms exceeds the "
+                                  f"{t_f - cur:.1f} ms left of the session t_f={t_f} ms")
         segments.append(ProgramSegment(start=cur, train=train))
         pulses = [cur + t for t in train.times]
         times.extend(pulses)
@@ -495,8 +503,7 @@ def fd_gradient(spec, sigma: DecisionVector, params: ModelParams | None = None) 
 @dataclass(frozen=True)
 class SolveOptions:
     i_min: float = 20.0
-    t_max: float = 1500.0            # safety cap on T, inactive in practice
-    inner_max_iter: int = 120
+    t_max: float = 1500.0            # cap on T, the last constraint row
     kkt_tol: float = 1e-6
     n_starts: int = 1
     seed: int = 0
@@ -506,8 +513,6 @@ class SolveOptions:
             raise ValueError(f"i_min must be >= 0, got {self.i_min}")
         if self.kkt_tol <= 0.0:
             raise ValueError(f"kkt_tol must be positive, got {self.kkt_tol}")
-        if self.inner_max_iter < 1:
-            raise ValueError(f"inner_max_iter must be at least 1, got {self.inner_max_iter}")
         if self.n_starts < 1:
             raise ValueError(f"n_starts must be at least 1, got {self.n_starts}")
 
@@ -531,11 +536,8 @@ class OptOutcome:
     feasibility: float
     iterations: int
     status: str
-    i_min: float
+    options: SolveOptions
     trace: tuple[dict, ...] = field(default_factory=tuple)
-    # Multiplier of the horizon cap T < t_max, mu_floor / (t_max - T); it
-    # matters only where T ends at the cap.
-    cap_multiplier: float = 0.0
 
 
 def _nudge_start(sigma: DecisionVector) -> DecisionVector:
@@ -552,10 +554,8 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
     free = start.free_mask()
     jac = a_full[:, free]
     rows = np.flatnonzero(np.abs(jac).sum(axis=1) > 0.0)
-    cap_grad = np.zeros(int(free.sum()))
-    cap_grad[-1] = 1.0  # T is always the last free coordinate
 
-    b = _constraint_offset(n, opts.i_min, horizon_gap(spec, opts.i_min))
+    b = _constraint_offset(n, opts, horizon_gap(spec, opts.i_min))
     sigma = _nudge_start(start)
     flat = sigma.flat()  # frozen coordinates stay; free ones take the iterate
     x = flat[free]
@@ -567,24 +567,24 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
         flat[free] = xv
         return _cost(spec, sigma, flat, params)
 
-    def barrier_terms(xv: np.ndarray):
+    def constraints(xv: np.ndarray) -> np.ndarray:
         flat[free] = xv
-        return a_full @ flat + b, float(xv[-1]) - opts.t_max
+        return a_full @ flat + b
 
-    xi0, cap0 = barrier_terms(x)
-    if np.any(xi0[rows] >= 0.0) or cap0 >= 0.0:
+    xi0 = constraints(x)
+    if np.any(xi0[rows] >= 0.0):
         raise InfeasibleSigma(
             f"initialization is not strictly feasible: max constraint {float(xi0[rows].max())}"
         )
 
     def phi(xv: np.ndarray, mu: float, theta_x: float | None = None) -> tuple[float, float]:
         """Barrier merit and cost at xv; a known cost ``theta_x`` is reused."""
-        xi, cap = barrier_terms(xv)
-        if np.any(xi[rows] >= 0.0) or cap >= 0.0:
+        xi = constraints(xv)
+        if np.any(xi[rows] >= 0.0):
             return math.inf, math.nan
         if theta_x is None:
             theta_x = theta(xv)
-        return theta_x - mu * float(np.log(-xi[rows]).sum()) - mu * math.log(-cap), theta_x
+        return theta_x - mu * float(np.log(-xi[rows]).sum()), theta_x
 
     exact = isinstance(spec, ObjectiveSpec) and spec.kind == "track_cn"
     no_rows = np.zeros((0, len(x)))
@@ -602,13 +602,9 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
         return 2.0 * (j.T @ r), r, j
 
     def barrier_grad_hess(xv: np.ndarray, mu: float):
-        xi, cap = barrier_terms(xv)
         jr = jac[rows]
-        slack = -xi[rows]
-        g_b = mu * (jr.T @ (1.0 / slack)) + mu * cap_grad / (-cap)
-        h_b = mu * (jr.T * (1.0 / slack**2)) @ jr
-        h_b = h_b + mu * np.outer(cap_grad, cap_grad) / cap**2
-        return g_b, h_b
+        slack = -constraints(xv)[rows]
+        return mu * (jr.T @ (1.0 / slack)), mu * (jr.T * (1.0 / slack**2)) @ jr
 
     dim = len(x)
     # The cost Hessian is modelled as 2 J^T J + S: the Gauss-Newton term is
@@ -628,7 +624,7 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
         g = g_t + g_b
         inner_tol = max(0.3 * opts.kkt_tol, 0.02 * mu)
         stalled = capped = False
-        for used in range(opts.inner_max_iter + 1):
+        for used in range(_INNER_MAX_ITER + 1):
             h_full = b_theta + 2.0 * (j_t.T @ j_t) + h_b
             h_full = h_full + (1e-12 * (1.0 + float(np.trace(h_full)) / dim)) * np.eye(dim)
             d = -np.linalg.solve(h_full, g)
@@ -637,18 +633,15 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
                 or float(np.max(np.abs(d) / np.maximum(np.abs(x), 1.0))) <= _NEWTON_STEP_TOL
             ):
                 break
-            if used == opts.inner_max_iter:
+            if used == _INNER_MAX_ITER:
                 capped = True
                 break
             if float(d @ g) >= 0.0:
                 d = -g
-            xi, cap = barrier_terms(x)
             deltas = jac[rows] @ d
             toward = deltas > 1e-14
-            ratios = -xi[rows][toward] / deltas[toward]
+            ratios = -constraints(x)[rows][toward] / deltas[toward]
             alpha_max = float(ratios.min()) if ratios.size else math.inf
-            if d[-1] > 1e-14:
-                alpha_max = min(alpha_max, -cap / d[-1])
             d_inf = float(np.max(np.abs(d)))
             alpha_limit = min(0.99 * alpha_max, _STEP_CAP / max(d_inf, 1e-30))
             alpha = min(1.0, alpha_limit)
@@ -724,19 +717,16 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
             break
         mu = max(mu * _MU_SHRINK, mu_floor)
 
-    sigma_star = sigma.with_free(x)
-    xi, _ = barrier_terms(x)
+    xi = constraints(x)
     lam = np.zeros(len(xi))
     lam[rows] = mu_floor / (-xi[rows])
-    cap_multiplier = mu_floor / (opts.t_max - sigma_star.horizon)
-    cap_term = cap_multiplier * cap_grad
     # g_t is the cost gradient at x, already taken by the loop.
-    stationarity, complementarity, feasibility = _kkt_residuals(g_t, jac, lam, xi, cap_term)
+    stationarity, complementarity, feasibility = _kkt_residuals(g_t, jac, lam, xi)
     kkt = max(stationarity, complementarity, feasibility)
     if status == "converged" and kkt > opts.kkt_tol:
         status = "max_iterations"
     return OptOutcome(
-        sigma_star=sigma_star,
+        sigma_star=sigma.with_free(x),
         objective=theta_x,
         multipliers=tuple(float(v) for v in lam),
         kkt_residual=kkt,
@@ -745,16 +735,15 @@ def _solve_single(spec, start: DecisionVector, params, opts: SolveOptions) -> Op
         feasibility=feasibility,
         iterations=total_iters,
         status=status,
-        i_min=opts.i_min,
+        options=opts,
         trace=tuple(trace),
-        cap_multiplier=cap_multiplier,
     )
 
 
-def _kkt_residuals(g, jac, lam, xi, cap_term=0.0) -> tuple[float, float, float]:
+def _kkt_residuals(g, jac, lam, xi) -> tuple[float, float, float]:
     """Stationarity, complementarity and feasibility of (x, lam): the
-    largest |g + jac^T lam + cap_term|, |lam * xi| and max(xi, 0)."""
-    stationarity = float(np.max(np.abs(g + jac.T @ lam + cap_term)))
+    largest |g + jac^T lam|, |lam * xi| and max(xi, 0)."""
+    stationarity = float(np.max(np.abs(g + jac.T @ lam)))
     complementarity = float(np.max(np.abs(lam * xi)))
     feasibility = float(max(0.0, xi.max()))
     return stationarity, complementarity, feasibility
@@ -824,15 +813,14 @@ def kkt_check(
     spec, outcome: OptOutcome, params: ModelParams | None = None, tol: float = 1e-6
 ) -> KKTReport:
     """Recompute first-order optimality residuals at an outcome, against
-    the same constraints (horizon gap and horizon cap included) that
-    ``solve`` used."""
+    the constraint map that ``solve`` used: the outcome's options and the
+    objective's horizon gap rebuild every row, the horizon cap included."""
     sigma = outcome.sigma_star
     lam = np.asarray(outcome.multipliers)
     jac = constraint_matrix(sigma.n)[:, sigma.free_mask()]
     g = fd_gradient(spec, sigma, params)
-    xi = eval_constraints(sigma, outcome.i_min, horizon_gap(spec, outcome.i_min))
-    cap_term = np.zeros(len(g))
-    cap_term[-1] = outcome.cap_multiplier  # T is always the last free coordinate
-    stationarity, complementarity, feasibility = _kkt_residuals(g, jac, lam, xi, cap_term)
+    opts = outcome.options
+    xi = eval_constraints(sigma, opts, horizon_gap(spec, opts.i_min))
+    stationarity, complementarity, feasibility = _kkt_residuals(g, jac, lam, xi)
     passed = stationarity <= tol and complementarity <= tol and feasibility <= tol
     return KKTReport(stationarity, complementarity, feasibility, passed)

@@ -131,8 +131,8 @@ def plan_endurance(
     Raises :class:`fespulse.model.UnreachableForce` when the requested
     force has no steady state, :class:`TemplateNotConverged` when a
     template solve or the f_max solve does not converge (an unconverged
-    template is never tiled), and :class:`SessionTooShort` when the
-    optimized template is longer than the session. Fatigue-threshold
+    template is never tiled), and :class:`SessionTooShort` when a
+    template is longer than what is left of the session. Fatigue-threshold
     crossings do not abort the program; they are reported through
     ``fatigue_breach_time``.
     ``spec.i_min`` replaces the spacing floor of ``options``.

@@ -12,15 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fespulse.optimize
 import fespulse.planner
 from fespulse import (
     ModelParams,
     OptOutcome,
     ProgramSpec,
     QuadratureNoConvergence,
-    SolveOptions,
     StepCollision,
     plan_endurance,
+    steady_state_root,
 )
 from fespulse.checks import fatigue_response
 from fespulse.cli import (
@@ -30,7 +31,6 @@ from fespulse.cli import (
     EXIT_SOLVER,
     EXIT_VALIDATION,
     _CSV_CHUNK_ROWS,
-    _solver_from_config,
     _write_csv,
     load_config,
     main,
@@ -285,20 +285,15 @@ def test_optimize_small_scenario(tmp_path):
     assert sol["status"] == "converged"
     assert sol["kkt"]["residual"] < 1e-6
     assert sol["objective"] < sol["objective_at_init"]
-    assert len(sol["multipliers"]) == 3 * 2 + 3
+    assert len(sol["multipliers"]) == 3 * 2 + 4
     lines = (out / "response.csv").read_text().splitlines()
     assert lines[4] == "t_ms,approx,oracle"
 
 
-def test_optimize_caps_inner_loops_at_the_library_default():
-    opts, _ = _solver_from_config(parse_config(OPT_SMALL), 0)
-    assert opts.inner_max_iter == SolveOptions().inner_max_iter
-
-
-def test_optimize_unconverged_solve_is_solver_failure(tmp_path, capsys):
-    text = edited(OPT_SMALL, "[solver]\n", "[solver]\ninner_max_iter = 1\n")
-    out = tmp_path / "out"
-    assert main(["optimize", "--config", write(tmp_path, text), "--out", str(out)]) == EXIT_SOLVER
+def test_optimize_unconverged_solve_is_solver_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(fespulse.optimize, "_INNER_MAX_ITER", 1)
+    cfg, out = write(tmp_path, OPT_SMALL), tmp_path / "out"
+    assert main(["optimize", "--config", cfg, "--out", str(out)]) == EXIT_SOLVER
     assert capsys.readouterr().err.startswith("solver did not converge: status=max_iterations\n")
     assert not (out / "solution.json").exists()
 
@@ -325,9 +320,25 @@ freeze_amplitudes = true
     assert main(["optimize", "--config", cfg, "--out", str(out)]) == EXIT_OK
     sol = json.loads((out / "solution.json").read_text())
     assert len(sol["times_ms"]) == 8 and sol["times_ms"][0] == 0.0
-    assert len(sol["multipliers"]) == 3 * 7 + 3  # spacing constraints reported
+    assert len(sol["multipliers"]) == 3 * 7 + 4  # spacing constraints reported
     assert sol["kkt"]["residual"] < 1e-6
     assert sol["horizon_ms"] > sol["times_ms"][-1]
+
+
+def test_optimize_reports_the_horizon_cap_multiplier_last(tmp_path):
+    # A weak target pushes T against t_max = 1500 ms, and solution.json
+    # reports the cap's active multiplier after the other 3n+3.
+    params = ModelParams(k_m=0.103)
+    _, c_ref = steady_state_root(params, params.a_rest, 0.05)
+    text = edited(OPT_SMALL, "kind = max_cn_terminal", f"kind = track_cn\nc_ref = {c_ref!r}")
+    text = edited(text, "init_horizon = 300.0", "init_horizon = 400.0")
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", write(tmp_path, text), "--out", str(out)]) == EXIT_OK
+    sol = json.loads((out / "solution.json").read_text())
+    assert sol["status"] == "converged"
+    assert sol["horizon_ms"] > 1499.99
+    assert len(sol["multipliers"]) == 3 * 2 + 4
+    assert sol["multipliers"][-1] > 1e-4
 
 
 def test_validate_default_suite_passes(tmp_path):
@@ -484,7 +495,6 @@ OPT_FATIGUE = "kind = track_force_fatigue\nf_ref = 0.1\nbackend = oracle\na_s = 
                             "kind = track_force\nf_ref = 0.1\nbackend = exact")),
         ("optimize", edited(OPT_SMALL, "\nn = 2\n", "\nn = -1\n")),
         ("optimize", edited(OPT_SMALL, "[solver]\n", "[solver]\nkkt_tol = 0\n")),
-        ("optimize", edited(OPT_SMALL, "[solver]\n", "[solver]\ninner_max_iter = -1\n")),
         ("optimize", edited(OPT_SMALL, "i_min = 20.0", "i_min = -5")),
         ("optimize", edited(OPT_SMALL, "[solver]\n", "[solver]\namplitude = 2\n")),
         ("plan", edited(PLAN_SMALL, "f_ref = 0.1", "f_ref = 0")),
@@ -509,7 +519,7 @@ OPT_FATIGUE = "kind = track_force_fatigue\nf_ref = 0.1\nbackend = oracle\na_s = 
          "optimize-scheme", "optimize-oracle-sim_step", "approximate-trunc_p",
          "validate-sim_step", "validate-n_trains", "bench-n_points-0", "bench-n_points-neg",
          "bench-threshold-0", "optimize-backend-exact", "solver-n-neg", "solver-kkt_tol-0",
-         "solver-inner_max_iter-neg", "solver-i_min-neg", "solver-amplitude-2", "program-f_ref-0",
+         "solver-i_min-neg", "solver-amplitude-2", "program-f_ref-0",
          "program-f_ref-neg", "program-n-neg", "program-i_min-neg", "program-train_horizon-0",
          "train-i_min-neg", "optimize-rest-neg", "optimize-rest-0", "train-no-times",
          "train-no-horizon", "objective-no-kind", "solver-no-n", "ini-unparsable",
@@ -632,7 +642,7 @@ def test_plan_unconverged_template_is_solver_failure(tmp_path, monkeypatch, caps
         return OptOutcome(
             sigma_star=init, objective=0.0, multipliers=(), kkt_residual=0.5,
             stationarity=0.5, complementarity=0.0, feasibility=0.0,
-            iterations=400, status="max_iterations", i_min=opts.i_min,
+            iterations=400, status="max_iterations", options=opts,
         )
 
     monkeypatch.setattr("fespulse.planner.solve", unconverged)
@@ -709,10 +719,13 @@ def test_plan_unconverged_f_max_solve_is_solver_failure(tmp_path, monkeypatch, c
         ("simulate", NOMINAL + "method = adaptive\n", "sim", "method"),
         ("simulate", NOMINAL + "abs_tol = 1e-10\n", "sim", "abs_tol"),
         ("approximate", NOMINAL + "rel_tol = 1e-8\n", "sim", "rel_tol"),
+        ("optimize", edited(OPT_SMALL, "[solver]\n", "[solver]\ninner_max_iter = 120\n"),
+         "solver", "inner_max_iter"),
     ],
     ids=["train-n", "train-amplitude", "objective-sim_step", "program-sim_step",
          "validate-seed", "validate-suite", "validate-sim_step", "program-rest_cap",
-         "bench-n", "bench-horizon", "bench-nu", "sim-method", "sim-abs_tol", "sim-rel_tol"],
+         "bench-n", "bench-horizon", "bench-nu", "sim-method", "sim-abs_tol", "sim-rel_tol",
+         "solver-inner_max_iter"],
 )
 def test_removed_key_is_unknown(tmp_path, capsys, command, text, section, key):
     out = tmp_path / "out"

@@ -23,6 +23,7 @@ from fespulse import (
     simulate_force_fatigue,
     solve,
 )
+from fespulse import optimize
 from fespulse.approx import ForceApprox, build_m_approx
 from fespulse.model import steady_state_root
 from fespulse.optimize import (
@@ -51,15 +52,15 @@ def test_decision_vector_layout():
 
 def test_constraint_vector_count_and_values():
     sig = DecisionVector.regular(3, 400.0, amplitude=0.999)
-    xi = eval_constraints(sig, i_min=20.0)
-    assert len(xi) == 3 * 3 + 3
+    xi = eval_constraints(sig, SolveOptions(i_min=20.0))
+    assert len(xi) == 3 * 3 + 4
     assert np.all(xi < 0.0)  # strictly feasible
 
 
 def test_constraint_active_cases():
     # Spacing at the floor and amplitude at the ceiling sit exactly on zero.
     sig = DecisionVector((1.0, 0.5), (20.0,), 100.0)
-    xi = eval_constraints(sig, i_min=20.0)
+    xi = eval_constraints(sig, SolveOptions(i_min=20.0))
     assert xi[0] == 0.0          # t_0 - t_1 + i_min
     n = sig.n
     assert xi[2 * n + 2] == 0.0  # eta_0 - 1 with eta_0 = 1
@@ -68,6 +69,7 @@ def test_constraint_active_cases():
 def test_constraint_map_equals_written_out_rows():
     rng = np.random.default_rng(7)
     i_min = 20.0
+    opts = SolveOptions(i_min=i_min)
     for n in range(7):
         for gap in (0.0, i_min):
             for overshoot in (False, True):
@@ -81,9 +83,10 @@ def test_constraint_map_equals_written_out_rows():
                     + [times[n] - sig.horizon + gap]
                     + [-a for a in sig.amplitudes]
                     + [a - 1.0 for a in sig.amplitudes]
+                    + [sig.horizon - opts.t_max]
                 )
-                xi = eval_constraints(sig, i_min, gap)
-                assert xi.shape == (3 * n + 3,)
+                xi = eval_constraints(sig, opts, gap)
+                assert xi.shape == (3 * n + 4,)
                 assert all(x == e for x, e in zip(xi.tolist(), expected)), (n, gap, overshoot)
 
 
@@ -93,21 +96,22 @@ def test_constraint_jacobian_matches_fd():
     sig = DecisionVector.regular(n, 400.0, amplitude=0.7)
     base = sig.flat()
     h = 1e-6
+    opts = SolveOptions(i_min=20.0)
     for col in range(len(base)):
         hi = base.copy()
         hi[col] += h
         lo = base.copy()
         lo[col] -= h
-        fd = (eval_constraints(sig.with_flat(hi), 20.0) - eval_constraints(sig.with_flat(lo), 20.0)) / (2 * h)
+        fd = (eval_constraints(sig.with_flat(hi), opts) - eval_constraints(sig.with_flat(lo), opts)) / (2 * h)
         assert np.allclose(jac[:, col], fd, atol=1e-9)
 
 
 def test_horizon_gap_shifts_only_the_horizon_row():
     n = 3
     sig = DecisionVector.regular(n, 400.0, amplitude=0.7)
-    plain = eval_constraints(sig, i_min=20.0)
-    gapped = eval_constraints(sig, i_min=20.0, horizon_gap=20.0)
-    assert len(gapped) == 3 * n + 3
+    plain = eval_constraints(sig, SolveOptions(i_min=20.0))
+    gapped = eval_constraints(sig, SolveOptions(i_min=20.0), horizon_gap=20.0)
+    assert len(gapped) == 3 * n + 4
     assert gapped[n] == pytest.approx(sig.times[-1] - sig.horizon + 20.0, abs=1e-12)
     others = np.arange(len(plain)) != n
     assert np.array_equal(gapped[others], plain[others])
@@ -157,13 +161,12 @@ def test_objective_spec_validation():
     [
         (lambda: SolveOptions(i_min=-5.0), "i_min must be >= 0"),
         (lambda: SolveOptions(kkt_tol=0.0), "kkt_tol must be positive"),
-        (lambda: SolveOptions(inner_max_iter=0), "inner_max_iter must be at least 1"),
         (lambda: SolveOptions(n_starts=-4), "n_starts must be at least 1"),
         (lambda: DecisionVector.regular(-1, 1000.0), "n must be >= 0"),
         (lambda: DecisionVector.regular(3, 1000.0, amplitude=2.0), "amplitude must lie in"),
         (lambda: DecisionVector.regular(3, 1000.0, amplitude=-0.1), "amplitude must lie in"),
     ],
-    ids=["i_min", "kkt_tol", "inner_max_iter", "n_starts", "regular-n",
+    ids=["i_min", "kkt_tol", "n_starts", "regular-n",
          "regular-amplitude-high", "regular-amplitude-low"],
 )
 def test_solver_settings_reject_out_of_range_values(make, message):
@@ -413,7 +416,7 @@ def test_solve_feasibility_preserved_and_multipliers_sign():
     init = DecisionVector.regular(2, 300.0, freeze_amplitudes=True)
     out = solve(spec, init, P, SolveOptions(i_min=20.0))
     assert out.status == "converged"
-    assert np.all(eval_constraints(out.sigma_star, 20.0) <= 0.0)
+    assert np.all(eval_constraints(out.sigma_star, out.options) <= 0.0)
     assert all(l >= 0.0 for l in out.multipliers)
     assert out.feasibility <= 1e-8
     assert out.kkt_residual < 1e-6
@@ -472,14 +475,16 @@ def test_template_solves_do_not_turn_on_the_last_bit(first, second):
     assert horizons[0] == pytest.approx(horizons[1], rel=2e-5)
 
 
-def test_trace_flags_inner_loops_that_hit_the_cap():
+def test_trace_flags_inner_loops_that_hit_the_cap(monkeypatch):
     target = np.array([0.7, 0.4, 60.0, 150.0])
 
     def quadratic(sig: DecisionVector) -> float:
         return float(np.sum((sig.flat() - target) ** 2))
 
     init = DecisionVector((0.5, 0.6), (45.0,), 120.0)
-    short = solve(quadratic, init, P, SolveOptions(i_min=20.0, inner_max_iter=2))
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "_INNER_MAX_ITER", 2)
+        short = solve(quadratic, init, P, SolveOptions(i_min=20.0))
     steps = np.diff([0] + [entry["iterations"] for entry in short.trace])
     flags = [entry["capped"] for entry in short.trace]
     assert any(flags) and not all(flags)
@@ -568,7 +573,7 @@ def test_kkt_active_spacing_constraint():
 
     init = DecisionVector((1.0, 1.0), (80.0,), 200.0, freeze_amplitudes=True)
     out = solve(push_left, init, P, SolveOptions(i_min=20.0, t_max=400.0))
-    xi = eval_constraints(out.sigma_star, 20.0)
+    xi = eval_constraints(out.sigma_star, out.options)
     assert abs(xi[0]) < 1e-5           # spacing bound active
     assert out.multipliers[0] > 1e-4   # with a positive multiplier
     report = kkt_check(push_left, out, P, tol=1e-6)
@@ -580,12 +585,12 @@ def test_kkt_check_uses_the_objective_horizon_gap():
     # active (xi = 0), the ungapped one has slack i_min.
     sig = DecisionVector((0.5, 0.5), (60.0,), 80.0)
     n = sig.n
-    lam = [0.0] * (3 * n + 3)
+    lam = [0.0] * (3 * n + 4)
     lam[n] = 1e-3
     fake = OptOutcome(
         sigma_star=sig, objective=0.0, multipliers=tuple(lam),
         kkt_residual=0.0, stationarity=0.0, complementarity=0.0, feasibility=0.0,
-        iterations=0, status="converged", i_min=20.0,
+        iterations=0, status="converged", options=SolveOptions(i_min=20.0),
     )
     tracking = kkt_check(ObjectiveSpec(kind="track_cn", c_ref=0.1), fake, P)
     assert tracking.complementarity == 0.0
@@ -602,7 +607,7 @@ def test_kkt_check_counts_the_horizon_cap():
     out = solve(spec, init, P, SolveOptions(i_min=20.0))
     assert out.status == "converged"
     assert out.sigma_star.horizon > 1499.99
-    assert out.cap_multiplier > 1e-4
+    assert out.multipliers[-1] > 1e-4
     report = kkt_check(spec, out, P)
     assert report.passed
     assert report.stationarity < 1e-8
@@ -611,12 +616,13 @@ def test_kkt_check_counts_the_horizon_cap():
 def test_kkt_negative_control_non_stationary_point():
     spec = ObjectiveSpec(kind="track_cn", c_ref=0.5)
     sig = DecisionVector((0.7, 0.6), (70.0,), 220.0)
-    xi = eval_constraints(sig, 20.0)
+    opts = SolveOptions(i_min=20.0)
+    xi = eval_constraints(sig, opts)
     lam = tuple(1e-8 / (-x) if x < 0 else 0.0 for x in xi)
     fake = OptOutcome(
         sigma_star=sig, objective=objective_value(spec, sig, P), multipliers=lam,
         kkt_residual=0.0, stationarity=0.0, complementarity=0.0, feasibility=0.0,
-        iterations=0, status="converged", i_min=20.0,
+        iterations=0, status="converged", options=opts,
     )
     report = kkt_check(spec, fake, P, tol=1e-6)
     assert not report.passed

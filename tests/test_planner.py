@@ -144,6 +144,21 @@ def test_fatigue_cost_and_planner_reject_a_session_shorter_than_one_train(monkey
     assert issubclass(SessionTooShort, InfeasibleSigma)
 
 
+def test_planner_rejects_a_resolved_template_longer_than_the_room_left(monkeypatch):
+    # The first template (250 ms) lays the session out; with no drift
+    # tolerance the second train start re-solves, and the 400 ms template it
+    # gets does not fit in the 350 ms left after [T250, R200].
+    trains = iter([_template(250.0)])
+    monkeypatch.setattr(fespulse.planner, "_solve_template",
+                        lambda *args, **kwargs: next(trains, _template(400.0)))
+    monkeypatch.setattr(fespulse.planner, "_REDRIFT_TOL", 0.0)
+    spec = ProgramSpec(f_ref=0.1, n=2, train_horizon=250.0, rest_duration=200.0, t_f=800.0,
+                       sim_step=1.0)
+    with pytest.raises(SessionTooShort,
+                       match="span 400.0 ms exceeds the 350.0 ms left of the session t_f=800.0 ms"):
+        plan_endurance(spec, P)
+
+
 def test_program_reference_concentration_consistent(nominal_program):
     m1p, c_ref = steady_state_root(P, P.a_rest, 0.1)
     assert nominal_program.c_n_ref == pytest.approx(c_ref, rel=1e-12)
