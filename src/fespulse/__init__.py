@@ -58,7 +58,6 @@ from .optimize import (
     solve,
 )
 from .planner import (
-    ProgramSegment,
     ProgramSpec,
     StimulationProgram,
     TemplateNotConverged,

@@ -561,21 +561,19 @@ def run_plan(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
     program = plan_endurance(spec, params)
     out_dir.mkdir(parents=True, exist_ok=True)
     segments = []
-    for seg in program.segments:
-        if seg.is_train:
+    for seg, start in zip(program.segments, program.bounds):
+        if isinstance(seg, PulseTrain):
             segments.append(
                 {
                     "kind": "train",
-                    "start_ms": seg.start,
-                    "duration_ms": seg.duration,
-                    "times_ms": list(seg.train.times),
-                    "amplitudes": list(seg.train.amplitudes),
+                    "start_ms": start,
+                    "duration_ms": seg.horizon,
+                    "times_ms": list(seg.times),
+                    "amplitudes": list(seg.amplitudes),
                 }
             )
         else:
-            segments.append(
-                {"kind": "rest", "start_ms": seg.start, "duration_ms": seg.duration}
-            )
+            segments.append({"kind": "rest", "start_ms": start, "duration_ms": seg.duration})
     _write_json(
         out_dir / "program.json", cfg, "plan", seed,
         {
@@ -667,6 +665,9 @@ def run_validate(cfg: ScenarioConfig, out_dir: Path, seed: int, suite: str) -> i
     if n_trains < 1:
         raise ConfigError(f"[validate] n_trains must be at least 1, got {n_trains}")
     sim_step = cfg.sim_step() or 0.2
+    names = list(_SUITES) if suite == "default" else [suite]
+    if any(name not in _SUITES for name in names):
+        raise ConfigError(f"unknown suite {suite!r}; choices: default, {', '.join(_SUITES)}")
     rng = np.random.default_rng(seed)
     results: list[dict] = []
     try:
@@ -675,9 +676,6 @@ def run_validate(cfg: ScenarioConfig, out_dir: Path, seed: int, suite: str) -> i
         results.append(_check("model-invariants", False, math.nan, 0.0, str(exc)))
         params = None
     if params is not None:
-        names = list(_SUITES) if suite == "default" else [suite]
-        if any(name not in _SUITES for name in names):
-            raise ConfigError(f"unknown suite {suite!r}; choices: default, {', '.join(_SUITES)}")
         for name in names:
             results.extend(_validation_checks(name, params, rng, n_trains, sim_step))
     all_passed = all(c["passed"] for c in results)

@@ -29,7 +29,10 @@ to a floor of min(``_MU_MIN`` |cost(init)|, kkt_tol / 10); ``_ARMIJO_C1``,
 ``_FD_H_REL`` is the relative step of the finite differences.
 
 One function, :func:`_session`, lays out and integrates every session of
-trains and rests: the ``track_force_fatigue`` cost's and the planner's.
+trains and rests: the ``track_force_fatigue`` cost's and the planner's. A
+session is the program ``simulate_force_fatigue`` takes, a list of
+``PulseTrain`` and ``Rest`` values, flattened by
+``simulate._flatten_program``; each rest is laid out by the train before it.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 
 from .approx import ForceApprox, _check_m_approx_args, build_m_approx
 from .model import ConcentrationState, ModelParams, PulseTrain, eval_cn
-from .simulate import Rest, _integrate, _stitch, simulate_force
+from .simulate import Rest, _flatten_program, _integrate, _stitch, simulate_force
 
 __all__ = [
     "DecisionVector",
@@ -324,21 +327,6 @@ def _force_at_nodes(spec: ObjectiveSpec, train: PulseTrain, params: ModelParams,
     return np.array([traj.at("force", t) for t in nodes])
 
 
-@dataclass(frozen=True)
-class ProgramSegment:
-    start: float
-    train: PulseTrain | None = None
-    rest: Rest | None = None
-
-    @property
-    def duration(self) -> float:
-        return self.train.horizon if self.train is not None else self.rest.duration
-
-    @property
-    def is_train(self) -> bool:
-        return self.train is not None
-
-
 def _next_rest(remaining: float, rest: float, horizon: float) -> float:
     """The rest after a train that leaves ``remaining`` ms of the session: 0
     at its end, else ``rest`` capped at ``remaining``, or all of
@@ -350,57 +338,47 @@ def _next_rest(remaining: float, rest: float, horizon: float) -> float:
     return remaining if remaining - r < horizon else r
 
 
-def _session(pick, t_f: float, rest: float, horizon: float, params: ModelParams, step,
-             what: str = "train"):
+def _session(pick, t_f: float, rest: float, params: ModelParams, step, what: str = "train"):
     """Lay out and integrate a session of ``t_f`` ms from rest. Each train is
     ``pick(a_start)`` at the fatigue state (kN/s) at its start, and its rest
-    is :func:`_next_rest`'s for trains of ``horizon`` ms; the two take one
+    is :func:`_next_rest`'s for trains of its own horizon; the two take one
     RK4 call at ``step``, bit for bit ``simulate_force_fatigue`` of the
-    finished program. Returns the segments, the breaks (0, the pulse times
-    and the segment ends), grid, F, A (kN/ms) and the state of all pulses.
-    Raises :class:`SessionTooShort`, naming the train ``what``, where no
-    train of ``horizon`` ms fits or a picked train overruns t_f."""
-
-    def fits(at: float, span: float = horizon) -> bool:  # room for a train from ``at``
-        return at + span <= t_f + 1e-9
-
-    if not fits(0.0):
-        raise SessionTooShort(f"{what} span {horizon:.1f} ms exceeds the session t_f={t_f} ms")
-    segments, breaks = [], [0.0]
-    times, amps = [], []  # of the pulses placed so far, in global time
-    calls = []  # grid, F and A of each integration
-    cur, a_start = 0.0, params.a_rest
-    while fits(cur):
+    finished program. Returns the program (trains and rests), its breaks
+    (see :func:`simulate._flatten_program`), grid, F, A (kN/ms) and the
+    state of all pulses. Raises :class:`SessionTooShort`, naming the train
+    ``what``, where a picked train overruns t_f."""
+    program, calls = [], []  # calls: grid, F and A of each integration
+    k, cur, a_start = 0, 0.0, params.a_rest  # k: the train start's index in the breaks
+    more = True
+    while more:
         train = pick(a_start)
-        if not fits(cur, train.horizon):
-            raise SessionTooShort(f"{what} span {train.horizon:.1f} ms exceeds the "
-                                  f"{t_f - cur:.1f} ms left of the session t_f={t_f} ms")
-        segments.append(ProgramSegment(start=cur, train=train))
-        pulses = [cur + t for t in train.times]
-        times.extend(pulses)
-        amps.extend(train.amplitudes)
+        if cur + train.horizon > t_f + 1e-9:
+            left = f"the {t_f - cur:.1f} ms left of " if program else ""
+            raise SessionTooShort(f"{what} span {train.horizon:.1f} ms exceeds {left}"
+                                  f"the session t_f={t_f} ms")
+        program.append(train)
         cur += train.horizon
-        span = pulses + [cur]
-        r = _next_rest(t_f - cur, rest, horizon)
+        r = _next_rest(t_f - cur, rest, train.horizon)
         if r:
-            segments.append(ProgramSegment(start=cur, rest=Rest(r)))
+            program.append(Rest(r))
             cur += r
-            span.append(cur)
+        more = cur + train.horizon <= t_f + 1e-9
+        times, amps, breaks, _ = _flatten_program(program)
         # A next pulse sets c_N at the segment's last node, where only its
         # time matters (u = 0), so it enters with zero weight.
-        pad = [cur] if fits(cur) else []
+        pad = [cur] if more else []
         state = ConcentrationState.from_pulses(times + pad, amps + [0.0] * len(pad), params)
         start = (calls[-1][1][-1], calls[-1][2][-1]) if calls else (0.0, None)
-        calls.append(_integrate(state, span, params, step, params.alpha_a_ms, *start))
-        breaks.extend(span[1:])
+        calls.append(_integrate(state, breaks[k:], params, step, params.alpha_a_ms, *start))
+        k = len(breaks) - 1
         a_start = calls[-1][2][-1] * 1e3
     grid, force, a_ms = (_stitch(part) for part in zip(*calls))
-    return segments, breaks, grid, force, a_ms, state
+    return program, breaks, grid, force, a_ms, state
 
 
 def _fatigue_cost(spec: ObjectiveSpec, train: PulseTrain, params: ModelParams) -> float:
     _, edges, grid, force, a_ms, _ = _session(
-        lambda a_start: train, spec.t_f, spec.rest_duration, train.horizon, params, spec.sim_step
+        lambda a_start: train, spec.t_f, spec.rest_duration, params, spec.sim_step
     )
     # Right-endpoint rule on the pulse intervals of each train, rests
     # contributing as single intervals. The grid is sorted: the points in

@@ -5,8 +5,11 @@ the Hill dynamics, into a reference concentration; an L2 concentration
 tracking problem produces a template train; ``optimize._session``, which
 lays out the ``track_force_fatigue`` cost's session too, tiles trains and
 recovery rests over the session and integrates it once, train by train,
-the fatigue state at each train start picking (or re-solving) its template.
-The finished trajectory flags any crossing of the fatigue threshold.
+the fatigue state at each train start picking (or re-solving) its template
+and that template's horizon sizing the rest after it. The program is the
+``PulseTrain``/``Rest`` sequence that ``simulate_force_fatigue`` takes, and
+its trajectory is that simulation's, bit for bit. The finished trajectory
+flags any crossing of the fatigue threshold.
 """
 
 from __future__ import annotations
@@ -16,13 +19,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import ModelParams, PulseTrain, steady_state_root
-from .optimize import DecisionVector, ObjectiveSpec, ProgramSegment, SolveOptions, _session, solve
-from .simulate import Trajectory, simulate_force
+from .optimize import DecisionVector, ObjectiveSpec, SolveOptions, _session, solve
+from .simulate import Rest, Trajectory, _flatten_program, simulate_force
 
 __all__ = [
     "ProgramSpec",
     "StimulationProgram",
-    "ProgramSegment",
     "TemplateNotConverged",
     "plan_endurance",
     "derive_f_max",
@@ -84,10 +86,11 @@ class ProgramSpec:
 
 @dataclass(frozen=True, eq=False)
 class StimulationProgram:
-    """An assembled session: segments tiling [0, t_f], the concentration
+    """An assembled session: trains and rests tiling [0, t_f] back to back
+    (the program ``simulate_force_fatigue`` takes), the concentration
     reference they track, and the simulated fatigue audit."""
 
-    segments: tuple[ProgramSegment, ...]
+    segments: tuple[PulseTrain | Rest, ...]
     c_n_ref: float
     f_ref: float
     a_threshold: float
@@ -96,9 +99,13 @@ class StimulationProgram:
     train_summaries: tuple[dict, ...]
 
     @property
+    def bounds(self) -> list[float]:
+        """0, then the end of each segment, summed in program order."""
+        return _flatten_program(self.segments)[3]
+
+    @property
     def t_f(self) -> float:
-        last = self.segments[-1]
-        return last.start + last.duration
+        return self.bounds[-1]
 
 
 def _solve_template(
@@ -160,8 +167,7 @@ def plan_endurance(
         return templates_by_a[-1][1]
 
     segments, _, grid, force, a_ms, state = _session(
-        pick_template, spec.t_f, rest_len, template.horizon, params, spec.sim_step,
-        "optimized train",
+        pick_template, spec.t_f, rest_len, params, spec.sim_step, "optimized train"
     )
     trajectory = Trajectory(grid, {"c_n": state.cn(grid), "force": force, "a": a_ms * 1e3})
     a_threshold = params.a_rest / spec.k_fatigue
@@ -170,10 +176,10 @@ def plan_endurance(
     breach = float(trajectory.grid[below[0]]) if len(below) else None
 
     summaries = []
-    for seg in segments:
-        if not seg.is_train:
+    bounds = _flatten_program(segments)[3]
+    for seg, lo, hi in zip(segments, bounds, bounds[1:]):
+        if not isinstance(seg, PulseTrain):
             continue
-        lo, hi = seg.start, seg.start + seg.duration
         # The grid is sorted: the points in [lo, hi] (±1e-9) are one slice.
         sel = slice(np.searchsorted(grid, lo - 1e-9), np.searchsorted(grid, hi + 1e-9, "right"))
         summaries.append(

@@ -18,7 +18,10 @@ states are chained in one short loop, A carried across every boundary.
 A call's output thus depends only on each interval's steps and start
 state, which is what lets a session be integrated train by train (each
 with the rest after it, in ``optimize._session``), bit for bit the one-call
-simulation of the finished program.
+simulation of the finished program. A program is a sequence of
+:class:`PulseTrain` and :class:`Rest` values; :func:`_flatten_program` is
+the one place that turns it into global pulse times, amplitudes, breaks and
+segment bounds.
 """
 
 from __future__ import annotations
@@ -284,31 +287,30 @@ def simulate_force(train: PulseTrain, params: ModelParams, step: float | None = 
     return Trajectory(grid=grid, channels={"c_n": state.cn(grid), "force": force})
 
 
-def _flatten_program(segments) -> tuple[list[float], list[float], list[float], float]:
-    """Global pulse times and amplitudes of a program, its integration
-    breaks (the sorted union of the pulse times before the end and the
-    segment bounds) and its end time."""
+def _flatten_program(segments) -> tuple[list[float], list[float], list[float], list[float]]:
+    """Global pulse times and amplitudes of a program of trains and rests,
+    its integration breaks (the sorted union of the pulse times before the
+    end and the segment bounds) and its segment bounds: 0, then each
+    segment's end, summed in program order."""
     times: list[float] = []
     amps: list[float] = []
     bounds = [0.0]
-    cur = 0.0
     for seg in segments:
         if isinstance(seg, PulseTrain):
-            times.extend(cur + t for t in seg.times)
+            times.extend(bounds[-1] + t for t in seg.times)
             amps.extend(seg.amplitudes)
-            cur += seg.horizon
+            bounds.append(bounds[-1] + seg.horizon)
         elif isinstance(seg, Rest):
-            cur += seg.duration
+            bounds.append(bounds[-1] + seg.duration)
         else:
             raise TypeError(f"program segment must be PulseTrain or Rest, got {seg!r}")
-        bounds.append(cur)
     if not times:
         # A pure-rest program still integrates (trivially) from rest.
         times, amps = [0.0], [0.0]
     if any(b - a <= 0.0 for a, b in zip(times, times[1:])):
         raise ValueError("program pulses must be strictly increasing in global time")
-    breaks = sorted(set(t for t in times if t < cur) | set(bounds))
-    return times, amps, breaks, cur
+    breaks = sorted(set(t for t in times if t < bounds[-1]) | set(bounds))
+    return times, amps, breaks, bounds
 
 
 def simulate_force_fatigue(segments, params: ModelParams, step: float | None = None) -> Trajectory:
@@ -321,8 +323,8 @@ def simulate_force_fatigue(segments, params: ModelParams, step: float | None = N
     The ``a`` channel is reported in kN/s; ``step`` is as for
     :func:`simulate_force`.
     """
-    times, amps, breaks, t_f = _flatten_program(segments)
-    if t_f <= 0.0:
+    times, amps, breaks, bounds = _flatten_program(segments)
+    if bounds[-1] <= 0.0:
         raise ValueError("program must have positive total duration")
     state = ConcentrationState.from_pulses(times, amps, params)
     grid, force, a = _integrate(state, breaks, params, step, params.alpha_a_ms)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -412,6 +413,17 @@ def test_validate_unknown_suite_is_config_error(tmp_path):
     assert main(["validate", "--config", cfg, "--out", str(tmp_path / "o"), "--suite", "bogus"]) == EXIT_CONFIG
 
 
+def test_validate_unknown_suite_is_config_error_whatever_the_model(tmp_path):
+    # An invalid [model] (no k_m) is a failed check of a known suite; an
+    # unknown suite name is rejected before the model is read.
+    cfg = write(tmp_path, edited(NOMINAL, "k_m = 0.103\n", ""))
+    out = tmp_path / "o"
+    assert main(["validate", "--config", cfg, "--out", str(out), "--suite", "bogus"]) == EXIT_CONFIG
+    assert not out.exists()
+    assert main(["validate", "--config", cfg, "--out", str(out), "--suite", "lobe"]) == EXIT_VALIDATION
+    assert not json.loads((out / "validation.json").read_text())["all_passed"]
+
+
 def test_validate_wrong_fatigue_sign_fails(tmp_path):
     cfg = write(tmp_path, NOMINAL.replace("[train]", "[model2]").replace("[model2]", "[train]") +
                 "\n[validate]\nn_trains = 2\n", name="bad_alpha.ini")
@@ -580,6 +592,20 @@ def test_plan_writes_program(tmp_path):
     assert total == pytest.approx(1100.0, abs=1e-6)
     assert prog["c_n_ref"] > 0.0
     assert (out / "program_trajectory.csv").exists()
+
+
+def test_plan_passes_the_benchmark_check_on_its_sessions(tmp_path, monkeypatch):
+    # The two sessions of the endurance-plan benchmark workload, run and
+    # checked as the benchmark does, against its independent reference.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    checks = importlib.import_module("checks")
+    for op in workloads.endurance_ops():
+        out = tmp_path / op.label
+        cfg = write(tmp_path, op.config, f"{op.label}.ini")
+        assert main([op.command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+        problems, _ = checks.check_plan(op.spec, out)
+        assert problems == [], op.label
 
 
 def _percent_body(table: np.ndarray) -> str:

@@ -64,12 +64,35 @@ def nominal_program():
     return plan_endurance(spec, P, options=FAST)
 
 
+def _duration(seg) -> float:
+    return seg.horizon if isinstance(seg, PulseTrain) else seg.duration
+
+
+def _kinds(segments) -> list:
+    """A program as (kind, duration) pairs."""
+    return [("T" if isinstance(s, PulseTrain) else "R", _duration(s)) for s in segments]
+
+
+def _trains(prog) -> list:
+    return [seg for seg in prog.segments if isinstance(seg, PulseTrain)]
+
+
+def _stub_templates(monkeypatch, first: PulseTrain, resolved: PulseTrain) -> None:
+    """The planner's first template is ``first``; every train start re-solves
+    (no drift tolerance), to ``resolved``."""
+    trains = iter([first])
+    monkeypatch.setattr(fespulse.planner, "_solve_template",
+                        lambda *args, **kwargs: next(trains, resolved))
+    monkeypatch.setattr(fespulse.planner, "_REDRIFT_TOL", 0.0)
+
+
 def test_program_tiles_session_exactly(nominal_program):
     prog = nominal_program
+    assert all(isinstance(seg, (PulseTrain, Rest)) for seg in prog.segments)
     cursor = 0.0
-    for seg in prog.segments:
-        assert seg.start == pytest.approx(cursor, abs=1e-9)
-        cursor += seg.duration
+    for seg, start in zip(prog.segments, prog.bounds):
+        assert start == pytest.approx(cursor, abs=1e-9)
+        cursor += _duration(seg)
     assert cursor == pytest.approx(1500.0, abs=1e-9)
     assert prog.t_f == pytest.approx(1500.0, abs=1e-9)
 
@@ -96,7 +119,7 @@ def _cost_layout(monkeypatch, t_f: float, rest: float, train: PulseTrain) -> lis
     sig = DecisionVector(train.amplitudes, train.times[1:], train.horizon)
     objective_value(_fatigue_spec(t_f, rest), sig, P)
     ((segments, *_),) = seen
-    return [("T", s.duration) if s.is_train else ("R", s.duration) for s in segments]
+    return _kinds(segments)
 
 
 def _plan_layout(monkeypatch, t_f: float, rest: float, train: PulseTrain) -> list:
@@ -104,8 +127,7 @@ def _plan_layout(monkeypatch, t_f: float, rest: float, train: PulseTrain) -> lis
     monkeypatch.setattr(fespulse.planner, "_solve_template", lambda *args, **kwargs: train)
     spec = ProgramSpec(f_ref=0.1, n=2, train_horizon=train.horizon, rest_duration=rest,
                        t_f=t_f, sim_step=1.0)
-    return [("T", s.duration) if s.is_train else ("R", s.duration)
-            for s in plan_endurance(spec, P).segments]
+    return _kinds(plan_endurance(spec, P).segments)
 
 
 def test_fatigue_cost_absorbs_a_short_tail_into_the_last_rest(monkeypatch):
@@ -145,13 +167,10 @@ def test_fatigue_cost_and_planner_reject_a_session_shorter_than_one_train(monkey
 
 
 def test_planner_rejects_a_resolved_template_longer_than_the_room_left(monkeypatch):
-    # The first template (250 ms) lays the session out; with no drift
-    # tolerance the second train start re-solves, and the 400 ms template it
-    # gets does not fit in the 350 ms left after [T250, R200].
-    trains = iter([_template(250.0)])
-    monkeypatch.setattr(fespulse.planner, "_solve_template",
-                        lambda *args, **kwargs: next(trains, _template(400.0)))
-    monkeypatch.setattr(fespulse.planner, "_REDRIFT_TOL", 0.0)
+    # The first template (250 ms) leaves room for a second train after
+    # [T250, R200]; with no drift tolerance that train start re-solves, and
+    # the 400 ms template it gets does not fit in the 350 ms left.
+    _stub_templates(monkeypatch, _template(250.0), _template(400.0))
     spec = ProgramSpec(f_ref=0.1, n=2, train_horizon=250.0, rest_duration=200.0, t_f=800.0,
                        sim_step=1.0)
     with pytest.raises(SessionTooShort,
@@ -173,10 +192,10 @@ def test_program_recovery_monotone_in_rests(nominal_program):
     traj = nominal_program.trajectory
     a = traj.channel("a")
     force = traj.channel("force")
-    for seg in nominal_program.segments:
-        if seg.is_train:
+    bounds = nominal_program.bounds
+    for seg, lo, hi in zip(nominal_program.segments, bounds, bounds[1:]):
+        if isinstance(seg, PulseTrain):
             continue
-        lo, hi = seg.start, seg.start + seg.duration
         sel = (traj.grid >= lo) & (traj.grid <= hi) & (force < 1e-6)
         if int(sel.sum()) > 2:
             assert np.all(np.diff(a[sel]) >= -1e-12)
@@ -206,19 +225,16 @@ def test_plan_integrates_the_session_once(monkeypatch):
         rest_duration=150.0, t_f=2400.0, sim_step=1.0,
     )
     prog = plan_endurance(spec, P, options=FAST)
-    n_trains = sum(seg.is_train for seg in prog.segments)
+    n_trains = len(_trains(prog))
     assert n_trains >= 3
     assert len(calls) == n_trains
     assert sum(steps) == len(prog.trajectory.grid) - 1
 
 
-# At the end of some of the 62.62 ms rests, np.exp and math.exp differ in
-# the last bit of c_N: the value there must come from the next train's pulse.
-@pytest.mark.parametrize("rest", [1.0, 37.5, 62.62, 400.0, 2000.0])
-def test_plan_trajectory_equals_program_simulation_bitwise(rest, monkeypatch):
-    # Integrating train by train gives, bit for bit, the trajectory of one
-    # simulation of the finished program from t = 0, and every interval
-    # sees the step and Hill coefficients of that simulation.
+def _assert_plan_is_program_simulation(spec, monkeypatch, options=None):
+    """Integrating train by train gives, bit for bit, the trajectory of one
+    simulation of the finished program from t = 0, and every interval sees
+    the step and Hill coefficients of that simulation. Returns the plan."""
     sweeps = []
     scan = fespulse.simulate._rk4_scan
 
@@ -229,20 +245,42 @@ def test_plan_trajectory_equals_program_simulation_bitwise(rest, monkeypatch):
         return scan(h, m1, m2, sizes, *rest)
 
     monkeypatch.setattr(fespulse.simulate, "_rk4_scan", recording_scan)
-    spec = ProgramSpec(
-        f_ref=0.12, n=3, i_min=20.0, train_horizon=200.0,
-        rest_duration=rest, t_f=3200.0, k_fatigue=1.1,
-    )
-    prog = plan_endurance(spec, P, options=FAST)
+    prog = plan_endurance(spec, P, options=options)
     planned = list(sweeps)
     sweeps.clear()
-    program = [seg.train if seg.is_train else Rest(seg.duration) for seg in prog.segments]
-    assert sum(seg.is_train for seg in prog.segments) >= 2
-    ref = simulate_force_fatigue(program, P, spec.sim_step)
+    assert len(_trains(prog)) >= 2
+    ref = simulate_force_fatigue(prog.segments, P, spec.sim_step)
     assert planned == sweeps
     assert np.array_equal(prog.trajectory.grid, ref.grid)
     for name in ("c_n", "force", "a"):
         assert np.array_equal(prog.trajectory.channel(name), ref.channel(name)), name
+    return prog
+
+
+# At the end of some of the 62.62 ms rests, np.exp and math.exp differ in
+# the last bit of c_N: the value there must come from the next train's pulse.
+@pytest.mark.parametrize("rest", [1.0, 37.5, 62.62, 400.0, 2000.0])
+def test_plan_trajectory_equals_program_simulation_bitwise(rest, monkeypatch):
+    spec = ProgramSpec(
+        f_ref=0.12, n=3, i_min=20.0, train_horizon=200.0,
+        rest_duration=rest, t_f=3200.0, k_fatigue=1.1,
+    )
+    _assert_plan_is_program_simulation(spec, monkeypatch, FAST)
+
+
+def test_plan_lays_out_each_rest_by_the_train_in_use(monkeypatch):
+    # After [T250, R200, T150] 400 ms are left: a 200 ms rest leaves room for
+    # one more 150 ms train, though not for one of the first template's
+    # 250 ms. Across the shorter re-solved template the plan stays, bit for
+    # bit, the simulation of its program.
+    _stub_templates(monkeypatch, _template(250.0), _template(150.0))
+    spec = ProgramSpec(f_ref=0.1, n=2, train_horizon=250.0, rest_duration=200.0, t_f=1000.0,
+                       sim_step=1.0)
+    prog = _assert_plan_is_program_simulation(spec, monkeypatch)
+    assert _kinds(prog.segments) == [("T", 250.0), ("R", 200.0), ("T", 150.0), ("R", 200.0),
+                                     ("T", 150.0), ("R", 50.0)]
+    assert prog.t_f == 1000.0
+    assert [s["start_ms"] for s in prog.train_summaries] == [0.0, 450.0, 800.0]
 
 
 def test_plan_equals_program_simulation_across_scan_blocks(monkeypatch):
@@ -256,8 +294,7 @@ def test_plan_equals_program_simulation_across_scan_blocks(monkeypatch):
         rest_duration=400.0, t_f=2000.0, k_fatigue=1.1, sim_step=1.0,
     )
     prog = plan_endurance(spec, P, options=FAST)
-    program = [seg.train if seg.is_train else Rest(seg.duration) for seg in prog.segments]
-    ref = simulate_force_fatigue(program, P, spec.sim_step)
+    ref = simulate_force_fatigue(prog.segments, P, spec.sim_step)
     assert np.array_equal(prog.trajectory.grid, ref.grid)
     for name in ("c_n", "force", "a"):
         assert np.array_equal(prog.trajectory.channel(name), ref.channel(name)), name
@@ -272,9 +309,9 @@ def test_tiled_program_concentration_decays_through_rests(f_ref, rest):
     prog = plan_endurance(spec, P, options=FAST)
     traj = prog.trajectory
     c = traj.channel("c_n")
-    for seg in prog.segments:
-        if not seg.is_train:
-            sel = (traj.grid >= seg.start) & (traj.grid <= seg.start + seg.duration)
+    for seg, lo, hi in zip(prog.segments, prog.bounds, prog.bounds[1:]):
+        if isinstance(seg, Rest):
+            sel = (traj.grid >= lo) & (traj.grid <= hi)
             assert np.all(np.diff(c[sel]) <= 0.0)
 
 
@@ -306,7 +343,7 @@ def test_benchmark_sessions_solve_their_templates_cleanly(f_ref, t_f, rest, solv
     # No train start may drift within 0.3 percentage points of the re-solve
     # tolerance from a template solved before it, so the count cannot flip.
     templates = []
-    trains = [seg.train for seg in prog.segments if seg.is_train]
+    trains = _trains(prog)
     for train, summary in zip(trains, prog.train_summaries):
         for _, a_used in templates:
             drift = abs(summary["a_start"] - a_used) / a_used
@@ -317,7 +354,7 @@ def test_benchmark_sessions_solve_their_templates_cleanly(f_ref, t_f, rest, solv
 
 
 def test_program_force_within_envelope(nominal_program):
-    template = next(seg.train for seg in nominal_program.segments if seg.is_train)
+    template = _trains(nominal_program)[0]
     traj = simulate_force(template, P, 0.25)
     f = traj.channel("force")
     low, high = upper_lower_envelope(template, P, 1.05, 0.95, traj.grid)
@@ -326,8 +363,7 @@ def test_program_force_within_envelope(nominal_program):
 
 
 def test_program_summaries_cover_each_train(nominal_program):
-    trains = [seg for seg in nominal_program.segments if seg.is_train]
-    assert len(nominal_program.train_summaries) == len(trains)
+    assert len(nominal_program.train_summaries) == len(_trains(nominal_program))
     for summary in nominal_program.train_summaries:
         assert summary["peak_force_kN"] >= summary["terminal_force_kN"] >= 0.0
         assert summary["a_start"] <= P.a_rest + 1e-12
@@ -366,7 +402,7 @@ def test_vanishing_force_target_gives_near_empty_program():
     )
     prog = plan_endurance(spec, P, options=SolveOptions(i_min=20.0, t_max=500.0))
     assert prog.c_n_ref < 1e-6
-    amps = [a for seg in prog.segments if seg.is_train for a in seg.train.amplitudes]
+    amps = [a for train in _trains(prog) for a in train.amplitudes]
     # The bulk of the stimulus vanishes; a trailing pulse whose lobe falls
     # outside its collapsed interval may stay at an arbitrary level.
     assert amps and float(np.median(amps)) < 1e-3
