@@ -219,7 +219,7 @@ def _header_lines(cfg: ScenarioConfig, command: str, seed: int) -> list[str]:
 
 
 # CSV bodies are formatted this many rows at a time: 2048-4096 rows was the
-# fastest in a sweep from 256 to 8192, and each temporary of a 5-column
+# fastest in a sweep from 256 to 8192, and each working array of a 5-column
 # block stays near 80 KB.
 _CSV_CHUNK_ROWS = 2048
 
@@ -302,32 +302,75 @@ def _g9_tables():
 _G9_DIGITS, _G9_ZB, _G9_ZA, _G9_CONST, _G9_MASK, _G9_SUFFIX, _G9_EKEY = _g9_tables()
 
 
-def _format_g9(x: np.ndarray, seps: np.ndarray) -> bytes:
+class _G9Buffers:
+    """Working arrays of `_format_g9` for up to ``size`` values, made once
+    per CSV file and reused by every block. A block then allocates nothing
+    of its own size, so its memory is not handed back to the system and
+    faulted in anew after each block, which glibc would do or not depending
+    on how earlier allocations left its heap."""
+
+    def __init__(self, size: int):
+        self.f = np.empty((3, size))
+        self.i = np.empty((7, size), np.int64)
+        self.b = np.empty((3, size), bool)
+        self.rows = np.empty((size, 4), np.int64)
+
+
+def _take(table: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``table[idx]`` into ``out``. Every index is in range, so mode="clip"
+    never clips; unlike mode="raise" it writes ``out`` without a copy."""
+    return np.take(table, idx, out=out, mode="clip")
+
+
+def _format_g9(x: np.ndarray, seps: np.ndarray, buf: _G9Buffers) -> bytes:
     """``format(v, ".9g")`` of each value of the flat array ``x``, each
-    followed by its separator (``seps``: the separator byte << 40)."""
-    ax = np.abs(x)
-    zero = ax == 0.0
-    ok = (ax >= _G9_MIN) & (ax <= _G9_MAX)
-    np.copyto(ax, 1.0, where=~ok)
-    ei = np.floor(np.log10(ax)).astype(np.intp) + _G9_E0
-    y = _G9_SCALE[ei] * ax
-    r = np.rint(y)
-    ok &= np.abs(y - r) < 0.5 - _G9_MARGIN
-    ok &= (y > _G9_LO + _G9_MARGIN) & (y < _G9_HI - _G9_MARGIN)
-    r[zero] = 0.0    # ±0: the digits 000000000 at exponent 0 print as "0"
+    followed by its separator (``seps``: the separator byte << 40), worked
+    out in ``buf`` (see `_G9Buffers`)."""
+    n = x.size
+    ax, y, r = (v[:n] for v in buf.f)
+    ei, d, q, b, a, key, t = (v[:n] for v in buf.i)
+    zero, ok, flag = (v[:n] for v in buf.b)
+    np.abs(x, out=ax)
+    np.equal(ax, 0.0, out=zero)
+    np.greater_equal(ax, _G9_MIN, out=ok)
+    ok &= np.less_equal(ax, _G9_MAX, out=flag)
+    np.copyto(ax, 1.0, where=np.logical_not(ok, out=flag))
+    np.floor(np.log10(ax, out=y), out=y)
+    np.copyto(ei, y, casting="unsafe")
+    ei += _G9_E0
+    np.multiply(_take(_G9_SCALE, ei, y), ax, out=y)
+    np.rint(y, out=r)
+    np.abs(np.subtract(y, r, out=ax), out=ax)
+    ok &= np.less(ax, 0.5 - _G9_MARGIN, out=flag)
+    ok &= np.greater(y, _G9_LO + _G9_MARGIN, out=flag)
+    ok &= np.less(y, _G9_HI - _G9_MARGIN, out=flag)
+    np.copyto(r, 0.0, where=zero)    # ±0: the digits 000000000 at exponent 0 print as "0"
     # The significand d = d0·10^8 + a·10^4 + b, with a = d1..d4, b = d5..d8.
-    d = r.astype(np.int64)
-    q = d // 10000
-    b = d - q * 10000
-    hi = q // 10000
-    a = q - hi * 10000
-    key = _G9_EKEY[ei] + _G9_ZB[b] + _G9_ZA[a] + np.signbit(x)
-    rows = np.empty((x.size, 4), np.int64)
-    rows[:, 0] = _G9_CONST[0, key] | (hi + ord("0")) << 48
-    rows[:, 1] = _G9_DIGITS[a] & _G9_MASK[1, key] | _G9_CONST[1, key]
-    rows[:, 2] = _G9_DIGITS[b] & _G9_MASK[2, key] | _G9_CONST[2, key]
-    rows[:, 3] = _G9_SUFFIX[ei] | seps
-    rest = np.flatnonzero(~(ok | zero))
+    np.copyto(d, r, casting="unsafe")
+    np.floor_divide(d, 10000, out=q)
+    np.subtract(d, np.multiply(q, 10000, out=b), out=b)
+    hi = np.floor_divide(q, 10000, out=d)
+    np.subtract(q, np.multiply(hi, 10000, out=a), out=a)
+    _take(_G9_EKEY, ei, key)
+    key += _take(_G9_ZB, b, t)
+    key += _take(_G9_ZA, a, t)
+    key += np.signbit(x, out=flag)
+    rows = buf.rows[:n]
+    hi += ord("0")
+    hi <<= 48
+    _take(_G9_CONST[0], key, t)
+    t |= hi
+    rows[:, 0] = t
+    for j, digits in ((1, a), (2, b)):
+        _take(_G9_DIGITS, digits, t)
+        t &= _take(_G9_MASK[j], key, q)
+        t |= _take(_G9_CONST[j], key, q)
+        rows[:, j] = t
+    _take(_G9_SUFFIX, ei, t)
+    t |= seps
+    rows[:, 3] = t
+    np.logical_or(ok, zero, out=flag)
+    rest = np.flatnonzero(np.logical_not(flag, out=flag))
     if rest.size:    # nan, ±inf, |x| outside [_G9_MIN, _G9_MAX], near-ties
         text = b"".join(format(v, ".9g").encode().ljust(32, b"\0") for v in x[rest].tolist())
         rows[rest] = _le_words(np.frombuffer(text, np.uint8)).reshape(-1, 4)
@@ -335,16 +378,22 @@ def _format_g9(x: np.ndarray, seps: np.ndarray) -> bytes:
     return rows.astype("<i8", copy=False).tobytes().translate(None, b"\0")
 
 
-def _csv_blocks(table: np.ndarray):
-    """Rows of ``table`` as comma-separated ``format(v, ".9g")`` lines, one
-    bytes object per `_CSV_CHUNK_ROWS` rows."""
-    n_rows, n_cols = table.shape
-    seps = np.full(n_cols, ord(","), np.int64)
+def _csv_blocks(cols: list[np.ndarray]):
+    """Rows of the equal-length columns ``cols`` as comma-separated
+    ``format(v, ".9g")`` lines, one bytes object per `_CSV_CHUNK_ROWS` rows,
+    each block interleaved from the columns' slices into one buffer and
+    formatted in one `_G9Buffers`."""
+    seps = np.full(len(cols), ord(","), np.int64)
     seps[-1] = ord("\n")
     seps = np.tile(seps << 40, _CSV_CHUNK_ROWS)
+    n_rows = len(cols[0])
+    table = np.empty((_CSV_CHUNK_ROWS, len(cols)))
+    work = _G9Buffers(table.size)
     for start in range(0, n_rows, _CSV_CHUNK_ROWS):
-        block = table[start:start + _CSV_CHUNK_ROWS].ravel()
-        yield _format_g9(block, seps[:block.size])
+        rows = table[:min(_CSV_CHUNK_ROWS, n_rows - start)]
+        for i, col in enumerate(cols):
+            rows[:, i] = col[start:start + len(rows)]
+        yield _format_g9(rows.ravel(), seps[:rows.size], work)
 
 
 def _write_csv(path: Path, cfg, command, seed, columns, data) -> None:
@@ -360,15 +409,18 @@ def _write_csv(path: Path, cfg, command, seed, columns, data) -> None:
     [1e-290, 1e290] and values nearer a boundary go through ``format``
     itself; ±0 is written directly.
 
-    The file takes the header, then each block as it is formatted, so the
-    body is never held whole: beyond the table, memory stays at one block's
-    temporaries whatever the row count."""
+    The file takes the header, then each block as it is formatted from
+    the columns' rows, so neither the table nor the body is ever copied
+    whole: beyond the columns, memory stays at one block's temporaries
+    whatever the row count."""
+    cols = [np.asarray(col, dtype=float) for col in data]
+    if any(col.shape != cols[0].shape or col.ndim != 1 for col in cols):
+        raise ValueError("CSV columns must be 1-D and of one length")
     lines = _header_lines(cfg, command, seed)
     lines.append(",".join(columns))
-    table = np.column_stack([np.asarray(col, dtype=float) for col in data])
     with path.open("wb") as out:
         out.write(("\n".join(lines) + "\n").encode())
-        out.writelines(_csv_blocks(table))
+        out.writelines(_csv_blocks(cols))
 
 
 def _write_json(path: Path, cfg, command, seed, payload: dict) -> None:
@@ -396,7 +448,7 @@ def run_simulate(cfg: ScenarioConfig, out_dir: Path, seed: int) -> int:
     grid = traj.grid
     c_n = traj.channel("c_n")
     force = traj.channel("force")
-    a_col = np.full_like(grid, params.a_rest)
+    a_col = np.broadcast_to(params.a_rest, grid.shape)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "trajectory.csv", cfg, "simulate", seed,

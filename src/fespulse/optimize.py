@@ -344,10 +344,11 @@ def _session(pick, t_f: float, rest: float, params: ModelParams, step, what: str
     is :func:`_next_rest`'s for trains of its own horizon; the two take one
     RK4 call at ``step``, bit for bit ``simulate_force_fatigue`` of the
     finished program. Returns the program (trains and rests), its breaks
-    (see :func:`simulate._flatten_program`), grid, F, A (kN/ms) and the
-    state of all pulses. Raises :class:`SessionTooShort`, naming the train
-    ``what``, where a picked train overruns t_f."""
-    program, calls = [], []  # calls: grid, F and A of each integration
+    (see :func:`simulate._flatten_program`), grid, c_N, F and A (kN/ms).
+    Raises :class:`SessionTooShort`, naming the train ``what``, where a
+    picked train overruns t_f."""
+    program, parts = [], ([], [], [], [])  # grid, c_N, F and A of each integration
+    forces, a_parts = parts[2:]
     k, cur, a_start = 0, 0.0, params.a_rest  # k: the train start's index in the breaks
     more = True
     while more:
@@ -368,16 +369,23 @@ def _session(pick, t_f: float, rest: float, params: ModelParams, step, what: str
         # time matters (u = 0), so it enters with zero weight.
         pad = [cur] if more else []
         state = ConcentrationState.from_pulses(times + pad, amps + [0.0] * len(pad), params)
-        start = (calls[-1][1][-1], calls[-1][2][-1]) if calls else (0.0, None)
-        calls.append(_integrate(state, breaks[k:], params, step, params.alpha_a_ms, *start))
+        start = (forces[-1][-1], a_parts[-1][-1]) if forces else (0.0, None)
+        for part, out in zip(parts, _integrate(state, breaks[k:], params, step,
+                                               params.alpha_a_ms, *start)):
+            part.append(out)
         k = len(breaks) - 1
-        a_start = calls[-1][2][-1] * 1e3
-    grid, force, a_ms = (_stitch(part) for part in zip(*calls))
-    return program, breaks, grid, force, a_ms, state
+        a_start = a_parts[-1][-1] * 1e3
+    # One channel at a time, each freeing its parts, so that only one
+    # channel is held twice.
+    channels = []
+    for part in parts:
+        channels.append(_stitch(part))
+        part.clear()
+    return program, breaks, *channels
 
 
 def _fatigue_cost(spec: ObjectiveSpec, train: PulseTrain, params: ModelParams) -> float:
-    _, edges, grid, force, a_ms, _ = _session(
+    _, edges, grid, _, force, a_ms = _session(
         lambda a_start: train, spec.t_f, spec.rest_duration, params, spec.sim_step
     )
     # Right-endpoint rule on the pulse intervals of each train, rests

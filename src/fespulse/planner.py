@@ -166,12 +166,12 @@ def plan_endurance(
         templates_by_a.append((a_start, _solve_template(objective, spec, params, options)))
         return templates_by_a[-1][1]
 
-    segments, _, grid, force, a_ms, state = _session(
+    segments, _, grid, c_n, force, a_ch = _session(
         pick_template, spec.t_f, rest_len, params, spec.sim_step, "optimized train"
     )
-    trajectory = Trajectory(grid, {"c_n": state.cn(grid), "force": force, "a": a_ms * 1e3})
+    a_ch *= 1e3  # kN/s
+    trajectory = Trajectory(grid, {"c_n": c_n, "force": force, "a": a_ch})
     a_threshold = params.a_rest / spec.k_fatigue
-    a_ch = trajectory.channel("a")
     below = np.flatnonzero(a_ch < a_threshold)
     breach = float(trajectory.grid[below[0]]) if len(below) else None
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,19 @@ from fespulse import ModelParams, PulseTrain, compute_scaling, eval_cn
 @pytest.fixture(scope="session")
 def params() -> ModelParams:
     return ModelParams()
+
+
+def traced_peak(fn):
+    """(peak bytes that tracemalloc sees allocated while ``fn()`` runs, above
+    what was allocated when it started; ``fn()``'s result)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak, result
 
 
 def rk4_cn_max_error(train: PulseTrain, params: ModelParams, step: float = 0.2) -> float:

@@ -16,9 +16,11 @@ from fespulse import (
     simulate_force_fatigue,
 )
 import fespulse.simulate
-from fespulse.checks import random_train
+from fespulse.checks import T6, random_train
 from fespulse.model import ConcentrationState, _linspace_nodes, eval_m1
 from fespulse.simulate import _flatten_program, _integrate
+
+from conftest import traced_peak
 
 P = ModelParams()
 THREE_PULSE = PulseTrain((0.0, 25.0, 55.0), (1.0, 0.7, 0.9), 160.0, 20.0)
@@ -318,10 +320,27 @@ def test_rk4_scan_matches_the_step_loop(blocks, monkeypatch):
         f, a = (0.0, P.a_rest_ms) if trial % 2 else (
             float(rng.uniform(0.0, 0.2)), float(rng.uniform(0.5, 1.0)) * P.a_rest_ms
         )
-        grid, force, a_ms = _integrate(state, breaks, P, step, alpha, f, a)
+        grid, c_n, force, a_ms = _integrate(state, breaks, P, step, alpha, f, a)
         ref_grid, ref_f, ref_a = _loop_integrate(state, breaks, P, step, alpha, f, a)
         assert np.array_equal(grid, ref_grid)
+        assert np.array_equal(c_n, state.cn(grid))
         assert np.max(np.abs(force - ref_f)) <= 1e-13 * np.max(np.abs(ref_f))
         assert np.max(np.abs(a_ms - ref_a)) <= 1e-13 * np.max(np.abs(ref_a))
         if alpha == 0.0 and a == P.a_rest_ms:
             assert np.all(a_ms == P.a_rest_ms)
+
+
+def test_long_rest_holds_its_outputs_once_plus_one_batch():
+    # T6 and a 60 s rest take 150 900 RK4 steps: grid, c_N, F and A of
+    # 150 901 samples, 4.8 MB. Beside them the call holds one batch at a
+    # time. Batches are whole blocks of at most _BLOCK_STEPS = 2^14 steps,
+    # cut where the step count passes a multiple of _BATCH_STEPS = 2^14, so
+    # a batch has under 2^15 steps. It keeps at most about 24 float64 arrays
+    # of its length alive at once (node times, c_N and Hill samples, the
+    # step maps and the scan's new maps), under 200 bytes per step: the
+    # bound is 2^15 x 200 B = 6.6 MB. Batches of 2^16 steps go over it.
+    assert fespulse.simulate._BATCH_STEPS + fespulse.simulate._BLOCK_STEPS <= 2**15
+    peak, traj = traced_peak(lambda: simulate_force_fatigue([T6, Rest(60_000.0)], P))
+    held = traj.grid.nbytes + sum(v.nbytes for v in traj.channels.values())
+    assert len(traj.grid) == 150_901
+    assert peak - held < 2**15 * 200
